@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .design import OptimizerOptions, optimize_support, require_exterior
+from .design import optimize_support, require_exterior
 from .imaginary import (
     closed_form_design,
     growth_gap,
@@ -68,7 +68,7 @@ def _emit_poly_csv(p, out):
 
 def _cmd_design(args):
     z0 = require_exterior(complex(args.z0[0], args.z0[1]))
-    design = optimize_support(args.n, z0, OptimizerOptions(seed=args.seed))
+    design = optimize_support(args.n, z0)
     if args.format == "csv":
         _emit_poly_csv(design.extremal_poly, args.out)
     else:
@@ -110,19 +110,18 @@ def _suite_pell(seed):
     return worst <= 1e-9, f"worst residual {worst:.3e} over 10000 samples"
 
 
-def _suite_equivalence(seed):
+def _suite_equivalence(_seed):
     """Optimizer against the available exact node sets, certificate demanded."""
-    opts = OptimizerOptions(seed=seed)
     worst = 0.0
     ok = True
     for n, a in [(2, 1.0), (3, 1.0), (4, 0.25)]:
-        found = optimize_support(n, 1j * a, opts)
+        found = optimize_support(n, 1j * a)
         oracle = closed_form_design(n, a)
         dev = float(np.abs(found.measure.nodes - oracle.measure.nodes).max())
         worst = max(worst, dev)
         ok = ok and found.certified and dev <= 1e-6
     for n, z0 in [(3, 1.5), (4, 2.0)]:
-        found = optimize_support(n, z0, opts)
+        found = optimize_support(n, z0)
         dev = float(
             np.abs(found.measure.nodes - np.cos(np.pi * np.arange(n, -1, -1) / n)).max()
         )
@@ -131,20 +130,20 @@ def _suite_equivalence(seed):
     return ok, f"worst node deviation {worst:.3e}"
 
 
-def _suite_duality(seed):
+def _suite_duality(_seed):
     """K equals |P(z0)|^2 and the L2 norm is 1 on every certified design."""
-    opts = OptimizerOptions(seed=seed)
     worst_gap = 0.0
     worst_l2 = 0.0
     ok = True
     for n, z0 in [(2, 2.0), (3, -3.0), (3, 1j), (2, 1 + 1j), (4, 0.5 + 0.5j)]:
-        d = optimize_support(n, z0, opts)
+        d = optimize_support(n, z0)
         worst_gap = max(worst_gap, d.certificate.duality_gap)
         worst_l2 = max(worst_l2, abs(d.certificate.l2_mu_norm - 1.0))
         ok = ok and d.certified and abs(d.certificate.l2_mu_norm - 1.0) <= 1e-10
     return ok, f"worst duality gap {worst_gap:.3e}, worst |L2 - 1| {worst_l2:.3e}"
 
 
+# every suite takes the verify seed; only the Pell suite draws from it
 _SUITES = {
     "pell": _suite_pell,
     "equivalence": _suite_equivalence,
@@ -196,7 +195,6 @@ def build_parser():
     p = sub.add_parser("design", help="optimize node placement for z0")
     p.add_argument("--n", type=int, required=True, help="polynomial degree")
     p.add_argument("--z0", type=float, nargs=2, metavar=("RE", "IM"), required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(handler=_cmd_design)

@@ -4,8 +4,9 @@ For a fixed support -1 = x_0 < ... < x_n = +1 the best weights are
 w_i = |l_i(z0)| / sum_j |l_j(z0)| (Hoel-Levine), and the kernel value then
 collapses to the squared Lebesgue function, K = (sum_i |l_i(z0)|)^2.  The
 remaining problem is placing the n-1 interior nodes to minimize the Lebesgue
-function at z0, which is done numerically here by multi-start Nelder-Mead
-over log-gap coordinates.
+function at z0.  On an optimal support every interior node is a critical point
+of |P|^2 for the signed polynomial P below, so the nodes are found by one root
+solve of those first-order conditions in log-gap coordinates.
 
 Optimality of a candidate design is not taken on faith: the signed Lagrange
 combination P = sum_i sgn(l_i(z0)) l_i (complex sign conventions such that
@@ -14,13 +15,11 @@ and |P(z0)|^2 reproduces K, the design is optimal; both checks are recorded
 in a Certificate rather than asserted.
 """
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import root
 
 from .measure import DiscreteMeasure, christoffel
 from .polynomial import (
@@ -34,6 +33,9 @@ from .polynomial import (
 _EXTERIOR_IM_TOL = 1e-12
 _CERT_TOL = 1e-8
 _NEAR_TOL = 1e-9
+# relative step tolerance of the root solve; scipy's default 1.5e-8 stops with
+# nodes up to 2.5e-10 off the closed forms, this one within 1e-14 at no extra cost
+_ROOT_XTOL = 1e-12
 
 
 def require_exterior(z0):
@@ -52,6 +54,12 @@ def _lagrange_at(nodes, z0):
     if np.any(np.abs(ell) == 0.0):
         raise ValueError("some fundamental polynomial vanishes at z0")
     return ell
+
+
+def _lagrange_signs(x, z0):
+    """sgn(l_i(z0)) = conj(l_i(z0)) / |l_i(z0)|, the values of P at the nodes."""
+    ell = _lagrange_at(x, z0)
+    return np.conj(ell) / np.abs(ell)
 
 
 def hoel_levine_weights(nodes, z0):
@@ -79,9 +87,7 @@ def extremal_signed_poly(nodes, z0):
     z0 = complex(z0)
     if np.min(np.abs(z0 - x)) == 0.0:
         raise ValueError("z0 coincides with a node")
-    ell = _lagrange_at(x, z0)
-    signs = np.conj(ell) / np.abs(ell)
-    return from_lagrange_combination(x, signs)
+    return from_lagrange_combination(x, _lagrange_signs(x, z0))
 
 
 @dataclass(frozen=True)
@@ -204,23 +210,12 @@ def design_from_support(n, z0, nodes):
     )
 
 
-@dataclass(frozen=True)
-class OptimizerOptions:
-    starts: int = 8
-    dither: float = 0.05
-    xatol: float = 1e-12
-    max_evals: int = 20000
-    max_restarts: int = 3
-    seed: int = 0
-    workers: int = field(default_factory=lambda: int(os.environ.get("OPTPRED_THREADS", "1")))
-
-
 def _nodes_from_gaps(u):
     """Interior nodes from log-gap coordinates u in R^{n-1}.
 
     Gaps between the n+1 ordered nodes are proportional to
     (e^{u_0}, ..., e^{u_{n-2}}, 1); cumulative sums rescaled to [-1, 1] give
-    nodes that are ordered by construction, so the optimizer is unconstrained.
+    nodes that are ordered by construction, so the root solve is unconstrained.
     """
     g = np.empty(len(u) + 1)
     with np.errstate(over="ignore"):
@@ -241,90 +236,59 @@ def _gaps_from_nodes(interior):
     return np.log(g[:-1] / g[-1])
 
 
-def _lebesgue_objective(z0):
-    def objective(u):
+def _first_order_residual(z0):
+    """F_j(u) = Re(conj(P(x_j)) P'(x_j)) at the interior nodes x(u).
+
+    F_j is half the derivative of |P|^2 at x_j, so it vanishes on an optimal
+    support, where every interior node is a maximum of |P| on [-1, 1].
+    """
+    def residual(u):
         interior = _nodes_from_gaps(u)
         if interior is None:
-            return np.inf
+            return np.full(len(u), np.inf)
         x = np.concatenate(([-1.0], interior, [1.0]))
-        # barycentric form: l_i(z0) = omega(z0) * b_i / (z0 - x_i)
+        s = _lagrange_signs(x, z0)
+        # barycentric differentiation: P'(x_j) = sum_i (b_i/b_j)(s_i - s_j)/(x_j - x_i)
         diffs = x[:, None] - x[None, :]
         np.fill_diagonal(diffs, 1.0)
         b = 1.0 / diffs.prod(axis=1)
-        omega = np.prod(z0 - x)
-        val = np.sum(np.abs(omega * b / (z0 - x)))
-        return val if np.isfinite(val) else np.inf
+        dP = ((b[None, :] / b[:, None]) * (s[None, :] - s[:, None]) / diffs).sum(axis=1)
+        return np.real(np.conj(s) * dP)[1:-1]
 
-    return objective
-
-
-def _run_start(objective, u0, opts):
-    f0 = objective(u0)
-    res = minimize(
-        objective,
-        u0,
-        method="Nelder-Mead",
-        options={
-            "xatol": opts.xatol,
-            "fatol": 1e-12 * (1.0 + f0),
-            "maxfev": opts.max_evals,
-            "maxiter": opts.max_evals,
-        },
-    )
-    return res.fun, res.x
+    return residual
 
 
-def optimize_support(n, z0, opts=None):
-    """Minimize the Lebesgue function at z0 over interior node placement.
+def optimize_support(n, z0):
+    """Optimal interior node placement for predicting at z0.
 
-    Endpoints are pinned at -1 and +1; the n-1 interior nodes are optimized
-    in log-gap coordinates by Nelder-Mead from `opts.starts` initial points
-    (Chebyshev extreme points plus dithered copies).  If the best design
-    fails certification, up to `opts.max_restarts` further batches of dithered
-    starts are tried; a still-uncertified result is returned with a warning,
-    the certificate carrying the evidence.  Deterministic for a given seed.
+    Endpoints are pinned at -1 and +1.  The n-1 interior nodes solve the
+    first-order conditions F_j = 0 of _first_order_residual, in log-gap
+    coordinates so that nodes cannot cross, by one MINPACK hybrid root solve
+    started from the Chebyshev extreme points.  An uncertified result is
+    returned with a warning; its certificate carries the evidence.
     """
     z0 = require_exterior(z0)
     if n < 1:
         raise ValueError("degree must be >= 1")
-    if opts is None:
-        opts = OptimizerOptions()
     if n == 1:
         return design_from_support(1, z0, [-1.0, 1.0])
 
-    objective = _lebesgue_objective(z0)
-    u_cheb = _gaps_from_nodes(np.cos(np.pi * np.arange(n - 1, 0, -1) / n))
-    rng = np.random.default_rng(opts.seed)
-    workers = max(1, opts.workers)
-
-    best = None
-    for batch in range(opts.max_restarts + 1):
-        starts = [u_cheb] if batch == 0 else []
-        while len(starts) < opts.starts:
-            starts.append(u_cheb + opts.dither * rng.standard_normal(n - 1))
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda u: _run_start(objective, u, opts), starts))
-        else:
-            results = [_run_start(objective, u, opts) for u in starts]
-
-        # deterministic merge regardless of execution order
-        for fun, u in results:
-            if np.isfinite(fun) and (best is None or fun < best[0]):
-                best = (fun, u)
-        if best is None:
-            continue
-        candidate = design_from_support(n, z0, np.concatenate(([-1.0], _nodes_from_gaps(best[1]), [1.0])))
-        if candidate.certified:
-            return candidate
-
-    if best is None:
-        raise RuntimeError("optimizer produced no finite Lebesgue value")
-    warnings.warn(
-        f"optimize_support(n={n}, z0={z0}): best design failed certification "
-        f"after {opts.max_restarts + 1} batches "
-        f"(max_violation={candidate.certificate.max_violation:.3e}, "
-        f"duality_gap={candidate.certificate.duality_gap:.3e})"
-    )
-    return candidate
+    u0 = _gaps_from_nodes(np.cos(np.pi * np.arange(n - 1, 0, -1) / n))
+    # The Chebyshev start is symmetric, so its first gap equals its last and
+    # u0[0] = log(g_0 / g_{n-1}) is exactly 0, where rounding leaves ~2e-16.
+    # MINPACK sizes its first step by |u0|; from that residue it can stall at
+    # the start (n=2, z0=1+1j stays at x=0 with violation 2e-3).
+    u0[0] = 0.0
+    sol = root(_first_order_residual(z0), u0, method="hybr", tol=_ROOT_XTOL)
+    interior = _nodes_from_gaps(sol.x)
+    if interior is None:
+        raise RuntimeError(f"optimize_support(n={n}, z0={z0}): root solve left [-1, 1]")
+    design = design_from_support(n, z0, np.concatenate(([-1.0], interior, [1.0])))
+    if not design.certified:
+        warnings.warn(
+            f"optimize_support(n={n}, z0={z0}): design failed certification "
+            f"(max_violation={design.certificate.max_violation:.3e}, "
+            f"duality_gap={design.certificate.duality_gap:.3e}, "
+            f"residual={np.abs(sol.fun).max():.3e})"
+        )
+    return design

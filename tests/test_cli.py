@@ -49,8 +49,8 @@ def test_design_round_trip_recertifies(tmp_path):
 
 def test_design_deterministic_output(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    main(["design", "--n", "3", "--z0", "1", "1", "--seed", "9", "--out", str(a)])
-    main(["design", "--n", "3", "--z0", "1", "1", "--seed", "9", "--out", str(b)])
+    main(["design", "--n", "3", "--z0", "1", "1", "--out", str(a)])
+    main(["design", "--n", "3", "--z0", "1", "1", "--out", str(b)])
     assert _strip_timestamp(a.read_text()) == _strip_timestamp(b.read_text())
 
 
