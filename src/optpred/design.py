@@ -32,7 +32,6 @@ from .polynomial import (
 
 _EXTERIOR_IM_TOL = 1e-12
 _CERT_TOL = 1e-8
-_NEAR_TOL = 1e-9
 # relative step tolerance of the root solve; scipy's default 1.5e-8 stops with
 # nodes up to 2.5e-10 off the closed forms, this one within 1e-14 at no extra cost
 _ROOT_XTOL = 1e-12
@@ -169,7 +168,7 @@ class Design:
 
 
 def _certificate(P, mu, z0, K):
-    est = sup_norm_interval(P, near_tol=_NEAR_TOL)
+    est = sup_norm_interval(P)
     moduli = np.abs(P(mu.nodes))
     l2 = float(np.sqrt(np.sum(mu.weights * moduli**2)))
     gap = float(abs(K - abs(P(z0)) ** 2) / K)

@@ -23,7 +23,16 @@ import numpy.polynomial.chebyshev as cheb
 
 from .chebyshev import cheb_t, _check_degree
 from .design import design_from_support
-from .polynomial import ChebPoly, real_roots_bracketed
+from .polynomial import ChebPoly
+
+
+def _recur(prev, cur, steps):
+    """Apply p_{k+1} = 2z p_k - p_{k-1} to Chebyshev coefficients `steps` times."""
+    for _ in range(steps):
+        nxt = 2 * cheb.chebmulx(cur)
+        nxt[: len(prev)] -= prev
+        prev, cur = cur, nxt
+    return ChebPoly(cur)
 
 
 def _check_a(a):
@@ -43,12 +52,7 @@ def growth_poly(n, a):
         return ChebPoly(q1)
     # z^2 = (T_0 + T_2)/2 splits the leading term of Q_2 across T_0 and T_2
     q2 = np.array([1.0 - (a + s) / (2 * s), -1j / s, -(a + s) / (2 * s)])
-    prev, cur = q1, q2
-    for _ in range(n - 2):
-        nxt = 2 * cheb.chebmulx(cur)
-        nxt[: len(prev)] -= prev
-        prev, cur = cur, nxt
-    return ChebPoly(cur)
+    return _recur(q1, q2, n - 2)
 
 
 def pell_companion(n, a):
@@ -60,12 +64,7 @@ def pell_companion(n, a):
     if n == 0:
         return ChebPoly(r0)
     r1 = np.array([0.0, (a + s) / s])
-    prev, cur = r0, r1
-    for _ in range(n - 1):
-        nxt = 2 * cheb.chebmulx(cur)
-        nxt[: len(prev)] -= prev
-        prev, cur = cur, nxt
-    return ChebPoly(cur)
+    return _recur(r0, r1, n - 1)
 
 
 def pell_residual(n, a, x):
@@ -76,19 +75,18 @@ def pell_residual(n, a, x):
 
 
 def companion_zeros(n, a):
-    """All n zeros of R_n, each bisected inside an interlacing bracket.
+    """All n zeros of R_n in increasing order, as the eigenvalues of its
+    colleague matrix (chebroots).
 
-    The zeros of R_n strictly interlace the extreme points cos(k pi / n) of
-    T_n, where R_n alternates sign as (-1)^k, so consecutive extreme points
-    are guaranteed sign-change brackets.
+    The zeros are real, simple and strictly interlace the extreme points
+    cos(k pi / n) of T_n, where R_n alternates sign as (-1)^k; the real parts
+    of the eigenvalues are taken because rounding may leave a tiny imaginary
+    part.  closed_form_design hands them to design_from_support, which
+    rejects a support that is unordered or leaves [-1, 1].
     """
     _check_degree(n)
     a = _check_a(a)
-    if n == 0:
-        return np.array([])
-    pts = np.cos(np.pi * np.arange(n, -1, -1) / n)
-    brackets = list(zip(pts[:-1], pts[1:]))
-    return real_roots_bracketed(pell_companion(n, a), brackets)
+    return np.sort(cheb.chebroots(pell_companion(n, a).coeffs.real).real)
 
 
 def closed_form_design(n, a):

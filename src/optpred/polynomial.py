@@ -4,8 +4,10 @@ The Chebyshev basis is used everywhere; monomial coefficients are far worse
 conditioned on [-1, 1] and are never stored.  This module supplies the
 polynomial arithmetic the rest of the package needs: Lagrange fundamental
 polynomials over a node set, conversion of Lagrange combinations into
-Chebyshev coefficients, sup-norm estimation over [-1, 1], and bracketed
-bisection for real roots.
+Chebyshev coefficients, and the exact sup-norm over [-1, 1], taken over +-1
+and the real roots of d/dx |p|^2.  Real roots of a Chebyshev series come from
+the eigenvalues of its colleague matrix (numpy's chebroots), so no result
+depends on a sampling grid.
 """
 
 from dataclasses import dataclass
@@ -13,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
 
-_BISECT_WIDTH = 1e-14
-_GOLDEN_WIDTH = 1e-12
-_REAL_COEFF_TOL = 1e-13
+_NEAR_TOL = 1e-9
 
 
 class ChebPoly:
@@ -61,9 +61,6 @@ class ChebPoly:
 
     def max_imag_coeff(self):
         return float(np.abs(self.coeffs.imag).max())
-
-    def is_real_on_real(self, tol=_REAL_COEFF_TOL):
-        return self.max_imag_coeff() <= tol
 
     def to_json(self):
         return {
@@ -139,120 +136,32 @@ class SupNormEstimate:
     near_extreme_points: list
 
 
-def _golden_max(f, lo, hi, width=_GOLDEN_WIDTH):
-    """Golden-section search for the maximum of f on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > width:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
+def sup_norm_interval(p):
+    """max_{x in [-1,1]} |p(x)| for a ChebPoly, over its exact candidate set.
 
-
-def sup_norm_interval(p, near_tol=1e-9):
-    """Estimate max_{x in [-1,1]} |p(x)| for a ChebPoly.
-
-    Samples |p|^2 on a Chebyshev-spaced grid of max(1024, 32*deg) points,
-    refines every interior grid local maximum by golden-section search, and
-    always includes the endpoints +-1 as exact candidates.  Points within
-    near_tol of the maximum modulus are reported as near-extreme.
+    With p = a + ib for real Chebyshev series a and b, every interior maximum
+    of |p|^2 = a^2 + b^2 is a real root of d = a a' + b b', a real series of
+    degree 2n - 1.  The candidates are +-1 and the real parts of the roots of
+    d (eigenvalues of its colleague matrix, chebroots) clipped to [-1, 1];
+    |p| is evaluated once on all of them.  A spurious candidate inside
+    [-1, 1] can only add a point, never raise the maximum above the true sup.
+    Points within 1e-9 of the maximum modulus are reported as near-extreme.
     """
     if not isinstance(p, ChebPoly):
         p = ChebPoly(p)
     if p.is_zero():
         raise ValueError("sup norm of the zero polynomial is not estimated")
 
-    npts = max(1024, 32 * p.degree)
-    grid = np.cos(np.linspace(np.pi, 0.0, npts))
-    vals = np.abs(p(grid)) ** 2
-
-    def f(x):
-        v = p(x)
-        return (v * v.conjugate()).real
-
-    candidates = [(-1.0, f(-1.0)), (1.0, f(1.0))]
-    interior = np.nonzero(
-        (vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
-    )[0] + 1
-    for j in interior:
-        candidates.append(_golden_max(f, grid[j - 1], grid[j + 1]))
-
-    candidates.sort(key=lambda t: t[0])
-    merged = []
-    for x, v in candidates:
-        if merged and x - merged[-1][0] < 1e-9:
-            if v > merged[-1][1]:
-                merged[-1] = (x, v)
-        else:
-            merged.append((x, v))
-
-    best_x, best_v = max(merged, key=lambda t: t[1])
-    value = float(np.sqrt(best_v))
-    near = [float(x) for x, v in merged if np.sqrt(v) >= value - near_tol]
-    return SupNormEstimate(value=value, argmax=float(best_x), near_extreme_points=near)
-
-
-def real_roots_bracketed(p, brackets):
-    """One real root per sign-changing bracket, by plain bisection.
-
-    p must be real-valued on the real axis (imaginary parts of the Chebyshev
-    coefficients below 1e-13).  Each bracket (lo, hi) must satisfy
-    p(lo) * p(hi) < 0; bisection then shrinks it to width <= 1e-14.
-    Returns the roots in strictly increasing order.
-    """
-    if not isinstance(p, ChebPoly):
-        p = ChebPoly(p)
-    if not p.is_real_on_real():
-        raise ValueError(
-            f"polynomial is not real on the real axis "
-            f"(max imaginary coefficient {p.max_imag_coeff():.3e})"
-        )
-    c = p.coeffs.real
-
-    def f(x):
-        return cheb.chebval(x, c)
-
-    roots = []
-    for k, (lo, hi) in enumerate(brackets):
-        lo, hi = float(lo), float(hi)
-        if not lo < hi:
-            raise ValueError(f"bracket {k} is not an interval: ({lo}, {hi})")
-        flo, fhi = f(lo), f(hi)
-        if flo == 0.0:
-            roots.append(lo)
-            continue
-        if fhi == 0.0:
-            roots.append(hi)
-            continue
-        if flo * fhi > 0:
-            raise ValueError(
-                f"bracket {k} = ({lo}, {hi}) has no sign change: "
-                f"p(lo) = {flo:.6e}, p(hi) = {fhi:.6e}"
-            )
-        while hi - lo > _BISECT_WIDTH:
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            fm = f(mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if flo * fm < 0:
-                hi, fhi = mid, fm
-            else:
-                lo, flo = mid, fm
-        roots.append(0.5 * (lo + hi))
-
-    roots.sort()
-    if np.any(np.diff(roots) <= 0):
-        raise ValueError("brackets produced non-distinct roots")
-    return np.asarray(roots)
+    a, b = p.coeffs.real, p.coeffs.imag
+    d = cheb.chebadd(cheb.chebmul(a, cheb.chebder(a)),
+                     cheb.chebmul(b, cheb.chebder(b)))
+    roots = np.clip(cheb.chebroots(d).real, -1.0, 1.0)
+    x = np.unique(np.concatenate(([-1.0, 1.0], roots)))
+    v = p(x)
+    # hypot, as scalar abs() uses: numpy's vectorised complex abs can differ in
+    # the last bit, and then value would not reproduce as abs(p(argmax))
+    vals = np.hypot(v.real, v.imag)
+    best = int(np.argmax(vals))
+    value = float(vals[best])
+    near = x[vals >= value - _NEAR_TOL].tolist()
+    return SupNormEstimate(value=value, argmax=float(x[best]), near_extreme_points=near)

@@ -139,7 +139,7 @@ def test_companion_zeros_low_degree():
 
 
 @pytest.mark.parametrize("a", [0.25, 1.0, 4.0])
-@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 64, 191])
 def test_companion_interlacing_and_signs(n, a):
     pts = np.cos(np.pi * np.arange(n, -1, -1) / n)
     zeros = companion_zeros(n, a)
