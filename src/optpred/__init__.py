@@ -23,8 +23,6 @@ from .imaginary import (
 )
 from .measure import (
     DiscreteMeasure,
-    GramMatrix,
-    KernelValue,
     RankDeficiencyError,
     christoffel,
     christoffel_lagrange,
@@ -37,7 +35,6 @@ from .polynomial import (
     SupNormEstimate,
     as_nodes,
     from_lagrange_combination,
-    lagrange_eval,
     lagrange_values,
     sup_norm_interval,
 )
@@ -56,8 +53,6 @@ __all__ = [
     "ChebPoly",
     "Design",
     "DiscreteMeasure",
-    "GramMatrix",
-    "KernelValue",
     "RankDeficiencyError",
     "RegressionPlan",
     "SupNormEstimate",
@@ -81,7 +76,6 @@ __all__ = [
     "growth_value",
     "hoel_levine_weights",
     "kernel_poly",
-    "lagrange_eval",
     "lagrange_values",
     "least_squares_fit",
     "lebesgue_at",

@@ -1,8 +1,9 @@
 """Chebyshev polynomials of the first and second kinds at real or complex points.
 
-Everything is evaluated by the forward three-term recurrence so that real
-and complex arguments share one code path.  The recurrence is stable for
-arguments of moderate size, which is all this package ever needs.
+Both kinds are evaluated by one forward three-term recurrence, so real and
+complex arguments share one code path; T and U differ only in the degree-one
+term, z against 2z.  The recurrence is stable for arguments of moderate size,
+which is all this package ever needs.
 """
 
 import numpy as np
@@ -20,31 +21,31 @@ def _check_degree(n, lowest=0):
         raise ValueError(f"degree {n} exceeds supported maximum {MAX_DEGREE}")
 
 
+def _recurrence(n, z, first):
+    """p_n for p_0 = 1, p_1 = first, p_{k+1} = 2 z p_k - p_{k-1}."""
+    if n == 0:
+        return 1.0 + 0 * z
+    prev, cur = 1.0 + 0 * z, first
+    for _ in range(n - 1):
+        prev, cur = cur, 2 * z * cur - prev
+    return cur
+
+
 def cheb_t(n, z):
     """T_n(z) via T_0 = 1, T_1 = z, T_{k+1} = 2 z T_k - T_{k-1}.
 
     Accepts scalars or numpy arrays, real or complex.
     """
     _check_degree(n)
-    if n == 0:
-        return 1.0 + 0 * z
-    prev, cur = 1.0 + 0 * z, z
-    for _ in range(n - 1):
-        prev, cur = cur, 2 * z * cur - prev
-    return cur
+    return _recurrence(n, z, z)
 
 
 def cheb_u(n, z):
-    """U_n(z), second kind, same recurrence with U_{-1} = 0, U_0 = 1."""
+    """U_n(z), second kind, same recurrence with U_{-1} = 0, U_0 = 1, U_1 = 2z."""
     _check_degree(n, lowest=-1)
     if n == -1:
         return 0.0 * z
-    if n == 0:
-        return 1.0 + 0 * z
-    prev, cur = 1.0 + 0 * z, 2 * z
-    for _ in range(n - 1):
-        prev, cur = cur, 2 * z * cur - prev
-    return cur
+    return _recurrence(n, z, 2 * z)
 
 
 def cheb_pell_residual(n, z):

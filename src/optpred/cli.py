@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .design import optimize_support, require_exterior
+from .design import optimize_support
 from .imaginary import (
     closed_form_design,
     growth_gap,
@@ -67,8 +67,7 @@ def _emit_poly_csv(p, out):
 
 
 def _cmd_design(args):
-    z0 = require_exterior(complex(args.z0[0], args.z0[1]))
-    design = optimize_support(args.n, z0)
+    design = optimize_support(args.n, complex(args.z0[0], args.z0[1]))
     if args.format == "csv":
         _emit_poly_csv(design.extremal_poly, args.out)
     else:

@@ -15,12 +15,14 @@ and |P(z0)|^2 reproduces K, the design is optimal; both checks are recorded
 in a Certificate rather than asserted.
 """
 
+import cmath
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import root
 
+from .chebyshev import _check_degree
 from .measure import DiscreteMeasure, christoffel
 from .polynomial import (
     ChebPoly,
@@ -37,12 +39,20 @@ _CERT_TOL = 1e-8
 _ROOT_XTOL = 1e-12
 
 
+def _finite_point(z0):
+    z0 = complex(z0)
+    if not cmath.isfinite(z0):
+        raise ValueError(f"z0 = {z0} is not finite")
+    return z0
+
+
 def require_exterior(z0):
     """Reject z0 on [-1, 1]; the prediction problem is exterior by definition.
 
-    Points with |Im z0| < 1e-12 and Re z0 in [-1, 1] count as on the interval.
+    Points with |Im z0| < 1e-12 and Re z0 in [-1, 1] count as on the interval;
+    a NaN or infinite z0 is rejected before any arithmetic.
     """
-    z0 = complex(z0)
+    z0 = _finite_point(z0)
     if abs(z0.imag) < _EXTERIOR_IM_TOL and -1.0 <= z0.real <= 1.0:
         raise ValueError(f"z0 = {z0} lies on [-1, 1]; need an exterior point")
     return z0
@@ -64,7 +74,7 @@ def _lagrange_signs(x, z0):
 def hoel_levine_weights(nodes, z0):
     """Weights proportional to |l_i(z0)|; optimal among weightings of nodes."""
     x = as_nodes(nodes)
-    z0 = complex(z0)
+    z0 = _finite_point(z0)
     if np.min(np.abs(z0 - x)) == 0.0:
         raise ValueError("z0 coincides with a node; weights undefined")
     moduli = np.abs(_lagrange_at(x, z0))
@@ -196,12 +206,13 @@ def certify(design):
 def design_from_support(n, z0, nodes):
     """Assemble the full Design for a given support: Hoel-Levine weights,
     Gram-route kernel value, signed extremal polynomial, certificate."""
+    _check_degree(n, lowest=1)
     z0 = require_exterior(z0)
     x = as_nodes(nodes)
     if len(x) != n + 1:
         raise ValueError(f"degree {n} needs {n + 1} nodes, got {len(x)}")
     mu = DiscreteMeasure(x, hoel_levine_weights(x, z0))
-    K = christoffel(mu, n, z0).value
+    K = christoffel(mu, n, z0)
     P = extremal_signed_poly(x, z0)
     return Design(
         measure=mu, z0=z0, n=n, K_value=K, extremal_poly=P,
@@ -266,9 +277,8 @@ def optimize_support(n, z0):
     started from the Chebyshev extreme points.  An uncertified result is
     returned with a warning; its certificate carries the evidence.
     """
+    _check_degree(n, lowest=1)
     z0 = require_exterior(z0)
-    if n < 1:
-        raise ValueError("degree must be >= 1")
     if n == 1:
         return design_from_support(1, z0, [-1.0, 1.0])
 

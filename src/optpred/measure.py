@@ -10,7 +10,9 @@ is the largest value of |p(z0)|^2 over polynomials of degree <= n with
 L^2(mu) norm 1, and sigma^2/m * K(z0) is the variance of the least-squares
 polynomial predictor at z0.  The normalized kernel polynomial attaining the
 maximum, and the derivative of K along the segment toward a point mass, are
-what the design optimizer and its optimality certificate consume.
+what the design optimizer and its optimality certificate consume.  The basis
+vector t(z) is numpy's chebvander row, the same evaluator that builds G, and
+K and G are returned as a plain float and a symmetric ndarray.
 """
 
 from dataclasses import dataclass
@@ -64,46 +66,11 @@ class DiscreteMeasure:
         return cls(x, np.full(len(x), 1.0 / len(x)))
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Moment matrix of {T_0, ..., T_n} against a measure with real support.
-
-    Real support makes the entries real, so Hermitian means symmetric here.
-    """
-
-    entries: np.ndarray
-    basis_degree: int
-
-    def to_csv(self, path):
-        np.savetxt(path, self.entries, delimiter=",")
-
-
-@dataclass(frozen=True)
-class KernelValue:
-    value: float
-    degree: int
-    point: complex
-
-    def __float__(self):
-        return self.value
-
-
-def cheb_basis_vector(n, z):
-    """(T_0(z), ..., T_n(z)) by the forward recurrence; z scalar, maybe complex."""
-    t = np.zeros(n + 1, dtype=complex)
-    t[0] = 1.0
-    if n >= 1:
-        t[1] = z
-    for k in range(1, n):
-        t[k + 1] = 2 * z * t[k] - t[k - 1]
-    return t
-
-
 def gram(mu, n):
+    """G[i, j] = sum_k w_k T_i(x_k) T_j(x_k); real support makes it symmetric."""
     V = cheb.chebvander(mu.nodes, n)
     G = (V.T * mu.weights) @ V
-    G = 0.5 * (G + G.T)
-    return GramMatrix(entries=G, basis_degree=n)
+    return 0.5 * (G + G.T)
 
 
 def _factor(mu, n):
@@ -113,7 +80,7 @@ def _factor(mu, n):
             f"measure has {len(mu)} support points, need at least {n + 1} "
             f"for a degree-{n} basis"
         )
-    G = gram(mu, n).entries
+    G = gram(mu, n)
     try:
         L = cholesky(G, lower=True)
     except LinAlgError as exc:
@@ -134,8 +101,8 @@ def christoffel(mu, n, z0):
     inverse.  Works for any measure with at least n+1 support points.
     """
     L = _factor(mu, n)
-    u = solve_triangular(L, cheb_basis_vector(n, z0), lower=True)
-    return KernelValue(value=float(np.vdot(u, u).real), degree=n, point=complex(z0))
+    u = solve_triangular(L, cheb.chebvander(z0, n)[0], lower=True)
+    return float(np.vdot(u, u).real)
 
 
 def christoffel_lagrange(mu, n, z0):
@@ -148,9 +115,7 @@ def christoffel_lagrange(mu, n, z0):
     if len(mu) != n + 1:
         raise ValueError(f"Lagrange route needs exactly {n + 1} nodes, got {len(mu)}")
     ell = lagrange_values(mu.nodes, z0)
-    return KernelValue(
-        value=float(np.sum(np.abs(ell) ** 2 / mu.weights)), degree=n, point=complex(z0)
-    )
+    return float(np.sum(np.abs(ell) ** 2 / mu.weights))
 
 
 def kernel_poly(mu, n, z0):
@@ -163,7 +128,7 @@ def kernel_poly(mu, n, z0):
     if np.min(np.abs(complex(z0) - mu.nodes)) == 0.0:
         raise ValueError("z0 lies in the support; kernel polynomial degenerates")
     L = _factor(mu, n)
-    t = cheb_basis_vector(n, z0)
+    t = cheb.chebvander(z0, n)[0]
     u = solve_triangular(L, np.conj(t), lower=True)
     c = solve_triangular(L.T, u, lower=False)
     K = float(np.vdot(u, u).real)
@@ -180,6 +145,6 @@ def directional_derivative(mu0, a, n, z0):
     a = float(a)
     if not -1.0 <= a <= 1.0:
         raise ValueError(f"direction point {a} outside [-1, 1]")
-    K = christoffel(mu0, n, z0).value
+    K = christoffel(mu0, n, z0)
     P = kernel_poly(mu0, n, z0)
     return K * (1.0 - abs(P(a)) ** 2)

@@ -2,10 +2,11 @@
 
 The Chebyshev basis is used everywhere; monomial coefficients are far worse
 conditioned on [-1, 1] and are never stored.  This module supplies the
-polynomial arithmetic the rest of the package needs: Lagrange fundamental
-polynomials over a node set, conversion of Lagrange combinations into
-Chebyshev coefficients, and the exact sup-norm over [-1, 1], taken over +-1
-and the real roots of d/dx |p|^2.  Real roots of a Chebyshev series come from
+polynomial arithmetic the rest of the package needs: the values of all
+Lagrange fundamental polynomials of a node set at a point (lagrange_values,
+the package's one Lagrange evaluator), conversion of Lagrange combinations
+into Chebyshev coefficients, and the exact sup-norm over [-1, 1], taken over
++-1 and the real roots of d/dx |p|^2.  Real roots of a Chebyshev series come from
 the eigenvalues of its colleague matrix (numpy's chebroots), so no result
 depends on a sampling grid.
 """
@@ -46,9 +47,6 @@ class ChebPoly:
     def __repr__(self):
         return f"ChebPoly({self.coeffs.tolist()})"
 
-    def scaled(self, factor):
-        return ChebPoly(self.coeffs * factor)
-
     def reflected(self):
         """The polynomial p(-z); flips the sign of odd Chebyshev coefficients."""
         signs = (-1.0) ** np.arange(len(self.coeffs))
@@ -58,9 +56,6 @@ class ChebPoly:
         if length < len(self.coeffs):
             raise ValueError("cannot pad below current length")
         return np.pad(self.coeffs, (0, length - len(self.coeffs)))
-
-    def max_imag_coeff(self):
-        return float(np.abs(self.coeffs.imag).max())
 
     def to_json(self):
         return {
@@ -85,23 +80,6 @@ def as_nodes(nodes):
     if np.any(np.diff(x) <= 0):
         raise ValueError("nodes must be strictly increasing")
     return x
-
-
-def lagrange_eval(nodes, i, z):
-    """The i-th fundamental Lagrange polynomial at z:
-
-        l_i(z) = prod_{j != i} (z - x_j) / (x_i - x_j),
-
-    so that l_i(x_j) = delta_ij.  z may be a scalar or array.
-    """
-    x = as_nodes(nodes)
-    if not 0 <= i < len(x):
-        raise IndexError(f"node index {i} out of range for {len(x)} nodes")
-    out = 1.0 + 0 * z
-    for j in range(len(x)):
-        if j != i:
-            out = out * (z - x[j]) / (x[i] - x[j])
-    return out
 
 
 def lagrange_values(nodes, z):

@@ -18,12 +18,7 @@ import numpy as np
 import numpy.polynomial.chebyshev as cheb
 from scipy.linalg import solve_triangular
 
-from .measure import (
-    DiscreteMeasure,
-    RankDeficiencyError,
-    cheb_basis_vector,
-    christoffel,
-)
+from .measure import DiscreteMeasure, RankDeficiencyError, christoffel
 
 _MIN_REPLICATES = 1000
 _BATCH = 10000
@@ -158,9 +153,7 @@ def mc_predictor_variance(plan, z0, replicates, seed):
     x = plan.observation_nodes()
     V = vandermonde(x, n)
     y0 = V @ plan.theta
-
-    q, r = np.linalg.qr(V)
-    t0 = cheb_basis_vector(n, z0)
+    t0 = cheb.chebvander(z0, n)[0]
 
     if plan.sigma == 0.0:
         # every replicate is the same noiseless fit; the variance is exactly 0
@@ -172,11 +165,10 @@ def mc_predictor_variance(plan, z0, replicates, seed):
         while done < replicates:
             k = min(_BATCH, replicates - done)
             Y = y0[:, None] + plan.sigma * rng.standard_normal((len(x), k))
-            theta_hat = solve_triangular(r, q.T @ Y, lower=False)
-            preds[done : done + k] = t0 @ theta_hat
+            preds[done : done + k] = t0 @ least_squares_fit(V, Y)
             done += k
         empirical = float(np.var(preds, ddof=1))
-    K = christoffel(plan.realized_measure(), n, z0).value
+    K = christoffel(plan.realized_measure(), n, z0)
     predicted = plan.sigma**2 / plan.m * K
     if predicted == 0.0:
         rel = 0.0 if empirical == 0.0 else np.inf

@@ -59,6 +59,11 @@ def test_design_rejects_interior_point(capsys):
     assert "exterior" in capsys.readouterr().err
 
 
+def test_design_rejects_nonfinite_point(capsys):
+    assert main(["design", "--n", "3", "--z0", "nan", "0"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_design_csv_samples(tmp_path):
     out = tmp_path / "poly.csv"
     code = main(["design", "--n", "2", "--z0", "0", "1", "--format", "csv",

@@ -22,7 +22,8 @@ NODES3 = np.array([-1.0, 0.0, 1.0])
 
 
 def test_require_exterior():
-    for bad in (0.5, 1.0, -1.0, 0.5 + 1e-13j, complex(-0.3, 0)):
+    for bad in (0.5, 1.0, -1.0, 0.5 + 1e-13j, complex(-0.3, 0),
+                np.nan, np.inf, complex(0, np.nan)):
         with pytest.raises(ValueError):
             require_exterior(bad)
     for good in (1.5, -3.0, 1j, 1 + 1j, 0.5 + 1e-9j):
@@ -46,13 +47,16 @@ def test_hoel_levine_chebyshev_nodes_give_squared_chebyshev():
         nodes = np.cos(np.pi * np.arange(n, -1, -1) / n)
         for z0 in (1.5, 2.0):
             mu = DiscreteMeasure(nodes, hoel_levine_weights(nodes, z0))
-            K = christoffel(mu, n, z0).value
+            K = christoffel(mu, n, z0)
             assert K == pytest.approx(cheb_t(n, z0) ** 2, rel=1e-10)
 
 
 def test_hoel_levine_rejects_node_point():
     with pytest.raises(ValueError):
         hoel_levine_weights(NODES3, 0.0)
+    for bad in (np.nan, np.inf, complex(0, np.nan)):
+        with pytest.raises(ValueError, match="not finite"):
+            hoel_levine_weights(NODES3, bad)
 
 
 def test_lebesgue_values():
@@ -73,7 +77,7 @@ def test_lebesgue_squared_is_kernel_value():
         nodes = -1.0 + 2.0 * x / x[-1]
         z0 = rng.uniform(1.1, 2.5) + 1j * rng.uniform(0, 1)
         mu = DiscreteMeasure(nodes, hoel_levine_weights(nodes, z0))
-        K = christoffel(mu, len(nodes) - 1, z0).value
+        K = christoffel(mu, len(nodes) - 1, z0)
         assert K == pytest.approx(lebesgue_at(nodes, z0) ** 2, rel=1e-10)
 
 
@@ -130,11 +134,11 @@ def test_hoel_levine_weights_are_optimal():
     nodes = np.array([-1.0, -0.4, 0.3, 1.0])
     z0 = 1.7 + 0.2j
     mu = DiscreteMeasure(nodes, hoel_levine_weights(nodes, z0))
-    best = christoffel(mu, 3, z0).value
+    best = christoffel(mu, 3, z0)
     for _ in range(100):
         w = mu.weights * np.exp(0.3 * rng.standard_normal(4))
         perturbed = DiscreteMeasure(nodes, w / w.sum())
-        assert best <= christoffel(perturbed, 3, z0).value * (1 + 1e-12)
+        assert best <= christoffel(perturbed, 3, z0) * (1 + 1e-12)
 
 
 def test_design_validation():
@@ -144,6 +148,8 @@ def test_design_validation():
         design_from_support(2, 2.0, np.array([-0.9, 0.0, 1.0]))
     with pytest.raises(ValueError):
         design_from_support(3, 2.0, NODES3)
+    with pytest.raises(TypeError):
+        design_from_support(2.0, 2.0, NODES3)
 
 
 def test_design_json_round_trip():
@@ -210,6 +216,12 @@ def test_optimize_support_rejects_interior_point():
         optimize_support(3, 0.2)
     with pytest.raises(ValueError):
         optimize_support(0, 2.0)
+    for bad in (np.nan, np.inf, complex(0, np.nan)):
+        with pytest.raises(ValueError, match="not finite"):
+            optimize_support(4, bad)
+    for bad in (2.5, 2.0):
+        with pytest.raises(TypeError):
+            optimize_support(bad, 2.0)
 
 
 def test_optimize_support_degree_one():

@@ -97,7 +97,7 @@ def test_pell_companion_low_degrees():
     np.testing.assert_allclose(
         r2(x).real, (2 * (1 + s) * x * x - 1) / s, atol=1e-14
     )
-    assert r2.max_imag_coeff() == 0.0
+    assert np.all(r2.coeffs.imag == 0.0)
 
 
 def test_domain_checks():

@@ -6,7 +6,6 @@ from optpred import (
     ChebPoly,
     as_nodes,
     from_lagrange_combination,
-    lagrange_eval,
     lagrange_values,
     sup_norm_interval,
 )
@@ -49,26 +48,29 @@ def test_chebpoly_json_round_trip():
         ChebPoly.from_json({"basis": "monomial", "coeffs": [[1, 0]]})
 
 
-def test_lagrange_eval_examples():
+def test_lagrange_values_examples():
     # l_0(z) = z(z-1)/2 at z=2
-    assert lagrange_eval(NODES3, 0, 2.0) == pytest.approx(1.0, abs=1e-14)
+    assert lagrange_values(NODES3, 2.0)[0] == pytest.approx(1.0, abs=1e-14)
     # cardinal property of l_1
     for j, x in enumerate(NODES3):
-        assert lagrange_eval(NODES3, 1, x) == pytest.approx(
+        assert lagrange_values(NODES3, x)[1] == pytest.approx(
             1.0 if j == 1 else 0.0, abs=1e-14
         )
     # l_1(z) = 1 - z^2 at z=2
-    assert lagrange_eval(NODES3, 1, 2.0) == pytest.approx(-3.0, abs=1e-13)
-    with pytest.raises(IndexError):
-        lagrange_eval(NODES3, 3, 0.5)
+    assert lagrange_values(NODES3, 2.0)[1] == pytest.approx(-3.0, abs=1e-13)
 
 
-def test_lagrange_values_matches_lagrange_eval():
+def test_lagrange_values_matches_product_formula():
     nodes = np.array([-1.0, -0.3, 0.2, 0.9, 1.0])
     z = 1.7 + 0.4j
     ell = lagrange_values(nodes, z)
-    for i in range(len(nodes)):
-        assert ell[i] == pytest.approx(lagrange_eval(nodes, i, z), rel=1e-13)
+    for i, xi in enumerate(nodes):
+        # l_i(z) = prod_{j != i} (z - x_j) / (x_i - x_j), one factor at a time
+        expected = 1.0
+        for j, xj in enumerate(nodes):
+            if j != i:
+                expected *= (z - xj) / (xi - xj)
+        assert ell[i] == pytest.approx(expected, rel=1e-13)
 
 
 def test_partition_of_unity():
