@@ -6,6 +6,8 @@ term, z against 2z.  The recurrence is stable for arguments of moderate size,
 which is all this package ever needs.
 """
 
+import cmath
+
 import numpy as np
 
 # Beyond this the forward recurrence can silently lose precision, so refuse.
@@ -19,6 +21,13 @@ def _check_degree(n, lowest=0):
         raise ValueError(f"degree must be >= {lowest}, got {n}")
     if n > MAX_DEGREE:
         raise ValueError(f"degree {n} exceeds supported maximum {MAX_DEGREE}")
+
+
+def _finite_point(z0):
+    z0 = complex(z0)
+    if not cmath.isfinite(z0):
+        raise ValueError(f"z0 = {z0} is not finite")
+    return z0
 
 
 def _recurrence(n, z, first):

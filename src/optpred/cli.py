@@ -27,7 +27,10 @@ from .measure import RankDeficiencyError
 from .regression import RegressionPlan, mc_predictor_variance
 
 _SAMPLE_POINTS = 1001
-_RNG_NOTE = "numpy.random.default_rng (PCG64), single 64-bit seed"
+_RNG_NOTE = (
+    "numpy.random.default_rng (PCG64), single 64-bit seed; "
+    "one standard normal per node mean per replicate"
+)
 _VARIANCE_NOTE = "complex-valued predictions; variance is E|x - mean|^2"
 
 

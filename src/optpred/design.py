@@ -15,14 +15,13 @@ and |P(z0)|^2 reproduces K, the design is optimal; both checks are recorded
 in a Certificate rather than asserted.
 """
 
-import cmath
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import root
 
-from .chebyshev import _check_degree
+from .chebyshev import _check_degree, _finite_point
 from .measure import DiscreteMeasure, christoffel
 from .polynomial import (
     ChebPoly,
@@ -37,13 +36,6 @@ _CERT_TOL = 1e-8
 # relative step tolerance of the root solve; scipy's default 1.5e-8 stops with
 # nodes up to 2.5e-10 off the closed forms, this one within 1e-14 at no extra cost
 _ROOT_XTOL = 1e-12
-
-
-def _finite_point(z0):
-    z0 = complex(z0)
-    if not cmath.isfinite(z0):
-        raise ValueError(f"z0 = {z0} is not finite")
-    return z0
 
 
 def require_exterior(z0):

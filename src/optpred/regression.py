@@ -6,18 +6,23 @@ the fitted value at any point z0 is
 
     var = (sigma^2 / m) * K(z0)
 
-with K the kernel value of the realized node measure mu_X.  The simulator
-draws many replicate noise vectors, fits each, and compares the sample
-variance of the predictions at z0 against that formula.  Predictions at
-complex z0 are complex, so variance means E|x - mean|^2 throughout.
+with K the kernel value of the realized node measure mu_X.  The fit sees the
+data only through the node means, independent with sd sigma / sqrt(c_i) for
+a node observed c_i times, so the simulator draws one noise per node and
+replicate, predicts with one fixed vector of the sqrt(c_i)-weighted node fit,
+and compares the sample variance of the predictions at z0 against the
+formula.  Predictions at complex z0 are complex, so variance means
+E|x - mean|^2 throughout.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
 from scipy.linalg import solve_triangular
 
+from .chebyshev import _finite_point
 from .measure import DiscreteMeasure, RankDeficiencyError, christoffel
 
 _MIN_REPLICATES = 1000
@@ -39,11 +44,14 @@ class RegressionPlan:
             raise ValueError("one count per node required")
         if np.any(c < 1):
             raise ValueError("every node needs at least one observation")
-        if self.sigma < 0:
+        sigma = float(self.sigma)
+        if not math.isfinite(sigma):
+            raise ValueError(f"sigma = {sigma} is not finite")
+        if sigma < 0:
             raise ValueError("sigma must be nonnegative")
         th = np.atleast_1d(np.asarray(self.theta, dtype=float))
         object.__setattr__(self, "counts", c)
-        object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "theta", th)
 
     @property
@@ -119,7 +127,7 @@ def vandermonde(x, n):
     replication); (1/m) V^T V is the Gram matrix of the realized measure."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if len(x) < n + 1:
-        raise RankDeficiencyError(f"{len(x)} observations cannot fit degree {n}")
+        raise RankDeficiencyError(f"{len(x)} points cannot fit degree {n}")
     V = cheb.chebvander(x, n)
     if np.linalg.matrix_rank(V) < n + 1:
         raise RankDeficiencyError(
@@ -143,29 +151,38 @@ def least_squares_fit(V, y):
 def mc_predictor_variance(plan, z0, replicates, seed):
     """Empirical vs predicted variance of the least-squares prediction at z0.
 
-    Replicates share one seeded generator and are drawn in fixed batches, so
-    results are reproducible from (plan, z0, replicates, seed) alone.
+    Each replicate draws one standard normal per node, the noise of that
+    node's sqrt(c_i)-weighted mean, and predicts with the fixed vector
+    w = t(z0)^T (V^T V)^{-1} V^T of the weighted node fit.  Replicates share
+    one seeded generator and are drawn in fixed batches, so results are
+    reproducible from (plan, z0, replicates, seed) alone.
     """
+    if not isinstance(replicates, (int, np.integer)):
+        raise TypeError(
+            f"replicates must be an integer, got {type(replicates).__name__}"
+        )
     if replicates < _MIN_REPLICATES:
         raise ValueError(f"need at least {_MIN_REPLICATES} replicates")
-    z0 = complex(z0)
+    z0 = _finite_point(z0)
     n = plan.degree
-    x = plan.observation_nodes()
-    V = vandermonde(x, n)
-    y0 = V @ plan.theta
+    V = np.sqrt(plan.counts)[:, None] * vandermonde(plan.design.nodes, n)
     t0 = cheb.chebvander(z0, n)[0]
 
     if plan.sigma == 0.0:
         # every replicate is the same noiseless fit; the variance is exactly 0
         empirical = 0.0
     else:
+        w = t0 @ least_squares_fit(V, np.eye(len(V)))
+        center = w @ (V @ plan.theta)
+        # real rows, so the noise matrix is never upcast to complex
+        w_parts = np.stack([w.real, w.imag])
         rng = np.random.default_rng(seed)
         preds = np.empty(replicates, dtype=complex)
         done = 0
         while done < replicates:
             k = min(_BATCH, replicates - done)
-            Y = y0[:, None] + plan.sigma * rng.standard_normal((len(x), k))
-            preds[done : done + k] = t0 @ least_squares_fit(V, Y)
+            re, im = w_parts @ rng.standard_normal((len(V), k))
+            preds[done : done + k] = center + plan.sigma * (re + 1j * im)
             done += k
         empirical = float(np.var(preds, ddof=1))
     K = christoffel(plan.realized_measure(), n, z0)

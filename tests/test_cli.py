@@ -165,6 +165,15 @@ def test_simulate_malformed_plan(tmp_path, capsys):
                  "--z0", "2", "0"]) == 1
 
 
+def test_simulate_rejects_nonfinite_point(tmp_path, capsys):
+    plan_file = tmp_path / "plan.json"
+    _write_plan(plan_file, DiscreteMeasure(NODES3, np.array([1, 1, 1]) / 3))
+    code = main(["simulate", "--plan", str(plan_file), "--z0", "nan", "0",
+                 "--replicates", "1000"])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["design", "--n", "2"]) == 1  # missing --z0
     assert main(["frobnicate"]) == 1

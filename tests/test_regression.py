@@ -108,6 +108,10 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         RegressionPlan(design=UNIFORM3, counts=np.array([1, 1]), sigma=1.0,
                        theta=THETA)
+    for sigma in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            RegressionPlan(design=UNIFORM3, counts=np.array([1, 1, 1]),
+                           sigma=sigma, theta=THETA)
 
 
 def test_plan_json_round_trip():
@@ -164,3 +168,38 @@ def test_mc_replicate_floor():
     plan = RegressionPlan.from_measure(UNIFORM3, 30, 1.0, THETA)
     with pytest.raises(ValueError):
         mc_predictor_variance(plan, 2.0, 999, seed=0)
+    with pytest.raises(TypeError, match="replicates"):
+        mc_predictor_variance(plan, 2.0, 1000.0, seed=0)
+
+
+def test_mc_rejects_nonfinite_point():
+    plan = RegressionPlan.from_measure(UNIFORM3, 30, 1.0, THETA)
+    for z0 in (np.nan, np.inf, complex(0, np.nan)):
+        with pytest.raises(ValueError, match="not finite"):
+            mc_predictor_variance(plan, z0, 1000, seed=0)
+
+
+# five nodes for a degree-2 fit, so the fit smooths rather than interpolates
+# and the node weights matter
+NODES5 = np.array([-1.0, -0.4, 0.1, 0.6, 1.0])
+COUNTS5 = np.array([3, 7, 2, 5, 4])
+
+
+def test_node_mean_fit_equals_full_fit():
+    rng = np.random.default_rng(31)
+    x = np.repeat(NODES5, COUNTS5)
+    y = vandermonde(x, 2) @ THETA + rng.standard_normal(len(x))
+    full = least_squares_fit(vandermonde(x, 2), y)
+    means = np.array([y[x == node].mean() for node in NODES5])
+    root_c = np.sqrt(COUNTS5)
+    weighted = least_squares_fit(root_c[:, None] * vandermonde(NODES5, 2),
+                                 root_c * means)
+    np.testing.assert_allclose(weighted, full, rtol=0, atol=1e-12)
+
+
+def test_mc_oversampled_plan():
+    mu = DiscreteMeasure(NODES5, COUNTS5 / COUNTS5.sum())
+    plan = RegressionPlan(design=mu, counts=COUNTS5, sigma=0.7, theta=THETA)
+    for z0 in (1.5, 0.5 + 0.5j):
+        est = mc_predictor_variance(plan, z0, 30000, seed=17)
+        assert est.rel_error <= 0.05
