@@ -1,6 +1,5 @@
 """Optimal polynomial prediction measures on [-1, 1] for exterior points."""
 
-from .chebyshev import cheb_pell_residual, cheb_t, cheb_u
 from .design import (
     Certificate,
     Design,
@@ -8,7 +7,6 @@ from .design import (
     design_from_support,
     extremal_signed_poly,
     hoel_levine_weights,
-    lebesgue_at,
     optimize_support,
     require_exterior,
 )
@@ -58,9 +56,6 @@ __all__ = [
     "SupNormEstimate",
     "VarianceEstimate",
     "as_nodes",
-    "cheb_pell_residual",
-    "cheb_t",
-    "cheb_u",
     "certify",
     "christoffel",
     "christoffel_lagrange",
@@ -78,7 +73,6 @@ __all__ = [
     "kernel_poly",
     "lagrange_values",
     "least_squares_fit",
-    "lebesgue_at",
     "mc_predictor_variance",
     "optimize_support",
     "pell_companion",

@@ -79,8 +79,6 @@ def _cmd_design(args):
 
 
 def _cmd_growth(args):
-    if args.a == 0:
-        raise ValueError("a must be nonzero; the point ai must be exterior")
     q = growth_poly(args.n, abs(args.a))
     if args.a < 0:
         q = q.reflected()

@@ -21,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import root
 
-from .chebyshev import _check_degree, _finite_point
 from .measure import DiscreteMeasure, christoffel
 from .polynomial import (
     ChebPoly,
+    _check_degree,
+    _finite_point,
     as_nodes,
     from_lagrange_combination,
     lagrange_values,
@@ -73,11 +74,6 @@ def hoel_levine_weights(nodes, z0):
     return moduli / moduli.sum()
 
 
-def lebesgue_at(nodes, z0):
-    """Lebesgue function sum_i |l_i(z0)|; its square is K under the weights above."""
-    return float(np.sum(np.abs(lagrange_values(as_nodes(nodes), complex(z0)))))
-
-
 def extremal_signed_poly(nodes, z0):
     """P = sum_i sgn(l_i(z0)) l_i with the conjugate sign sgn(z) = conj(z)/|z|.
 
@@ -85,7 +81,7 @@ def extremal_signed_poly(nodes, z0):
     optimal support this is the polynomial of extremal growth at z0.
     """
     x = as_nodes(nodes)
-    z0 = complex(z0)
+    z0 = _finite_point(z0)
     if np.min(np.abs(z0 - x)) == 0.0:
         raise ValueError("z0 coincides with a node")
     return from_lagrange_combination(x, _lagrange_signs(x, z0))

@@ -18,12 +18,13 @@ a > 0 design through x -> -x; the certificate re-verifies that symmetry
 rather than assuming it.
 """
 
+import math
+
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
 
-from .chebyshev import cheb_t, _check_degree
 from .design import design_from_support
-from .polynomial import ChebPoly
+from .polynomial import ChebPoly, _check_degree
 
 
 def _recur(prev, cur, steps):
@@ -35,9 +36,14 @@ def _recur(prev, cur, steps):
     return ChebPoly(cur)
 
 
-def _check_a(a):
+def _check_a(a, positive=True):
+    """a as a float, finite and nonzero; positive unless the caller reflects."""
     a = float(a)
-    if a <= 0:
+    if not math.isfinite(a):
+        raise ValueError(f"a = {a} is not finite")
+    if a == 0:
+        raise ValueError("a must be nonzero; ai must be exterior to [-1, 1]")
+    if positive and a < 0:
         raise ValueError(f"a must be positive, got {a}; reflect at the caller for a < 0")
     return a
 
@@ -98,9 +104,7 @@ def closed_form_design(n, a):
     numerical route assembles them, so the two routes stay comparable.
     """
     _check_degree(n, lowest=1)
-    a = float(a)
-    if a == 0:
-        raise ValueError("a must be nonzero; ai must be exterior to [-1, 1]")
+    a = _check_a(a, positive=False)
     interior = companion_zeros(n - 1, abs(a))
     if a < 0:
         interior = -interior[::-1]
@@ -115,9 +119,7 @@ def growth_value(n, a):
 
     attained by Q_n (up to phase)."""
     _check_degree(n, lowest=1)
-    a = abs(float(a))
-    if a == 0:
-        raise ValueError("a must be nonzero")
+    a = abs(_check_a(a, positive=False))
     s = np.sqrt(a * a + 1.0)
     return float(s * (a + s) ** (n - 1))
 
@@ -127,12 +129,11 @@ def growth_gap(n, a):
 
     Returns (lhs, rhs) with lhs = growth_value - |T_n(ai)| and
     rhs = (sqrt(a^2+1) - |a|) |T_{n-1}(ai)|; the two agree identically.
+    T_{n-1}(ai) and T_n(ai) are the last two entries of one chebvander row.
     """
     _check_degree(n, lowest=1)
-    a = float(a)
-    if a == 0:
-        raise ValueError("a must be nonzero")
-    z = 1j * a
-    lhs = growth_value(n, a) - abs(cheb_t(n, z))
-    rhs = (np.sqrt(a * a + 1.0) - abs(a)) * abs(cheb_t(n - 1, z))
+    a = _check_a(a, positive=False)
+    t = cheb.chebvander(1j * a, n)[0]
+    lhs = growth_value(n, a) - abs(t[n])
+    rhs = (np.sqrt(a * a + 1.0) - abs(a)) * abs(t[n - 1])
     return float(lhs), float(rhs)

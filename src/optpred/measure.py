@@ -21,7 +21,7 @@ import numpy as np
 import numpy.polynomial.chebyshev as cheb
 from scipy.linalg import cholesky, solve_triangular, LinAlgError
 
-from .polynomial import ChebPoly, as_nodes, lagrange_values
+from .polynomial import ChebPoly, _finite_point, as_nodes, lagrange_values
 
 _MIN_PIVOT = 1e-13
 _WEIGHT_SUM_TOL = 1e-12
@@ -43,6 +43,8 @@ class DiscreteMeasure:
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if w.shape != x.shape:
             raise ValueError(f"{len(x)} nodes but {len(w)} weights")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if np.any(w <= 0):
             raise ValueError("weights must be strictly positive")
         if abs(w.sum() - 1.0) > _WEIGHT_SUM_TOL:
@@ -114,7 +116,7 @@ def christoffel_lagrange(mu, n, z0):
     """
     if len(mu) != n + 1:
         raise ValueError(f"Lagrange route needs exactly {n + 1} nodes, got {len(mu)}")
-    ell = lagrange_values(mu.nodes, z0)
+    ell = lagrange_values(mu.nodes, _finite_point(z0))
     return float(np.sum(np.abs(ell) ** 2 / mu.weights))
 
 

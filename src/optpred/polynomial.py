@@ -8,15 +8,38 @@ the package's one Lagrange evaluator), conversion of Lagrange combinations
 into Chebyshev coefficients, and the exact sup-norm over [-1, 1], taken over
 +-1 and the real roots of d/dx |p|^2.  Real roots of a Chebyshev series come from
 the eigenvalues of its colleague matrix (numpy's chebroots), so no result
-depends on a sampling grid.
+depends on a sampling grid.  The input checks every other module applies to
+degrees, points and node sets live here too, so each has one home.
 """
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
 
 _NEAR_TOL = 1e-9
+
+# A cap on work (solve and certificate cost O(n^3)), not a range guarantee:
+# K overflows far earlier once |z0| >~ 2, closed_form_design(192, 4.0) already
+# returns K = nan.
+MAX_DEGREE = 512
+
+
+def _check_degree(n, lowest=0):
+    if not isinstance(n, (int, np.integer)):
+        raise TypeError(f"degree must be an integer, got {type(n).__name__}")
+    if n < lowest:
+        raise ValueError(f"degree must be >= {lowest}, got {n}")
+    if n > MAX_DEGREE:
+        raise ValueError(f"degree {n} exceeds supported maximum {MAX_DEGREE}")
+
+
+def _finite_point(z0):
+    z0 = complex(z0)
+    if not cmath.isfinite(z0):
+        raise ValueError(f"z0 = {z0} is not finite")
+    return z0
 
 
 class ChebPoly:
@@ -75,6 +98,8 @@ def as_nodes(nodes):
     x = np.atleast_1d(np.asarray(nodes, dtype=float))
     if x.ndim != 1 or x.size < 2:
         raise ValueError("need at least 2 nodes")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("nodes must be finite")
     if x[0] < -1.0 or x[-1] > 1.0:
         raise ValueError(f"nodes must lie in [-1, 1], got range [{x[0]}, {x[-1]}]")
     if np.any(np.diff(x) <= 0):

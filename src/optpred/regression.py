@@ -22,8 +22,8 @@ import numpy as np
 import numpy.polynomial.chebyshev as cheb
 from scipy.linalg import solve_triangular
 
-from .chebyshev import _finite_point
 from .measure import DiscreteMeasure, RankDeficiencyError, christoffel
+from .polynomial import _finite_point
 
 _MIN_REPLICATES = 1000
 _BATCH = 10000
@@ -50,6 +50,8 @@ class RegressionPlan:
         if sigma < 0:
             raise ValueError("sigma must be nonnegative")
         th = np.atleast_1d(np.asarray(self.theta, dtype=float))
+        if not np.all(np.isfinite(th)):
+            raise ValueError("theta must be finite")
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "theta", th)

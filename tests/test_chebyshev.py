@@ -1,85 +1,64 @@
+"""Chebyshev polynomials T_n as the package evaluates them.
+
+T_n is the unit series ChebPoly(e_n), and growth_gap reads T_n(ai) from one
+chebvander row; both are checked against closed forms that need no numpy.
+"""
+
 import numpy as np
 import pytest
 
-from optpred import cheb_pell_residual, cheb_t, cheb_u
+from optpred import (
+    ChebPoly,
+    companion_zeros,
+    growth_gap,
+    growth_poly,
+    growth_value,
+    pell_companion,
+)
+
+
+def _t(n):
+    c = np.zeros(n + 1)
+    c[n] = 1.0
+    return ChebPoly(c)
 
 
 def test_t_known_values():
-    assert cheb_t(3, 0.5) == pytest.approx(-1.0, abs=1e-14)
-    assert cheb_t(7, 1.0) == pytest.approx(1.0, abs=1e-14)
+    assert _t(3)(0.5) == pytest.approx(-1.0, abs=1e-14)
+    assert _t(7)(1.0) == pytest.approx(1.0, abs=1e-14)
     # (i^2/2)((1+sqrt2)^2 + (1-sqrt2)^2) = -3, also 2i^2 - 1
-    assert cheb_t(2, 1j) == pytest.approx(-3.0 + 0j, abs=1e-14)
-
-
-def test_u_known_values():
-    assert cheb_u(-1, 0.7) == 0
-    assert cheb_u(1, 0.5) == pytest.approx(1.0, abs=1e-14)
-    # 4z^2 - 1 at z=i; closed form (i^2/(2 sqrt2))((1+sqrt2)^3 - (1-sqrt2)^3)
-    assert cheb_u(2, 1j) == pytest.approx(-5.0 + 0j, abs=1e-14)
+    assert _t(2)(1j) == pytest.approx(-3.0 + 0j, abs=1e-14)
 
 
 def test_t_array_argument():
     x = np.linspace(-1, 1, 7)
-    np.testing.assert_allclose(cheb_t(2, x), 2 * x * x - 1, atol=1e-14)
+    np.testing.assert_allclose(_t(2)(x), 2 * x * x - 1, atol=1e-14)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_imaginary_axis_closed_forms(seed):
     rng = np.random.default_rng(seed)
     for _ in range(250):
-        n = int(rng.integers(0, 21))
+        n = int(rng.integers(1, 21))
         a = 10.0 * (1.0 - rng.random())
         s = np.sqrt(a * a + 1.0)
         t_closed = (1j**n / 2.0) * ((a + s) ** n + (a - s) ** n)
-        u_closed = (1j**n / (2.0 * s)) * ((a + s) ** (n + 1) - (a - s) ** (n + 1))
-        assert abs(cheb_t(n, a * 1j) - t_closed) <= 1e-11 * abs(t_closed)
-        assert abs(cheb_u(n, a * 1j) - u_closed) <= 1e-11 * abs(u_closed)
-
-
-def test_derivative_identity_against_finite_differences():
-    rng = np.random.default_rng(7)
-    h = 1e-6
-    for _ in range(100):
-        n = int(rng.integers(1, 13))
-        x = rng.uniform(-0.99, 0.99)
-        fd = (cheb_t(n, x + h) - cheb_t(n, x - h)) / (2 * h)
-        assert fd == pytest.approx(n * cheb_u(n - 1, x), rel=1e-5, abs=1e-5)
-
-
-def test_pell_residual_examples():
-    assert cheb_pell_residual(1, 0.3) == 0.0
-    assert cheb_pell_residual(5, 0.9) <= 1e-12
-    assert cheb_pell_residual(8, 1.5 + 0.5j) <= 1e-10
-
-
-def test_pell_residual_on_interval():
-    # on [-1, 1] all terms are O(n^2), so the absolute bound is meaningful
-    rng = np.random.default_rng(11)
-    for _ in range(300):
-        n = int(rng.integers(1, 31))
-        x = rng.uniform(-1, 1)
-        assert cheb_pell_residual(n, x) <= 1e-10
-
-
-def test_pell_residual_scaled_over_disk():
-    # off the interval T_n(z)^2 can reach 1e33, where an absolute bound is
-    # meaningless in doubles; the identity still holds to relative rounding
-    rng = np.random.default_rng(11)
-    for _ in range(300):
-        n = int(rng.integers(1, 31))
-        z = rng.uniform(-2, 2) + 1j * rng.uniform(-2, 2)
-        if abs(z) > 2:
-            z = 2 * z / abs(z)
-        scale = max(1.0, abs(cheb_t(n, z)) ** 2)
-        assert cheb_pell_residual(n, z) <= 1e-12 * scale
+        assert abs(_t(n)(a * 1j) - t_closed) <= 1e-11 * abs(t_closed)
+        lhs, _ = growth_gap(n, a)
+        expected = growth_value(n, a) - abs(t_closed)
+        assert abs(lhs - expected) <= 1e-11 * abs(t_closed)
 
 
 def test_degree_validation():
     with pytest.raises(ValueError):
-        cheb_t(-1, 0.5)
+        pell_companion(-1, 1.0)
     with pytest.raises(ValueError):
-        cheb_t(513, 0.5)
+        growth_poly(0, 1.0)
     with pytest.raises(ValueError):
-        cheb_u(-2, 0.5)
+        growth_poly(513, 1.0)
+    with pytest.raises(ValueError):
+        companion_zeros(513, 1.0)
     with pytest.raises(TypeError):
-        cheb_t(2.5, 0.5)
+        growth_poly(2.5, 1.0)
+    with pytest.raises(TypeError):
+        growth_gap(2.5, 1.0)

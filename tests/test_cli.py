@@ -108,6 +108,13 @@ def test_growth_rejects_zero(capsys):
     assert "nonzero" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("a", ["nan", "inf"])
+def test_growth_rejects_nonfinite_a(a, capsys):
+    assert main(["growth", "--n", "3", "--a", a]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "a = " in err
+
+
 def test_verify_pell(capsys):
     assert main(["verify", "--suite", "pell", "--seed", "7"]) == 0
     out = capsys.readouterr().out
@@ -172,6 +179,20 @@ def test_simulate_rejects_nonfinite_point(tmp_path, capsys):
                  "--replicates", "1000"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["nodes", "weights", "theta"])
+def test_simulate_rejects_nonfinite_plan_field(field, tmp_path, capsys):
+    plan_file = tmp_path / "plan.json"
+    _write_plan(plan_file, DiscreteMeasure(NODES3, np.array([1, 1, 1]) / 3))
+    data = json.loads(plan_file.read_text())
+    data[field][1] = float("nan")
+    plan_file.write_text(json.dumps(data))
+    code = main(["simulate", "--plan", str(plan_file), "--z0", "2", "0",
+                 "--replicates", "1000"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{field} must be finite" in err
 
 
 def test_usage_errors_exit_one(capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,19 +8,28 @@ from optpred import (
     Design,
     DiscreteMeasure,
     certify,
-    cheb_t,
     christoffel,
     design_from_support,
     extremal_signed_poly,
     hoel_levine_weights,
     kernel_poly,
-    lebesgue_at,
+    lagrange_values,
     optimize_support,
     require_exterior,
 )
 from optpred.imaginary import closed_form_design
 
 NODES3 = np.array([-1.0, 0.0, 1.0])
+
+
+def _cheb_t_squared(n, x):
+    """T_n(x)^2 at real |x| > 1 in closed form, cosh(n acosh|x|)^2."""
+    return math.cosh(n * math.acosh(abs(x))) ** 2
+
+
+def _lebesgue(nodes, z0):
+    """Lebesgue function sum_i |l_i(z0)|; its square is K under Hoel-Levine weights."""
+    return float(np.sum(np.abs(lagrange_values(nodes, z0))))
 
 
 def test_require_exterior():
@@ -48,7 +59,7 @@ def test_hoel_levine_chebyshev_nodes_give_squared_chebyshev():
         for z0 in (1.5, 2.0):
             mu = DiscreteMeasure(nodes, hoel_levine_weights(nodes, z0))
             K = christoffel(mu, n, z0)
-            assert K == pytest.approx(cheb_t(n, z0) ** 2, rel=1e-10)
+            assert K == pytest.approx(_cheb_t_squared(n, z0), rel=1e-10)
 
 
 def test_hoel_levine_rejects_node_point():
@@ -60,11 +71,11 @@ def test_hoel_levine_rejects_node_point():
 
 
 def test_lebesgue_values():
-    assert lebesgue_at(NODES3, 2.0) == pytest.approx(7.0, rel=1e-13)
+    assert _lebesgue(NODES3, 2.0) == pytest.approx(7.0, rel=1e-13)
     for x in NODES3:
-        assert lebesgue_at(NODES3, x) == pytest.approx(1.0, abs=1e-14)
+        assert _lebesgue(NODES3, x) == pytest.approx(1.0, abs=1e-14)
     for a in (0.5, 1.0, 2.0):
-        assert lebesgue_at(np.array([-1.0, 1.0]), a * 1j) == pytest.approx(
+        assert _lebesgue(np.array([-1.0, 1.0]), a * 1j) == pytest.approx(
             np.sqrt(1 + a * a), rel=1e-13
         )
 
@@ -78,7 +89,7 @@ def test_lebesgue_squared_is_kernel_value():
         z0 = rng.uniform(1.1, 2.5) + 1j * rng.uniform(0, 1)
         mu = DiscreteMeasure(nodes, hoel_levine_weights(nodes, z0))
         K = christoffel(mu, len(nodes) - 1, z0)
-        assert K == pytest.approx(lebesgue_at(nodes, z0) ** 2, rel=1e-10)
+        assert K == pytest.approx(_lebesgue(nodes, z0) ** 2, rel=1e-10)
 
 
 def test_extremal_signed_poly_two_point():
@@ -97,6 +108,12 @@ def test_extremal_signed_poly_three_point_imaginary():
         np.testing.assert_allclose(P.coeffs_padded(3), expected, atol=1e-14)
 
 
+def test_extremal_signed_poly_rejects_nonfinite_point():
+    for bad in (np.nan, np.inf, complex(0, np.nan)):
+        with pytest.raises(ValueError, match="not finite"):
+            extremal_signed_poly(NODES3, bad)
+
+
 def test_extremal_signed_poly_real_point_is_chebyshev():
     P = extremal_signed_poly(NODES3, 2.0)
     np.testing.assert_allclose(P.coeffs_padded(3), [0, 0, 1.0], atol=1e-14)
@@ -112,7 +129,7 @@ def test_extremal_poly_attains_lebesgue_value():
         P = extremal_signed_poly(nodes, z0)
         val = P(z0)
         assert abs(val.imag) <= 1e-10
-        assert val.real == pytest.approx(lebesgue_at(nodes, z0), abs=1e-10)
+        assert val.real == pytest.approx(_lebesgue(nodes, z0), abs=1e-10)
 
 
 def test_extremal_signed_poly_matches_kernel_poly():
@@ -150,6 +167,9 @@ def test_design_validation():
         design_from_support(3, 2.0, NODES3)
     with pytest.raises(TypeError):
         design_from_support(2.0, 2.0, NODES3)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="nodes must be finite"):
+            design_from_support(2, 2.0, np.array([-1.0, bad, 1.0]))
 
 
 def test_design_json_round_trip():
@@ -192,7 +212,7 @@ def test_optimize_support_real_point():
     d = optimize_support(4, 1.5)
     expected = np.cos(np.pi * np.arange(3, 0, -1) / 4)
     np.testing.assert_allclose(d.measure.nodes[1:-1], expected, atol=1e-6)
-    assert d.K_value == pytest.approx(cheb_t(4, 1.5) ** 2, rel=1e-8)
+    assert d.K_value == pytest.approx(_cheb_t_squared(4, 1.5), rel=1e-8)
     assert d.certified
 
 

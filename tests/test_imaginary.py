@@ -3,7 +3,6 @@ import numpy.polynomial.chebyshev as cheb
 import pytest
 
 from optpred import (
-    cheb_t,
     closed_form_design,
     companion_zeros,
     extremal_signed_poly,
@@ -112,6 +111,11 @@ def test_domain_checks():
         closed_form_design(2, 0.0)
     with pytest.raises(ValueError):
         growth_value(2, 0.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        for f in (growth_poly, pell_companion, companion_zeros,
+                  closed_form_design, growth_value, growth_gap):
+            with pytest.raises(ValueError, match="a = .* is not finite"):
+                f(3, bad)
 
 
 def test_pell_residual_examples():
@@ -258,4 +262,6 @@ def test_bridge_against_direct_signed_combination():
 def test_growth_value_never_below_chebyshev():
     for a in (0.1, 1.0, 5.0):
         for n in range(1, 11):
-            assert growth_value(n, a) >= abs(cheb_t(n, 1j * a))
+            s = np.sqrt(a * a + 1.0)
+            # |T_n(ai)| = |(a+s)^n + (a-s)^n| / 2
+            assert growth_value(n, a) >= abs((a + s) ** n + (a - s) ** n) / 2

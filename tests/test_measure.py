@@ -38,6 +38,14 @@ def test_measure_validation():
         DiscreteMeasure(NODES3, np.array([0.5, 0.5]))
 
 
+def test_measure_rejects_nonfinite():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            DiscreteMeasure(NODES3, np.array([0.5, bad, 0.5]))
+        with pytest.raises(ValueError, match="nodes must be finite"):
+            DiscreteMeasure(np.array([-1.0, bad, 1.0]), np.ones(3) / 3)
+
+
 def test_measure_json_round_trip():
     mu = DiscreteMeasure.from_json(HL3.to_json())
     np.testing.assert_array_equal(mu.nodes, HL3.nodes)
@@ -101,6 +109,9 @@ def test_two_path_agreement():
 def test_lagrange_path_requires_square_support():
     with pytest.raises(ValueError):
         christoffel_lagrange(UNIFORM3, 1, 2.0)
+    for bad in (np.nan, np.inf, complex(0, np.nan)):
+        with pytest.raises(ValueError, match="not finite"):
+            christoffel_lagrange(UNIFORM3, 2, bad)
 
 
 def test_christoffel_exceeds_one_outside():

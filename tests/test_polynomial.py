@@ -25,6 +25,14 @@ def test_as_nodes_validation():
         as_nodes([0.5, -0.5])
 
 
+def test_nonfinite_nodes_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="nodes must be finite"):
+            as_nodes([-1.0, bad, 1.0])
+        with pytest.raises(ValueError, match="nodes must be finite"):
+            lagrange_values([-1.0, bad, 1.0], 2.0)
+
+
 def test_chebpoly_basics():
     p = ChebPoly([1.0, 0.0, 2.0, 0.0])
     assert p.degree == 2  # trailing zero dropped

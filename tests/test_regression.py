@@ -112,6 +112,10 @@ def test_plan_validation():
         with pytest.raises(ValueError, match="not finite"):
             RegressionPlan(design=UNIFORM3, counts=np.array([1, 1, 1]),
                            sigma=sigma, theta=THETA)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            RegressionPlan(design=UNIFORM3, counts=np.array([1, 1, 1]),
+                           sigma=1.0, theta=np.array([0.3, bad, 0.5]))
 
 
 def test_plan_json_round_trip():
