@@ -79,6 +79,8 @@ def _cmd_design(args):
 
 
 def _cmd_growth(args):
+    # growth_value checks a with its sign, before growth_poly sees only |a|
+    value = growth_value(args.n, args.a)
     q = growth_poly(args.n, abs(args.a))
     if args.a < 0:
         q = q.reflected()
@@ -90,7 +92,7 @@ def _cmd_growth(args):
         {
             "n": args.n,
             "a": args.a,
-            "growth_value": growth_value(args.n, args.a),
+            "growth_value": value,
             "poly": q.to_json(),
             "gap": {"lhs": lhs, "rhs": rhs},
         },

@@ -6,7 +6,7 @@ collapses to the squared Lebesgue function, K = (sum_i |l_i(z0)|)^2.  The
 remaining problem is placing the n-1 interior nodes to minimize the Lebesgue
 function at z0.  On an optimal support every interior node is a critical point
 of |P|^2 for the signed polynomial P below, so the nodes are found by one root
-solve of those first-order conditions in log-gap coordinates.
+solve of those first-order conditions, taken directly in node coordinates.
 
 Optimality of a candidate design is not taken on faith: the signed Lagrange
 combination P = sum_i sgn(l_i(z0)) l_i (complex sign conventions such that
@@ -34,9 +34,10 @@ from .polynomial import (
 
 _EXTERIOR_IM_TOL = 1e-12
 _CERT_TOL = 1e-8
-# relative step tolerance of the root solve; scipy's default 1.5e-8 stops with
-# nodes up to 2.5e-10 off the closed forms, this one within 1e-14 at no extra cost
-_ROOT_XTOL = 1e-12
+# relative step tolerance of the root solve, which acts on the node coordinates
+# themselves: at 1e-12 the nodes stop up to 5.9e-10 off the closed forms
+# (n=32, z0=0.01i), at 1e-14 within 3.3e-13 for n <= 32
+_ROOT_XTOL = 1e-14
 
 
 def require_exterior(z0):
@@ -51,26 +52,22 @@ def require_exterior(z0):
     return z0
 
 
-def _lagrange_at(nodes, z0):
-    ell = lagrange_values(nodes, z0)
-    if np.any(np.abs(ell) == 0.0):
-        raise ValueError("some fundamental polynomial vanishes at z0")
-    return ell
+def _signed_lagrange(x, z0):
+    """|l_i(z0)| and sgn(l_i(z0)) = conj(l_i(z0)) / |l_i(z0)| from one evaluation.
 
-
-def _lagrange_signs(x, z0):
-    """sgn(l_i(z0)) = conj(l_i(z0)) / |l_i(z0)|, the values of P at the nodes."""
-    ell = _lagrange_at(x, z0)
-    return np.conj(ell) / np.abs(ell)
+    The signs are the values of P at the nodes.  When z0 is a node every other
+    l_i(z0) is exactly 0, so a zero modulus is how that case is caught.
+    """
+    ell = lagrange_values(x, z0)
+    moduli = np.abs(ell)
+    if np.any(moduli == 0.0):
+        raise ValueError(f"z0 = {z0} is a node; the Lagrange signs are undefined")
+    return moduli, np.conj(ell) / moduli
 
 
 def hoel_levine_weights(nodes, z0):
     """Weights proportional to |l_i(z0)|; optimal among weightings of nodes."""
-    x = as_nodes(nodes)
-    z0 = _finite_point(z0)
-    if np.min(np.abs(z0 - x)) == 0.0:
-        raise ValueError("z0 coincides with a node; weights undefined")
-    moduli = np.abs(_lagrange_at(x, z0))
+    moduli, _ = _signed_lagrange(as_nodes(nodes), _finite_point(z0))
     return moduli / moduli.sum()
 
 
@@ -81,10 +78,8 @@ def extremal_signed_poly(nodes, z0):
     optimal support this is the polynomial of extremal growth at z0.
     """
     x = as_nodes(nodes)
-    z0 = _finite_point(z0)
-    if np.min(np.abs(z0 - x)) == 0.0:
-        raise ValueError("z0 coincides with a node")
-    return from_lagrange_combination(x, _lagrange_signs(x, z0))
+    _, signs = _signed_lagrange(x, _finite_point(z0))
+    return from_lagrange_combination(x, signs)
 
 
 @dataclass(frozen=True)
@@ -199,53 +194,29 @@ def design_from_support(n, z0, nodes):
     x = as_nodes(nodes)
     if len(x) != n + 1:
         raise ValueError(f"degree {n} needs {n + 1} nodes, got {len(x)}")
-    mu = DiscreteMeasure(x, hoel_levine_weights(x, z0))
+    moduli, signs = _signed_lagrange(x, z0)
+    mu = DiscreteMeasure(x, moduli / moduli.sum())
     K = christoffel(mu, n, z0)
-    P = extremal_signed_poly(x, z0)
+    P = from_lagrange_combination(x, signs)
     return Design(
         measure=mu, z0=z0, n=n, K_value=K, extremal_poly=P,
         certificate=_certificate(P, mu, z0, K),
     )
 
 
-def _nodes_from_gaps(u):
-    """Interior nodes from log-gap coordinates u in R^{n-1}.
-
-    Gaps between the n+1 ordered nodes are proportional to
-    (e^{u_0}, ..., e^{u_{n-2}}, 1); cumulative sums rescaled to [-1, 1] give
-    nodes that are ordered by construction, so the root solve is unconstrained.
-    """
-    g = np.empty(len(u) + 1)
-    with np.errstate(over="ignore"):
-        g[:-1] = np.exp(u)
-    g[-1] = 1.0
-    total = g.sum()
-    if not np.isfinite(total):
-        return None
-    x = -1.0 + 2.0 * np.cumsum(g[:-1]) / total
-    if np.any(np.diff(x) <= 0) or x[0] <= -1.0 or x[-1] >= 1.0:
-        return None
-    return x
-
-
-def _gaps_from_nodes(interior):
-    full = np.concatenate(([-1.0], interior, [1.0]))
-    g = np.diff(full)
-    return np.log(g[:-1] / g[-1])
-
-
 def _first_order_residual(z0):
-    """F_j(u) = Re(conj(P(x_j)) P'(x_j)) at the interior nodes x(u).
+    """F_j = Re(conj(P(x_j)) P'(x_j)) at the interior nodes x_1 < ... < x_{n-1}.
 
     F_j is half the derivative of |P|^2 at x_j, so it vanishes on an optimal
-    support, where every interior node is a maximum of |P| on [-1, 1].
+    support, where every interior node is a maximum of |P| on [-1, 1].  An
+    unordered step gets an infinite residual, which MINPACK never accepts, so
+    the iterates stay ordered inside (-1, 1).
     """
-    def residual(u):
-        interior = _nodes_from_gaps(u)
-        if interior is None:
-            return np.full(len(u), np.inf)
+    def residual(interior):
         x = np.concatenate(([-1.0], interior, [1.0]))
-        s = _lagrange_signs(x, z0)
+        if not np.all(np.diff(x) > 0):
+            return np.full(len(interior), np.inf)
+        _, s = _signed_lagrange(x, z0)
         # barycentric differentiation: P'(x_j) = sum_i (b_i/b_j)(s_i - s_j)/(x_j - x_i)
         diffs = x[:, None] - x[None, :]
         np.fill_diagonal(diffs, 1.0)
@@ -260,27 +231,26 @@ def optimize_support(n, z0):
     """Optimal interior node placement for predicting at z0.
 
     Endpoints are pinned at -1 and +1.  The n-1 interior nodes solve the
-    first-order conditions F_j = 0 of _first_order_residual, in log-gap
-    coordinates so that nodes cannot cross, by one MINPACK hybrid root solve
-    started from the Chebyshev extreme points.  An uncertified result is
-    returned with a warning; its certificate carries the evidence.
+    first-order conditions F_j = 0 of _first_order_residual by one MINPACK
+    hybrid root solve in node coordinates, started from the Chebyshev extreme
+    points.  An uncertified result is returned with a warning; its certificate
+    carries the evidence.
     """
     _check_degree(n, lowest=1)
     z0 = require_exterior(z0)
     if n == 1:
         return design_from_support(1, z0, [-1.0, 1.0])
 
-    u0 = _gaps_from_nodes(np.cos(np.pi * np.arange(n - 1, 0, -1) / n))
-    # The Chebyshev start is symmetric, so its first gap equals its last and
-    # u0[0] = log(g_0 / g_{n-1}) is exactly 0, where rounding leaves ~2e-16.
-    # MINPACK sizes its first step by |u0|; from that residue it can stall at
-    # the start (n=2, z0=1+1j stays at x=0 with violation 2e-3).
-    u0[0] = 0.0
-    sol = root(_first_order_residual(z0), u0, method="hybr", tol=_ROOT_XTOL)
-    interior = _nodes_from_gaps(sol.x)
-    if interior is None:
+    # The interior Chebyshev extrema cos(k pi / n) in sine form: exactly
+    # symmetric, with an exact 0 for even n.  The cosine form leaves 6e-17
+    # there, and MINPACK's difference step eps*|x_j| then spoils that column
+    # of the Jacobian (n=2, z0=1+1j stalls at the start).
+    x0 = np.sin(np.pi * np.arange(2 - n, n - 1, 2) / (2 * n))
+    sol = root(_first_order_residual(z0), x0, method="hybr", tol=_ROOT_XTOL)
+    x = np.concatenate(([-1.0], sol.x, [1.0]))
+    if not np.all(np.diff(x) > 0):
         raise RuntimeError(f"optimize_support(n={n}, z0={z0}): root solve left [-1, 1]")
-    design = design_from_support(n, z0, np.concatenate(([-1.0], interior, [1.0])))
+    design = design_from_support(n, z0, x)
     if not design.certified:
         warnings.warn(
             f"optimize_support(n={n}, z0={z0}): design failed certification "

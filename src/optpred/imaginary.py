@@ -13,9 +13,8 @@ on the real line, which pins |Q_n| = 1 exactly at the endpoints and at the
 zeros of R_{n-1} and below 1 elsewhere on [-1, 1].  Those points, with
 Hoel-Levine weights, form the optimal prediction design for ai, the kernel
 value is (a^2+1)(|a| + s)^{2n-2}, and Q_n is (up to the phase -(i)^n) the
-polynomial of extremal growth.  Designs for a < 0 come from reflecting the
-a > 0 design through x -> -x; the certificate re-verifies that symmetry
-rather than assuming it.
+polynomial of extremal growth.  R_{n-1} has parity (-1)^(n-1), so its zeros
+are symmetric about 0 and one support serves both ai and -ai.
 """
 
 import math
@@ -98,17 +97,14 @@ def companion_zeros(n, a):
 def closed_form_design(n, a):
     """The optimal design at z0 = ai without any optimizer run.
 
-    Support is {-1} union zeros(R_{n-1}) union {+1} for a > 0; for a < 0 the
-    a > 0 support is reflected through the origin.  Weights, kernel value,
-    extremal polynomial and certificate are assembled the same way the
-    numerical route assembles them, so the two routes stay comparable.
+    Support is {-1} union zeros(R_{n-1}(|a|)) union {+1}, the same for a and
+    -a since the zeros are symmetric.  Weights, kernel value, extremal
+    polynomial and certificate are assembled the same way the numerical route
+    assembles them, so the two routes stay comparable.
     """
     _check_degree(n, lowest=1)
     a = _check_a(a, positive=False)
-    interior = companion_zeros(n - 1, abs(a))
-    if a < 0:
-        interior = -interior[::-1]
-    nodes = np.concatenate(([-1.0], interior, [1.0]))
+    nodes = np.concatenate(([-1.0], companion_zeros(n - 1, abs(a)), [1.0]))
     return design_from_support(n, 1j * a, nodes)
 
 

@@ -102,6 +102,7 @@ def christoffel(mu, n, z0):
     Computed through the Cholesky factor of the Gram matrix, never an explicit
     inverse.  Works for any measure with at least n+1 support points.
     """
+    _finite_point(z0)  # check only: a real z0 stays real, and so does its rounding
     L = _factor(mu, n)
     u = solve_triangular(L, cheb.chebvander(z0, n)[0], lower=True)
     return float(np.vdot(u, u).real)
@@ -127,7 +128,7 @@ def kernel_poly(mu, n, z0):
     degree <= n with unit L^2(mu) norm it maximizes |p(z0)|.  Chebyshev
     coefficients are G^{-1} conj(t(z0)) / sqrt(K).
     """
-    if np.min(np.abs(complex(z0) - mu.nodes)) == 0.0:
+    if np.min(np.abs(_finite_point(z0) - mu.nodes)) == 0.0:
         raise ValueError("z0 lies in the support; kernel polynomial degenerates")
     L = _factor(mu, n)
     t = cheb.chebvander(z0, n)[0]

@@ -108,11 +108,12 @@ def test_growth_rejects_zero(capsys):
     assert "nonzero" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("a", ["nan", "inf"])
+@pytest.mark.parametrize("a", ["nan", "inf", "-inf"])
 def test_growth_rejects_nonfinite_a(a, capsys):
-    assert main(["growth", "--n", "3", "--a", a]) == 1
+    # the --a=VALUE form, since argparse reads a bare "-inf" as a flag
+    assert main(["growth", "--n", "3", f"--a={a}"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "a = " in err
+    assert err.startswith("error:") and f"a = {a} is not finite" in err
 
 
 def test_verify_pell(capsys):

@@ -63,8 +63,9 @@ def test_hoel_levine_chebyshev_nodes_give_squared_chebyshev():
 
 
 def test_hoel_levine_rejects_node_point():
-    with pytest.raises(ValueError):
-        hoel_levine_weights(NODES3, 0.0)
+    for f in (hoel_levine_weights, extremal_signed_poly):
+        with pytest.raises(ValueError, match="is a node"):
+            f(NODES3, 0.0)
     for bad in (np.nan, np.inf, complex(0, np.nan)):
         with pytest.raises(ValueError, match="not finite"):
             hoel_levine_weights(NODES3, bad)
@@ -223,6 +224,22 @@ def test_optimize_support_imaginary_point(n, a):
         d.measure.nodes, closed_form_design(n, a).measure.nodes, atol=1e-6
     )
     assert d.certified
+
+
+# the cases a near-zero start coordinate used to stall: 6e-17 where the
+# Chebyshev start has an exact 0 spoils MINPACK's difference Jacobian
+@pytest.mark.parametrize("n, z0", [(2, 1 + 1j), (2, 0.5 + 0.5j), (4, 2.0), (8, 1.2j)])
+def test_optimize_support_certifies_from_symmetric_start(n, z0):
+    d = optimize_support(n, z0)
+    assert d.certified, d.certificate
+
+
+@pytest.mark.parametrize("a", [0.001, 0.01, 1.0])
+@pytest.mark.parametrize("n", [3, 8, 32])
+def test_optimize_support_nodes_to_rounding(n, a):
+    d = optimize_support(n, 1j * a)
+    exact = closed_form_design(n, a).measure.nodes
+    assert np.abs(d.measure.nodes - exact).max() <= 1e-12
 
 
 def test_optimize_support_general_complex_point():

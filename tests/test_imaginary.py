@@ -202,6 +202,18 @@ def test_closed_form_design_reflection():
         assert minus.certified
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 17, 32])
+def test_closed_form_design_mirror_is_identical(n):
+    # R_{n-1} has parity (-1)^(n-1): the support at -ai is the one at ai, and
+    # weights and K at the mirrored point come out bit for bit the same
+    for a in (0.01, 1.5):
+        plus = closed_form_design(n, a)
+        minus = closed_form_design(n, -a)
+        assert np.array_equal(minus.measure.nodes, plus.measure.nodes)
+        assert np.array_equal(minus.measure.weights, plus.measure.weights)
+        assert minus.K_value == plus.K_value
+
+
 def test_extremality_bridge():
     # growth polynomial equals -(i)^n times the signed extremal polynomial
     for a in (0.25, 1.0, 4.0):

@@ -166,6 +166,16 @@ def test_kernel_poly_rejects_support_point():
         kernel_poly(UNIFORM3, 2, 0.0)
 
 
+def test_kernel_functions_reject_nonfinite_point():
+    for bad in (np.nan, np.inf, complex(0, np.nan)):
+        with pytest.raises(ValueError, match="not finite"):
+            christoffel(UNIFORM3, 2, bad)
+        with pytest.raises(ValueError, match="not finite"):
+            kernel_poly(UNIFORM3, 2, bad)
+        with pytest.raises(ValueError, match="not finite"):
+            directional_derivative(UNIFORM3, 0.5, 2, bad)
+
+
 def test_kernel_poly_maximality():
     rng = np.random.default_rng(29)
     mu = _random_measure(rng, 4)
