@@ -139,8 +139,7 @@ class Design:
         return {
             "n": self.n,
             "z0": [self.z0.real, self.z0.imag],
-            "nodes": self.measure.nodes.tolist(),
-            "weights": self.measure.weights.tolist(),
+            **self.measure.to_json(),
             "K_value": self.K_value,
             "poly": self.extremal_poly.to_json(),
             "certificate": self.certificate.to_json(),
@@ -149,9 +148,7 @@ class Design:
     @classmethod
     def from_json(cls, data):
         return cls(
-            measure=DiscreteMeasure(
-                np.asarray(data["nodes"], float), np.asarray(data["weights"], float)
-            ),
+            measure=DiscreteMeasure.from_json(data),
             z0=complex(data["z0"][0], data["z0"][1]),
             n=int(data["n"]),
             K_value=float(data["K_value"]),
@@ -256,6 +253,7 @@ def optimize_support(n, z0):
             f"optimize_support(n={n}, z0={z0}): design failed certification "
             f"(max_violation={design.certificate.max_violation:.3e}, "
             f"duality_gap={design.certificate.duality_gap:.3e}, "
-            f"residual={np.abs(sol.fun).max():.3e})"
+            f"residual={np.abs(sol.fun).max():.3e}; "
+            f"solver: {' '.join(sol.message.split())})"
         )
     return design

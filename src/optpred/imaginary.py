@@ -1,12 +1,14 @@
 """Closed-form optimal designs for purely imaginary exterior points z0 = ai.
 
-Two polynomial families drive everything, both built by the Chebyshev
-recurrence p_{k+1} = 2z p_k - p_{k-1} with s = sqrt(a^2 + 1), a > 0:
+Two polynomial families drive everything.  With s = sqrt(a^2 + 1), a > 0,
+beta = (s - a)/(2s) and gamma = (a + s)/(2s), both have short Chebyshev forms:
 
-    growth_poly:     Q_1 = -(az + i)/s,
-                     Q_2 = (1/s)(-(a+s) z^2 - iz + s)
-    pell_companion:  R_0 = a/s,
-                     R_1 = (a+s) z / s
+    growth_poly:     Q_n = beta T_{|n-2|} - (i/s) T_{n-1} - gamma T_n,  n >= 1
+    pell_companion:  R_n = U_n + (a/s - 1) T_n,                        n >= 0
+
+Both also obey p_{k+1} = 2z p_k - p_{k-1}: 2z T_j = T_{j+1} + T_{j-1} shifts
+the three terms of Q_n up by one index.  At n = 1, T_{-1} = T_1 merges the
+first and last terms of Q_1 into (beta - gamma) T_1 = -(a/s) T_1.
 
 They satisfy the Pell-type identity |Q_n(x)|^2 - (x^2 - 1) R_{n-1}(x)^2 = 1
 on the real line, which pins |Q_n| = 1 exactly at the endpoints and at the
@@ -26,15 +28,6 @@ from .design import design_from_support
 from .polynomial import ChebPoly, _check_degree
 
 
-def _recur(prev, cur, steps):
-    """Apply p_{k+1} = 2z p_k - p_{k-1} to Chebyshev coefficients `steps` times."""
-    for _ in range(steps):
-        nxt = 2 * cheb.chebmulx(cur)
-        nxt[: len(prev)] -= prev
-        prev, cur = cur, nxt
-    return ChebPoly(cur)
-
-
 def _check_a(a, positive=True):
     """a as a float, finite and nonzero; positive unless the caller reflects."""
     a = float(a)
@@ -48,28 +41,33 @@ def _check_a(a, positive=True):
 
 
 def growth_poly(n, a):
-    """Q_n for a > 0, by the coefficient recurrence Q_{k+1} = 2z Q_k - Q_{k-1}."""
+    """Q_n for a > 0: beta T_{|n-2|} - (i/s) T_{n-1} - gamma T_n, no other terms."""
     _check_degree(n, lowest=1)
     a = _check_a(a)
     s = np.sqrt(a * a + 1.0)
-    q1 = np.array([-1j / s, -a / s])
-    if n == 1:
-        return ChebPoly(q1)
-    # z^2 = (T_0 + T_2)/2 splits the leading term of Q_2 across T_0 and T_2
-    q2 = np.array([1.0 - (a + s) / (2 * s), -1j / s, -(a + s) / (2 * s)])
-    return _recur(q1, q2, n - 2)
+    c = np.zeros(n + 1, dtype=complex)
+    # beta = (s - a)/(2s) written without the cancellation in s - a
+    c[abs(n - 2)] = 1.0 / (2 * s * (a + s))
+    c[n - 1] -= 1j / s
+    c[n] -= (a + s) / (2 * s)  # at n = 1 this merges into T_1 with beta
+    return ChebPoly(c)
 
 
 def pell_companion(n, a):
-    """R_n for a > 0; real coefficients, parity (-1)^n, same recurrence."""
+    """R_n for a > 0: U_n + (a/s - 1) T_n; real coefficients, parity (-1)^n.
+
+    U_n in the T basis is 2 T_n + 2 T_{n-2} + ..., its T_0 term counted once,
+    so the entries of the other parity are exact zeros.
+    """
     _check_degree(n)
     a = _check_a(a)
     s = np.sqrt(a * a + 1.0)
-    r0 = np.array([a / s])
-    if n == 0:
-        return ChebPoly(r0)
-    r1 = np.array([0.0, (a + s) / s])
-    return _recur(r0, r1, n - 1)
+    c = np.zeros(n + 1)
+    c[n % 2 :: 2] = 2.0
+    c[0] /= 2
+    # subtracting 1 before adding a/s keeps R_0 = a/s exact
+    c[n] = c[n] - 1.0 + a / s
+    return ChebPoly(c)
 
 
 def pell_residual(n, a, x):

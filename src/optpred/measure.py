@@ -96,15 +96,24 @@ def _factor(mu, n):
     return L
 
 
+def _kernel_basis(mu, n, z0):
+    """(L, u): the Cholesky factor L of the Gram matrix and u = L^{-1} t(z0).
+
+    K(z0) = |u|^2, and since L is real, L^{-1} conj(t(z0)) = conj(u), so one
+    triangular solve serves the kernel value and the kernel polynomial.
+    """
+    _finite_point(z0)  # check only: a real z0 stays real, and so does its rounding
+    L = _factor(mu, n)
+    return L, solve_triangular(L, cheb.chebvander(z0, n)[0], lower=True)
+
+
 def christoffel(mu, n, z0):
     """K(z0) = t(z0)^H G^{-1} t(z0) >= |p(z0)|^2 / ||p||_{L2(mu)}^2 for deg <= n.
 
     Computed through the Cholesky factor of the Gram matrix, never an explicit
     inverse.  Works for any measure with at least n+1 support points.
     """
-    _finite_point(z0)  # check only: a real z0 stays real, and so does its rounding
-    L = _factor(mu, n)
-    u = solve_triangular(L, cheb.chebvander(z0, n)[0], lower=True)
+    _, u = _kernel_basis(mu, n, z0)
     return float(np.vdot(u, u).real)
 
 
@@ -130,24 +139,22 @@ def kernel_poly(mu, n, z0):
     """
     if np.min(np.abs(_finite_point(z0) - mu.nodes)) == 0.0:
         raise ValueError("z0 lies in the support; kernel polynomial degenerates")
-    L = _factor(mu, n)
-    t = cheb.chebvander(z0, n)[0]
-    u = solve_triangular(L, np.conj(t), lower=True)
-    c = solve_triangular(L.T, u, lower=False)
-    K = float(np.vdot(u, u).real)
-    return ChebPoly(c / np.sqrt(K))
+    L, u = _kernel_basis(mu, n, z0)
+    c = solve_triangular(L.T, np.conj(u), lower=False)
+    return ChebPoly(c / np.sqrt(float(np.vdot(u, u).real)))
 
 
 def directional_derivative(mu0, a, n, z0):
     """d/dt at t=0 of K(z0) along mu_t = (1-t) mu0 + t delta_a, a in [-1, 1].
 
-    Equals K(z0) * (1 - |P(a)|^2) with P the kernel polynomial of mu0.  At an
-    optimal measure every such derivative is >= 0, and it vanishes on the
-    support.
+    Equals K(z0) * (1 - |P(a)|^2) with P the kernel polynomial of mu0, that is
+    K(z0, z0) - |K(z0, a)|^2 with K(z0, a) = <u, L^{-1} t(a)> from one Cholesky
+    factor.  At an optimal measure every such derivative is >= 0, and it
+    vanishes on the support.
     """
     a = float(a)
     if not -1.0 <= a <= 1.0:
         raise ValueError(f"direction point {a} outside [-1, 1]")
-    K = christoffel(mu0, n, z0)
-    P = kernel_poly(mu0, n, z0)
-    return K * (1.0 - abs(P(a)) ** 2)
+    L, u = _kernel_basis(mu0, n, z0)
+    v = solve_triangular(L, cheb.chebvander(a, n)[0], lower=True)
+    return float(np.vdot(u, u).real - abs(np.vdot(u, v)) ** 2)

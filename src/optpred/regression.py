@@ -88,8 +88,7 @@ class RegressionPlan:
 
     def to_json(self):
         return {
-            "nodes": self.design.nodes.tolist(),
-            "weights": self.design.weights.tolist(),
+            **self.design.to_json(),
             "counts": self.counts.tolist(),
             "sigma": self.sigma,
             "theta": self.theta.tolist(),
@@ -97,11 +96,8 @@ class RegressionPlan:
 
     @classmethod
     def from_json(cls, data):
-        mu = DiscreteMeasure(
-            np.asarray(data["nodes"], float), np.asarray(data["weights"], float)
-        )
         return cls(
-            design=mu,
+            design=DiscreteMeasure.from_json(data),
             counts=np.asarray(data["counts"], int),
             sigma=float(data["sigma"]),
             theta=np.asarray(data["theta"], float),

@@ -282,7 +282,7 @@ def test_optimize_support_warns_when_uncertified(monkeypatch):
     assert not d.certified
     assert len(d.measure.nodes) == 5
     message = str(record[0].message)
-    for field in ("max_violation", "duality_gap", "residual"):
+    for field in ("max_violation", "duality_gap", "residual", "solver:"):
         assert field in message
 
 

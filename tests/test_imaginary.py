@@ -73,14 +73,25 @@ def test_growth_poly_degree_three_by_hand_recurrence():
 
 @pytest.mark.parametrize("a", [0.25, 1.0, 4.0])
 def test_growth_poly_matches_closed_form(a):
-    for n in range(1, 13):
+    for n in [*range(1, 13), 64, 191, 512]:
         got = growth_poly(n, a).coeffs
         np.testing.assert_allclose(got, _growth_closed(n, a), atol=1e-11)
 
 
+@pytest.mark.parametrize("a", [0.001, 1.0, 4.0])
+def test_growth_poly_has_three_chebyshev_terms(a):
+    # Q_n = beta T_{|n-2|} - (i/s) T_{n-1} - gamma T_n: every other entry is 0
+    rng = np.random.default_rng(5)
+    for n in [1, 2, 3, *rng.integers(4, 512, 12), 512]:
+        n = int(n)
+        c = growth_poly(n, a).coeffs
+        assert len(c) == n + 1
+        assert set(np.flatnonzero(c)) <= {abs(n - 2), n - 1, n}
+
+
 @pytest.mark.parametrize("a", [0.25, 1.0, 4.0])
 def test_pell_companion_matches_closed_form(a):
-    for n in range(0, 13):
+    for n in [*range(0, 13), 64, 191, 512]:
         got = pell_companion(n, a).coeffs
         np.testing.assert_allclose(got, _companion_closed(n, a), atol=1e-11)
 
@@ -132,6 +143,10 @@ def test_pell_residual_random():
         a = 10.0 * (1.0 - rng.random())
         x = rng.uniform(-1, 1, 50)
         assert pell_residual(n, a, x).max() <= 1e-9
+    for n in (64, 256, 512):
+        a = 10.0 * (1.0 - rng.random())
+        x = rng.uniform(-1, 1, 50)
+        assert pell_residual(n, a, x).max() <= 1e-12
 
 
 def test_companion_zeros_low_degree():
