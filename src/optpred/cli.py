@@ -2,7 +2,8 @@
 suites, and the Monte Carlo variance simulator.
 
 Exit codes are part of the contract so CI can consume the tool directly:
-0 = certified / all checks passed, 1 = input error, 2 = numeric failure
+0 = certified / all checks passed, 1 = input error (including a growth
+value beyond the largest double), 2 = numeric failure
 (optimizer converged but certificate failed, a verify suite failed, or the
 simulated variance disagreed with the formula).
 """
@@ -17,6 +18,7 @@ import numpy as np
 
 from .design import optimize_support
 from .imaginary import (
+    _check_a,
     closed_form_design,
     growth_gap,
     growth_poly,
@@ -79,20 +81,22 @@ def _cmd_design(args):
 
 
 def _cmd_growth(args):
-    # growth_value checks a with its sign, before growth_poly sees only |a|
-    value = growth_value(args.n, args.a)
-    q = growth_poly(args.n, abs(args.a))
-    if args.a < 0:
+    # a is checked with its sign, before growth_poly sees only |a|
+    a = _check_a(args.a, positive=False)
+    q = growth_poly(args.n, abs(a))
+    if a < 0:
         q = q.reflected()
     if args.format == "csv":
+        # |Q_n| <= 1 on [-1, 1]: the samples stay finite where the growth
+        # value overflows
         _emit_poly_csv(q, args.out)
         return 0
-    lhs, rhs = growth_gap(args.n, args.a)
+    lhs, rhs = growth_gap(args.n, a)
     _emit_json(
         {
             "n": args.n,
             "a": args.a,
-            "growth_value": value,
+            "growth_value": growth_value(args.n, a),
             "poly": q.to_json(),
             "gap": {"lhs": lhs, "rhs": rhs},
         },

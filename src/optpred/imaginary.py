@@ -1,6 +1,7 @@
 """Closed-form optimal designs for purely imaginary exterior points z0 = ai.
 
-Two polynomial families drive everything.  With s = sqrt(a^2 + 1), a > 0,
+Two polynomial families drive everything.  With s = sqrt(a^2 + 1) (computed
+as hypot(a, 1), which does not overflow for large a), a > 0,
 beta = (s - a)/(2s) and gamma = (a + s)/(2s), both have short Chebyshev forms:
 
     growth_poly:     Q_n = beta T_{|n-2|} - (i/s) T_{n-1} - gamma T_n,  n >= 1
@@ -17,15 +18,25 @@ Hoel-Levine weights, form the optimal prediction design for ai, the kernel
 value is (a^2+1)(|a| + s)^{2n-2}, and Q_n is (up to the phase -(i)^n) the
 polynomial of extremal growth.  R_{n-1} has parity (-1)^(n-1), so its zeros
 are symmetric about 0 and one support serves both ai and -ai.
+
+The zeros of R_n are the eigenvalues of a symmetric tridiagonal (Jacobi)
+matrix, as in Golub-Welsch (Math. Comp. 23, 1969).  R_0 = a/s,
+R_1 = (1 + a/s) x and R_{k+1} = 2x R_k - R_{k-1}, so the monic R_k obey
+p_{k+1} = x p_k - b_k p_{k-1} with b_1 = a/(2(a+s)) and b_k = 1/4 for k >= 2,
+and p_n is the characteristic polynomial of the n x n matrix with zero
+diagonal and off-diagonal sqrt(b_1), 1/2, ..., 1/2.
 """
 
 import math
 
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .design import design_from_support
 from .polynomial import ChebPoly, _check_degree
+
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def _check_a(a, positive=True):
@@ -44,10 +55,11 @@ def growth_poly(n, a):
     """Q_n for a > 0: beta T_{|n-2|} - (i/s) T_{n-1} - gamma T_n, no other terms."""
     _check_degree(n, lowest=1)
     a = _check_a(a)
-    s = np.sqrt(a * a + 1.0)
+    s = np.hypot(a, 1.0)
     c = np.zeros(n + 1, dtype=complex)
-    # beta = (s - a)/(2s) written without the cancellation in s - a
-    c[abs(n - 2)] = 1.0 / (2 * s * (a + s))
+    # beta = (s - a)/(2s) written without the cancellation in s - a, and
+    # divided in steps so that large a underflows to 0 instead of overflowing
+    c[abs(n - 2)] = 0.5 / s / (a + s)
     c[n - 1] -= 1j / s
     c[n] -= (a + s) / (2 * s)  # at n = 1 this merges into T_1 with beta
     return ChebPoly(c)
@@ -61,7 +73,7 @@ def pell_companion(n, a):
     """
     _check_degree(n)
     a = _check_a(a)
-    s = np.sqrt(a * a + 1.0)
+    s = np.hypot(a, 1.0)
     c = np.zeros(n + 1)
     c[n % 2 :: 2] = 2.0
     c[0] /= 2
@@ -78,18 +90,23 @@ def pell_residual(n, a, x):
 
 
 def companion_zeros(n, a):
-    """All n zeros of R_n in increasing order, as the eigenvalues of its
-    colleague matrix (chebroots).
+    """All n zeros of R_n in increasing order: the eigenvalues of the n x n
+    Jacobi matrix with zero diagonal and off-diagonal sqrt(a/(2(a+s))),
+    1/2, ..., 1/2 (see the module docstring).
 
-    The zeros are real, simple and strictly interlace the extreme points
-    cos(k pi / n) of T_n, where R_n alternates sign as (-1)^k; the real parts
-    of the eigenvalues are taken because rounding may leave a tiny imaginary
-    part.  closed_form_design hands them to design_from_support, which
-    rejects a support that is unordered or leaves [-1, 1].
+    A symmetric tridiagonal matrix with nonzero off-diagonal has real,
+    simple eigenvalues, and the solver returns them in increasing order.
+    They strictly interlace the extreme points cos(k pi / n) of T_n, where
+    R_n alternates sign as (-1)^k.  As a grows, sqrt(b_1) tends to 1/2
+    and the zeros tend to those of U_n, cos(k pi / (n + 1)).
     """
     _check_degree(n)
     a = _check_a(a)
-    return np.sort(cheb.chebroots(pell_companion(n, a).coeffs.real).real)
+    if n == 0:
+        return np.empty(0)
+    e = np.full(n - 1, 0.5)
+    e[:1] = np.sqrt(a / (2 * (a + np.hypot(a, 1.0))))
+    return eigvalsh_tridiagonal(np.zeros(n), e)
 
 
 def closed_form_design(n, a):
@@ -111,10 +128,16 @@ def growth_value(n, a):
 
         sqrt(a^2 + 1) * (|a| + sqrt(a^2 + 1))^(n-1),
 
-    attained by Q_n (up to phase)."""
+    attained by Q_n (up to phase).  Raises ValueError where that exceeds the
+    largest double (from n = 340 on at a = 4); the test is made in logs,
+    log(|a| + s) = asinh(|a|), so it runs before anything can overflow."""
     _check_degree(n, lowest=1)
     a = abs(_check_a(a, positive=False))
-    s = np.sqrt(a * a + 1.0)
+    s = np.hypot(a, 1.0)
+    if math.log(s) + (n - 1) * math.asinh(a) > _LOG_MAX:
+        raise ValueError(
+            f"growth value at n = {n}, |a| = {a} exceeds the largest double"
+        )
     return float(s * (a + s) ** (n - 1))
 
 
@@ -124,10 +147,12 @@ def growth_gap(n, a):
     Returns (lhs, rhs) with lhs = growth_value - |T_n(ai)| and
     rhs = (sqrt(a^2+1) - |a|) |T_{n-1}(ai)|; the two agree identically.
     T_{n-1}(ai) and T_n(ai) are the last two entries of one chebvander row.
+    growth_value comes first: it checks n and a, and since
+    |T_n(ai)| <= growth_value, its range check covers chebvander too.
     """
-    _check_degree(n, lowest=1)
-    a = _check_a(a, positive=False)
+    value = growth_value(n, a)
+    a = float(a)
     t = cheb.chebvander(1j * a, n)[0]
-    lhs = growth_value(n, a) - abs(t[n])
-    rhs = (np.sqrt(a * a + 1.0) - abs(a)) * abs(t[n - 1])
+    lhs = value - abs(t[n])
+    rhs = (np.hypot(a, 1.0) - abs(a)) * abs(t[n - 1])
     return float(lhs), float(rhs)

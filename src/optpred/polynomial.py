@@ -22,7 +22,7 @@ _NEAR_TOL = 1e-9
 
 # A cap on work (solve and certificate cost O(n^3)), not a range guarantee:
 # K overflows far earlier once |z0| >~ 2, closed_form_design(192, 4.0) already
-# returns K = nan.
+# returns K = nan, and growth_value(n, 4.0) raises from n = 340 on.
 MAX_DEGREE = 512
 
 

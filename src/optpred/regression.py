@@ -77,6 +77,8 @@ class RegressionPlan:
         Keeps every count within 1 of the ideal value, so the realized node
         frequencies deviate from the weights by at most 1/m.
         """
+        if not isinstance(m, (int, np.integer)):
+            raise TypeError(f"m must be an integer, got {type(m).__name__}")
         ideal = mu.weights * m
         counts = np.floor(ideal).astype(int)
         short = m - counts.sum()

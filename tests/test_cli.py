@@ -103,6 +103,21 @@ def test_growth_negative_a_reflects_coefficients(tmp_path):
         assert q[1] == pytest.approx(sign * p[1], abs=1e-15)
 
 
+def test_growth_overflow_is_input_error(tmp_path, capsys):
+    assert main(["growth", "--n", "512", "--a", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "n = 512" in captured.err
+    # the sampled polynomial has |Q_n| <= 1, so its csv is still written
+    out = tmp_path / "q.csv"
+    argv = ["growth", "--n", "512", "--a", "4", "--format", "csv", "--out", str(out)]
+    assert main(argv) == 0
+    with open(out) as fh:
+        rows = list(csv.reader(fh))
+    mods = np.array([float(r[3]) for r in rows[1:]])
+    assert mods.max() <= 1.0 + 1e-9
+
+
 def test_growth_rejects_zero(capsys):
     assert main(["growth", "--n", "1", "--a", "0"]) == 1
     assert "nonzero" in capsys.readouterr().err

@@ -157,9 +157,10 @@ def test_companion_zeros_low_degree():
     assert companion_zeros(0, 1.0).size == 0
 
 
-@pytest.mark.parametrize("a", [0.25, 1.0, 4.0])
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 64, 191])
+@pytest.mark.parametrize("a", [0.001, 0.25, 1.0, 4.0])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 64, 191, 511])
 def test_companion_interlacing_and_signs(n, a):
+    # the Jacobi eigenvalues against the sign changes of the Chebyshev series
     pts = np.cos(np.pi * np.arange(n, -1, -1) / n)
     zeros = companion_zeros(n, a)
     assert len(zeros) == n
@@ -175,6 +176,23 @@ def test_companion_zeros_symmetric():
     for n in (2, 3, 6):
         z = companion_zeros(n, 1.0)
         np.testing.assert_allclose(z, -z[::-1], atol=1e-13)
+
+
+def test_large_a_limits():
+    # hypot keeps s finite where a*a + 1 overflows; as a -> inf, Q_n -> -T_n
+    # and R_n -> U_n, whose zeros are cos(k pi / (n + 1))
+    a = 1e200
+    assert growth_value(1, a) == a
+    x = np.linspace(-1, 1, 9)
+    for n in (0, 1, 2, 3, 8, 64):
+        if n:
+            np.testing.assert_allclose(growth_poly(n, a).coeffs, -_t_coeffs(n),
+                                       atol=1e-15)
+            assert pell_residual(n, a, x).max() <= 1e-12
+        np.testing.assert_array_equal(pell_companion(n, a).coeffs, _u_coeffs(n))
+        k = np.arange(n, 0, -1)
+        np.testing.assert_allclose(companion_zeros(n, a),
+                                   np.cos(np.pi * k / (n + 1)), atol=1e-14)
 
 
 def test_closed_form_design_degree_one():
@@ -253,6 +271,16 @@ def test_growth_value_is_modulus_at_point():
             q = growth_poly(n, abs(a))
             assert growth_value(n, a) == pytest.approx(abs(q(1j * abs(a))),
                                                        rel=1e-12)
+
+
+def test_growth_overflow_is_typed():
+    # s (a + s)^(n-1) at a = 4 passes the largest double between n = 339 and 340
+    assert np.isfinite(growth_value(339, 4.0))
+    assert np.all(np.isfinite(growth_gap(339, -4.0)))
+    for f in (growth_value, growth_gap):
+        for n, a in [(340, 4.0), (512, -4.0), (2, 1e200)]:
+            with pytest.raises(ValueError, match=rf"n = {n}, \|a\| = .* exceeds"):
+                f(n, a)
 
 
 def test_growth_gap_examples():

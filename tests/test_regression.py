@@ -99,6 +99,8 @@ def test_plan_from_measure_largest_remainder():
 def test_plan_validation():
     with pytest.raises(ValueError):
         RegressionPlan.from_measure(UNIFORM3, 2, 1.0, THETA)
+    with pytest.raises(TypeError, match="m must be an integer, got float"):
+        RegressionPlan.from_measure(UNIFORM3, 300.5, 1.0, THETA)
     with pytest.raises(ValueError):
         RegressionPlan(design=UNIFORM3, counts=np.array([1, 0, 1]), sigma=1.0,
                        theta=THETA)
