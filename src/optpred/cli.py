@@ -10,6 +10,7 @@ simulated variance disagreed with the formula).
 
 import argparse
 import csv
+import io
 import json
 import sys
 from datetime import datetime, timezone
@@ -42,7 +43,8 @@ def _timestamp():
 
 def _emit(text, out):
     if out:
-        with open(out, "w") as fh:
+        # newline="" writes the text as it is, CSV line ends included
+        with open(out, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -64,11 +66,9 @@ def _emit_poly_csv(p, out):
         [repr(float(x)), repr(float(v.real)), repr(float(v.imag)), repr(float(abs(v)))]
         for x, v in zip(xs, vals)
     ]
-    if out:
-        with open(out, "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
-    else:
-        csv.writer(sys.stdout).writerows(rows)
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    _emit(buf.getvalue(), out)
 
 
 def _cmd_design(args):

@@ -7,6 +7,9 @@ remaining problem is placing the n-1 interior nodes to minimize the Lebesgue
 function at z0.  On an optimal support every interior node is a critical point
 of |P|^2 for the signed polynomial P below, so the nodes are found by one root
 solve of those first-order conditions, taken directly in node coordinates.
+The conditions are built from the same moduli |l_i(z0)| as the weights, so
+weights, residual and extremal polynomial share one Lagrange evaluator,
+polynomial.lagrange_values.
 
 Optimality of a candidate design is not taken on faith: the signed Lagrange
 combination P = sum_i sgn(l_i(z0)) l_i (complex sign conventions such that
@@ -205,21 +208,34 @@ def _first_order_residual(z0):
     """F_j = Re(conj(P(x_j)) P'(x_j)) at the interior nodes x_1 < ... < x_{n-1}.
 
     F_j is half the derivative of |P|^2 at x_j, so it vanishes on an optimal
-    support, where every interior node is a maximum of |P| on [-1, 1].  An
-    unordered step gets an infinite residual, which MINPACK never accepts, so
-    the iterates stay ordered inside (-1, 1).
+    support, where every interior node is a maximum of |P| on [-1, 1].  It is
+    computed from the Lagrange moduli m_i = |l_i(z0)| and e_i = z0 - x_i alone:
+
+        F_j = sum_{i != j} (1 + (m_i/m_j) Re(e_i/e_j)) / (x_j - x_i).
+
+    With barycentric weights b_i = 1/prod_{k != i}(x_i - x_k), l_i(z0) =
+    l(z0) b_i/e_i for the node polynomial l, and P(x_i) = s_i = conj(l_i)/m_i,
+    barycentric differentiation gives P'(x_j) = sum_{i != j} (b_i/b_j)(s_i -
+    s_j)/(x_j - x_i).  In conj(s_j) P'(x_j) the products conj(s_j)(b_i/b_j)s_i
+    equal (m_i/m_j)(e_i/e_j), and the remaining -b_i/b_j terms sum to
+    sum_{i != j} 1/(x_j - x_i), because each row of the differentiation
+    matrix sums to zero.  This is the node derivative of the Lebesgue function
+    Lambda = sum_i m_i (Kilgore; de Boor & Pinkus, J. Approx. Theory 24,
+    1978): F_j = -(d log Lambda/d x_j)/p_j with p the Hoel-Levine weights.
+
+    An unordered step gets an infinite residual, which MINPACK never accepts,
+    so the iterates stay ordered inside (-1, 1).
     """
     def residual(interior):
         x = np.concatenate(([-1.0], interior, [1.0]))
         if not np.all(np.diff(x) > 0):
             return np.full(len(interior), np.inf)
-        _, s = _signed_lagrange(x, z0)
-        # barycentric differentiation: P'(x_j) = sum_i (b_i/b_j)(s_i - s_j)/(x_j - x_i)
-        diffs = x[:, None] - x[None, :]
-        np.fill_diagonal(diffs, 1.0)
-        b = 1.0 / diffs.prod(axis=1)
-        dP = ((b[None, :] / b[:, None]) * (s[None, :] - s[:, None]) / diffs).sum(axis=1)
-        return np.real(np.conj(s) * dP)[1:-1]
+        m, _ = _signed_lagrange(x, z0)
+        e = z0 - x
+        ratio = (m / m[1:-1, None]) * np.real(e / e[1:-1, None])
+        diffs = x[1:-1, None] - x
+        np.fill_diagonal(diffs[:, 1:], np.inf)  # drops the i = j terms
+        return ((1.0 + ratio) / diffs).sum(axis=1)
 
     return residual
 

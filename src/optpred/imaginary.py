@@ -57,11 +57,13 @@ def growth_poly(n, a):
     a = _check_a(a)
     s = np.hypot(a, 1.0)
     c = np.zeros(n + 1, dtype=complex)
-    # beta = (s - a)/(2s) written without the cancellation in s - a, and
-    # divided in steps so that large a underflows to 0 instead of overflowing
-    c[abs(n - 2)] = 0.5 / s / (a + s)
+    # gamma = (a + s)/(2s) and beta = (s - a)/(2s) = 1/(4 s^2 gamma), formed
+    # without s - a (cancellation) or a + s (overflow above a ~ 9e307); beta is
+    # divided in steps, so large a underflows it to 0 instead of overflowing
+    gamma = 0.5 * (1.0 + a / s)
+    c[abs(n - 2)] = 0.25 / s / s / gamma
     c[n - 1] -= 1j / s
-    c[n] -= (a + s) / (2 * s)  # at n = 1 this merges into T_1 with beta
+    c[n] -= gamma  # at n = 1 this merges into T_1 with beta
     return ChebPoly(c)
 
 
@@ -105,7 +107,10 @@ def companion_zeros(n, a):
     if n == 0:
         return np.empty(0)
     e = np.full(n - 1, 0.5)
-    e[:1] = np.sqrt(a / (2 * (a + np.hypot(a, 1.0))))
+    # a/(2(a+s)) = r/(2(1+r)) with r = a/s in (0, 1]: neither a + s nor s/a
+    # is formed, so no a overflows, from subnormal up to the largest double
+    r = a / np.hypot(a, 1.0)
+    e[:1] = np.sqrt(r / (2.0 * (1.0 + r)))
     return eigvalsh_tridiagonal(np.zeros(n), e)
 
 
@@ -138,6 +143,8 @@ def growth_value(n, a):
         raise ValueError(
             f"growth value at n = {n}, |a| = {a} exceeds the largest double"
         )
+    if n == 1:
+        return float(s)  # without forming a + s, which overflows above ~9e307
     return float(s * (a + s) ** (n - 1))
 
 
@@ -148,11 +155,13 @@ def growth_gap(n, a):
     rhs = (sqrt(a^2+1) - |a|) |T_{n-1}(ai)|; the two agree identically.
     T_{n-1}(ai) and T_n(ai) are the last two entries of one chebvander row.
     growth_value comes first: it checks n and a, and since
-    |T_n(ai)| <= growth_value, its range check covers chebvander too.
+    |T_n(ai)| <= growth_value, its range check covers chebvander too, except
+    at n = 1: chebvander forms 2ai, which overflows above |a| ~ 9e307, so the
+    row T_0, T_1 is written out there.
     """
     value = growth_value(n, a)
     a = float(a)
-    t = cheb.chebvander(1j * a, n)[0]
+    t = cheb.chebvander(1j * a, n)[0] if n > 1 else np.array([1.0, 1j * a])
     lhs = value - abs(t[n])
     rhs = (np.hypot(a, 1.0) - abs(a)) * abs(t[n - 1])
     return float(lhs), float(rhs)

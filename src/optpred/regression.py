@@ -113,14 +113,6 @@ class VarianceEstimate:
     replicates: int
     rel_error: float
 
-    def to_json(self):
-        return {
-            "empirical": self.empirical,
-            "predicted": self.predicted,
-            "replicates": self.replicates,
-            "rel_error": self.rel_error,
-        }
-
 
 def vandermonde(x, n):
     """Rows (T_0(x_k), ..., T_n(x_k)) for the observation nodes x (with

@@ -79,6 +79,15 @@ def test_design_csv_samples(tmp_path):
     assert mods.max() <= 1.0 + 1e-9
 
 
+def test_design_csv_stdout_matches_file(tmp_path, capsysbinary):
+    out = tmp_path / "poly.csv"
+    args = ["design", "--n", "3", "--z0", "1.5", "0.5", "--format", "csv"]
+    assert main(args + ["--out", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert main(args) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+
+
 def test_growth_values(tmp_path, capsys):
     out = tmp_path / "growth.json"
     assert main(["growth", "--n", "2", "--a", "1", "--out", str(out)]) == 0

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import numpy.polynomial.chebyshev as cheb
 import pytest
 
 from optpred import (
@@ -17,6 +18,7 @@ from optpred import (
     optimize_support,
     require_exterior,
 )
+from optpred.design import _first_order_residual
 from optpred.imaginary import closed_form_design
 
 NODES3 = np.array([-1.0, 0.0, 1.0])
@@ -240,6 +242,29 @@ def test_optimize_support_nodes_to_rounding(n, a):
     d = optimize_support(n, 1j * a)
     exact = closed_form_design(n, a).measure.nodes
     assert np.abs(d.measure.nodes - exact).max() <= 1e-12
+
+
+def test_first_order_residual_matches_extremal_poly():
+    # oracle: Re(conj(P) P') at the nodes, P from its Chebyshev coefficients;
+    # perturbed Chebyshev supports keep that route well conditioned
+    rng = np.random.default_rng(0)
+    for trial in range(200):
+        n = int(rng.integers(2, 25))
+        k = np.arange(1, n)
+        interior = -np.cos(np.pi * (k + rng.uniform(-0.3, 0.3, n - 1)) / n)
+        kind = trial % 3
+        if kind == 0:
+            z0 = complex(rng.choice([-1, 1]) * rng.uniform(1.01, 3.0), 0.0)
+        elif kind == 1:
+            z0 = complex(0.0, rng.choice([-1, 1]) * rng.uniform(0.01, 2.0))
+        else:
+            z0 = complex(rng.uniform(-2, 2), rng.choice([-1, 1]) * rng.uniform(0.01, 2))
+        x = np.concatenate(([-1.0], interior, [1.0]))
+        P = extremal_signed_poly(x, z0)
+        dP = cheb.chebval(interior, cheb.chebder(P.coeffs))
+        expected = np.real(np.conj(P(interior)) * dP)
+        F = _first_order_residual(z0)(interior)
+        assert np.abs(F - expected).max() <= 1e-10 * max(1.0, np.abs(F).max())
 
 
 def test_optimize_support_general_complex_point():

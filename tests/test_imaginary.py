@@ -179,20 +179,23 @@ def test_companion_zeros_symmetric():
 
 
 def test_large_a_limits():
-    # hypot keeps s finite where a*a + 1 overflows; as a -> inf, Q_n -> -T_n
-    # and R_n -> U_n, whose zeros are cos(k pi / (n + 1))
-    a = 1e200
-    assert growth_value(1, a) == a
+    # hypot keeps s finite where a*a + 1 overflows, and a + s is never formed,
+    # since it overflows above a ~ 9e307; as a -> inf, Q_n -> -T_n and
+    # R_n -> U_n, whose zeros are cos(k pi / (n + 1))
     x = np.linspace(-1, 1, 9)
-    for n in (0, 1, 2, 3, 8, 64):
-        if n:
-            np.testing.assert_allclose(growth_poly(n, a).coeffs, -_t_coeffs(n),
-                                       atol=1e-15)
-            assert pell_residual(n, a, x).max() <= 1e-12
-        np.testing.assert_array_equal(pell_companion(n, a).coeffs, _u_coeffs(n))
-        k = np.arange(n, 0, -1)
-        np.testing.assert_allclose(companion_zeros(n, a),
-                                   np.cos(np.pi * k / (n + 1)), atol=1e-14)
+    for a in (1e200, 1.7e308):
+        assert growth_value(1, a) == a
+        lhs, rhs = growth_gap(1, a)
+        assert lhs == rhs
+        for n in (0, 1, 2, 3, 8, 64):
+            if n:
+                np.testing.assert_allclose(growth_poly(n, a).coeffs, -_t_coeffs(n),
+                                           atol=1e-15)
+                assert pell_residual(n, a, x).max() <= 1e-12
+            np.testing.assert_array_equal(pell_companion(n, a).coeffs, _u_coeffs(n))
+            k = np.arange(n, 0, -1)
+            np.testing.assert_allclose(companion_zeros(n, a),
+                                       np.cos(np.pi * k / (n + 1)), atol=1e-14)
 
 
 def test_closed_form_design_degree_one():
