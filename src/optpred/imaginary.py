@@ -151,17 +151,19 @@ def growth_value(n, a):
 def growth_gap(n, a):
     """How far the extremal growth exceeds the naive Chebyshev value |T_n(ai)|.
 
-    Returns (lhs, rhs) with lhs = growth_value - |T_n(ai)| and
-    rhs = (sqrt(a^2+1) - |a|) |T_{n-1}(ai)|; the two agree identically.
-    T_{n-1}(ai) and T_n(ai) are the last two entries of one chebvander row.
-    growth_value comes first: it checks n and a, and since
-    |T_n(ai)| <= growth_value, its range check covers chebvander too, except
-    at n = 1: chebvander forms 2ai, which overflows above |a| ~ 9e307, so the
-    row T_0, T_1 is written out there.
+    Returns two independent forms of (g^(n-2) - (-1)^n g^(-n)) / 2, g = |a| + s,
+    neither a difference of nearly equal numbers: lhs = growth_value -
+    |T_n(ai)| = g^(n-2) (1 - (-1)^n g^(2-2n)) / 2 with log g = asinh|a|, and
+    rhs = (s - |a|) |T_{n-1}(ai)| = |T_{n-1}(ai)| / (s + |a|) from chebvander.
+    g = s (1 + |a|/s) is never formed: it overflows above |a| ~ 9e307.
+    growth_value comes first: it checks n and a, and its range check covers
+    |T_{n-1}(ai)| <= growth_value too.
     """
-    value = growth_value(n, a)
-    a = float(a)
-    t = cheb.chebvander(1j * a, n)[0] if n > 1 else np.array([1.0, 1j * a])
-    lhs = value - abs(t[n])
-    rhs = (np.hypot(a, 1.0) - abs(a)) * abs(t[n - 1])
+    growth_value(n, a)
+    a = abs(float(a))
+    s = math.hypot(a, 1.0)
+    x = (2 - 2 * n) * math.asinh(a)
+    tail = -math.expm1(x) if n % 2 == 0 else 1.0 + math.exp(x)
+    lhs = 0.5 * tail * (1.0 + a / s) ** (n - 2) * s ** (n - 2)
+    rhs = abs(cheb.chebvander(1j * a, n - 1)[0, -1]) / s / (1.0 + a / s)
     return float(lhs), float(rhs)

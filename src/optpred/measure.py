@@ -10,8 +10,9 @@ is the largest value of |p(z0)|^2 over polynomials of degree <= n with
 L^2(mu) norm 1, and sigma^2/m * K(z0) is the variance of the least-squares
 polynomial predictor at z0.  The normalized kernel polynomial attaining the
 maximum, and the derivative of K along the segment toward a point mass, are
-what the design optimizer and its optimality certificate consume.  The basis
-vector t(z) is numpy's chebvander row, the same evaluator that builds G, and
+what the design optimizer and its optimality certificate consume.  They
+solve against the R factor of one QR of B = diag(sqrt(w)) V, with V the
+chebvander matrix of rows t(x_k), so R^T R = G and cond(B) is never squared.
 K and G are returned as a plain float and a symmetric ndarray.
 """
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
-from scipy.linalg import cholesky, solve_triangular, LinAlgError
+from scipy.linalg import solve_triangular
 
 from .polynomial import ChebPoly, _finite_point, as_nodes, lagrange_values
 
@@ -28,7 +29,22 @@ _WEIGHT_SUM_TOL = 1e-12
 
 
 class RankDeficiencyError(Exception):
-    """Gram matrix is numerically singular (too few nodes, or a tiny pivot)."""
+    """A weighted basis is numerically rank-deficient (too few rows or a tiny pivot)."""
+
+
+def _full_rank(R):
+    """R, if square with min|r_ii|^2 >= _MIN_PIVOT max|r_ii|^2 (an all-zero R fails).
+
+    The one rank rule of the kernel functions and least_squares_fit.  For a
+    probability measure max|r_ii| = r_00 = 1, and r_ii^2 are the pivots of G.
+    """
+    d = np.abs(np.diag(R)) ** 2
+    if R.shape[0] < R.shape[1] or not d.min() >= _MIN_PIVOT * d.max():
+        raise RankDeficiencyError(
+            f"{R.shape} R factor, squared pivots {d.min():.3e} to {d.max():.3e}: "
+            f"rank below {R.shape[1]}; refusing to regularize"
+        )
+    return R
 
 
 @dataclass(frozen=True)
@@ -76,41 +92,26 @@ def gram(mu, n):
 
 
 def _factor(mu, n):
-    """Cholesky factor of the Gram matrix, surfacing singularity explicitly."""
-    if len(mu) < n + 1:
-        raise RankDeficiencyError(
-            f"measure has {len(mu)} support points, need at least {n + 1} "
-            f"for a degree-{n} basis"
-        )
-    G = gram(mu, n)
-    try:
-        L = cholesky(G, lower=True)
-    except LinAlgError as exc:
-        raise RankDeficiencyError(f"Gram matrix failed to factor: {exc}") from exc
-    pivots = np.diag(L) ** 2
-    if pivots.min() < _MIN_PIVOT:
-        raise RankDeficiencyError(
-            f"Gram pivot {pivots.min():.3e} below {_MIN_PIVOT:g}; "
-            "refusing to regularize"
-        )
-    return L
+    """R with R^T R = G: the QR factor of the weighted basis B, rank-checked."""
+    B = np.sqrt(mu.weights)[:, None] * cheb.chebvander(mu.nodes, n)
+    return _full_rank(np.linalg.qr(B, mode="r"))
 
 
 def _kernel_basis(mu, n, z0):
-    """(L, u): the Cholesky factor L of the Gram matrix and u = L^{-1} t(z0).
+    """(R, u): the QR factor R of the weighted basis and u = R^{-T} t(z0).
 
-    K(z0) = |u|^2, and since L is real, L^{-1} conj(t(z0)) = conj(u), so one
+    K(z0) = |u|^2, and since R is real, R^{-T} conj(t(z0)) = conj(u), so one
     triangular solve serves the kernel value and the kernel polynomial.
     """
     _finite_point(z0)  # check only: a real z0 stays real, and so does its rounding
-    L = _factor(mu, n)
-    return L, solve_triangular(L, cheb.chebvander(z0, n)[0], lower=True)
+    R = _factor(mu, n)
+    return R, solve_triangular(R, cheb.chebvander(z0, n)[0], trans="T")
 
 
 def christoffel(mu, n, z0):
     """K(z0) = t(z0)^H G^{-1} t(z0) >= |p(z0)|^2 / ||p||_{L2(mu)}^2 for deg <= n.
 
-    Computed through the Cholesky factor of the Gram matrix, never an explicit
+    Computed through the QR factor of the weighted basis, never G or its
     inverse.  Works for any measure with at least n+1 support points.
     """
     _, u = _kernel_basis(mu, n, z0)
@@ -139,8 +140,8 @@ def kernel_poly(mu, n, z0):
     """
     if np.min(np.abs(_finite_point(z0) - mu.nodes)) == 0.0:
         raise ValueError("z0 lies in the support; kernel polynomial degenerates")
-    L, u = _kernel_basis(mu, n, z0)
-    c = solve_triangular(L.T, np.conj(u), lower=False)
+    R, u = _kernel_basis(mu, n, z0)
+    c = solve_triangular(R, np.conj(u))
     return ChebPoly(c / np.sqrt(float(np.vdot(u, u).real)))
 
 
@@ -148,13 +149,13 @@ def directional_derivative(mu0, a, n, z0):
     """d/dt at t=0 of K(z0) along mu_t = (1-t) mu0 + t delta_a, a in [-1, 1].
 
     Equals K(z0) * (1 - |P(a)|^2) with P the kernel polynomial of mu0, that is
-    K(z0, z0) - |K(z0, a)|^2 with K(z0, a) = <u, L^{-1} t(a)> from one Cholesky
+    K(z0, z0) - |K(z0, a)|^2 with K(z0, a) = <u, R^{-T} t(a)> from one QR
     factor.  At an optimal measure every such derivative is >= 0, and it
     vanishes on the support.
     """
     a = float(a)
     if not -1.0 <= a <= 1.0:
         raise ValueError(f"direction point {a} outside [-1, 1]")
-    L, u = _kernel_basis(mu0, n, z0)
-    v = solve_triangular(L, cheb.chebvander(a, n)[0], lower=True)
+    R, u = _kernel_basis(mu0, n, z0)
+    v = solve_triangular(R, cheb.chebvander(a, n)[0], trans="T")
     return float(np.vdot(u, u).real - abs(np.vdot(u, v)) ** 2)

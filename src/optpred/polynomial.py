@@ -75,11 +75,6 @@ class ChebPoly:
         signs = (-1.0) ** np.arange(len(self.coeffs))
         return ChebPoly(self.coeffs * signs)
 
-    def coeffs_padded(self, length):
-        if length < len(self.coeffs):
-            raise ValueError("cannot pad below current length")
-        return np.pad(self.coeffs, (0, length - len(self.coeffs)))
-
     def to_json(self):
         return {
             "basis": "chebyshev",

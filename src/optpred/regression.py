@@ -12,7 +12,8 @@ a node observed c_i times, so the simulator draws one noise per node and
 replicate, predicts with one fixed vector of the sqrt(c_i)-weighted node fit,
 and compares the sample variance of the predictions at z0 against the
 formula.  Predictions at complex z0 are complex, so variance means
-E|x - mean|^2 throughout.
+E|x - mean|^2 throughout.  The fit's R factor is judged by the rank rule of
+the kernels, so a rank-deficient plan is refused before any noise is drawn.
 """
 
 import math
@@ -22,7 +23,7 @@ import numpy as np
 import numpy.polynomial.chebyshev as cheb
 from scipy.linalg import solve_triangular
 
-from .measure import DiscreteMeasure, RankDeficiencyError, christoffel
+from .measure import DiscreteMeasure, RankDeficiencyError, _full_rank, christoffel
 from .polynomial import _finite_point
 
 _MIN_REPLICATES = 1000
@@ -118,26 +119,19 @@ def vandermonde(x, n):
     """Rows (T_0(x_k), ..., T_n(x_k)) for the observation nodes x (with
     replication); (1/m) V^T V is the Gram matrix of the realized measure."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if len(x) < n + 1:
-        raise RankDeficiencyError(f"{len(x)} points cannot fit degree {n}")
-    V = cheb.chebvander(x, n)
-    if np.linalg.matrix_rank(V) < n + 1:
-        raise RankDeficiencyError(
-            f"Vandermonde rank below {n + 1}; too few distinct nodes"
-        )
-    return V
+    if len(np.unique(x)) < n + 1:
+        raise RankDeficiencyError(f"need {n + 1} distinct points for degree {n}")
+    return cheb.chebvander(x, n)
 
 
 def least_squares_fit(V, y):
     """Least-squares coefficients via QR, no normal-equations inverse.
 
     y may be a vector or a matrix of stacked right-hand sides (one fit per
-    column).
+    column).  R goes through the rank rule of the kernel functions.
     """
     q, r = np.linalg.qr(V)
-    if np.abs(np.diag(r)).min() < 1e-13 * max(V.shape):
-        raise RankDeficiencyError("rank-deficient least-squares system")
-    return solve_triangular(r, q.T @ y, lower=False)
+    return solve_triangular(_full_rank(r), q.T @ y, lower=False)
 
 
 def mc_predictor_variance(plan, z0, replicates, seed):

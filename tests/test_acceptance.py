@@ -26,6 +26,7 @@ from optpred import (
     pell_residual,
     sup_norm_interval,
 )
+from polyhelp import padded
 
 IMAG_A = (0.25, 1.0, 4.0)
 REAL_Z0 = (1.5, 2.0, -3.0)
@@ -126,8 +127,8 @@ def test_criterion_05_growth_poly_is_rotated_extremal_poly():
     worst = 0.0
     for n in DEGREES:
         for a in IMAG_A:
-            q = growth_poly(n, a).coeffs_padded(n + 1)
-            p = closed_form_design(n, a).extremal_poly.coeffs_padded(n + 1)
+            q = padded(growth_poly(n, a), n + 1)
+            p = padded(closed_form_design(n, a).extremal_poly, n + 1)
             worst = max(worst, float(np.max(np.abs(q + (1j) ** n * p))))
     assert worst <= 1e-9
     _report(5, f"24 configs: coefficient dev {worst:.1e}")
@@ -138,9 +139,9 @@ def test_criterion_06_low_degree_displays():
     for a in (0.5, 1.0, 2.0, -0.5, -1.0, -2.0):
         s = np.sqrt(a * a + 1.0)
         g = np.sign(a)
-        p1 = closed_form_design(1, a).extremal_poly.coeffs_padded(2)
+        p1 = padded(closed_form_design(1, a).extremal_poly, 2)
         worst = max(worst, float(np.max(np.abs(p1 - [1.0 / s, -1j * a / s]))))
-        p2 = closed_form_design(2, a).extremal_poly.coeffs_padded(3)
+        p2 = padded(closed_form_design(2, a).extremal_poly, 3)
         c = g * (a + g * s) / (2.0 * s)
         worst = max(worst, float(np.max(np.abs(p2 - [1.0 - c, -g * 1j / s, -c]))))
     assert worst <= 1e-12

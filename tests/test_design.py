@@ -20,6 +20,7 @@ from optpred import (
 )
 from optpred.design import _first_order_residual
 from optpred.imaginary import closed_form_design
+from polyhelp import padded
 
 NODES3 = np.array([-1.0, 0.0, 1.0])
 
@@ -108,7 +109,7 @@ def test_extremal_signed_poly_three_point_imaginary():
         s = np.sqrt(a * a + 1)
         P = extremal_signed_poly(NODES3, a * 1j)
         expected = [1 - (a + s) / (2 * s), -1j / s, -(a + s) / (2 * s)]
-        np.testing.assert_allclose(P.coeffs_padded(3), expected, atol=1e-14)
+        np.testing.assert_allclose(padded(P, 3), expected, atol=1e-14)
 
 
 def test_extremal_signed_poly_rejects_nonfinite_point():
@@ -119,7 +120,7 @@ def test_extremal_signed_poly_rejects_nonfinite_point():
 
 def test_extremal_signed_poly_real_point_is_chebyshev():
     P = extremal_signed_poly(NODES3, 2.0)
-    np.testing.assert_allclose(P.coeffs_padded(3), [0, 0, 1.0], atol=1e-14)
+    np.testing.assert_allclose(padded(P, 3), [0, 0, 1.0], atol=1e-14)
 
 
 def test_extremal_poly_attains_lebesgue_value():
@@ -145,8 +146,8 @@ def test_extremal_signed_poly_matches_kernel_poly():
         mu = DiscreteMeasure(nodes, hoel_levine_weights(nodes, z0))
         P = extremal_signed_poly(nodes, z0)
         Q = kernel_poly(mu, len(nodes) - 1, z0)
-        np.testing.assert_allclose(P.coeffs_padded(len(nodes)),
-                                   Q.coeffs_padded(len(nodes)), atol=1e-10)
+        np.testing.assert_allclose(padded(P, len(nodes)),
+                                   padded(Q, len(nodes)), atol=1e-10)
 
 
 def test_hoel_levine_weights_are_optimal():

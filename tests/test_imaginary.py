@@ -12,6 +12,7 @@ from optpred import (
     pell_companion,
     pell_residual,
 )
+from polyhelp import padded
 
 
 def _t_coeffs(n):
@@ -65,8 +66,8 @@ def test_growth_poly_degree_two():
 
 
 def test_growth_poly_degree_three_by_hand_recurrence():
-    q1 = growth_poly(1, 1.0).coeffs_padded(4)
-    q2 = growth_poly(2, 1.0).coeffs_padded(4)
+    q1 = padded(growth_poly(1, 1.0), 4)
+    q2 = padded(growth_poly(2, 1.0), 4)
     hand = 2 * cheb.chebmul([0.0, 1.0], q2[:3])[:4] - q1
     np.testing.assert_allclose(growth_poly(3, 1.0).coeffs, hand, atol=1e-15)
 
@@ -185,8 +186,9 @@ def test_large_a_limits():
     x = np.linspace(-1, 1, 9)
     for a in (1e200, 1.7e308):
         assert growth_value(1, a) == a
-        lhs, rhs = growth_gap(1, a)
-        assert lhs == rhs
+        # both sides are 1/(s + a), and s = a in double precision here
+        expected = (0.5 / a, 0.5 / a)
+        assert growth_gap(1, a) == pytest.approx(expected, rel=1e-14, abs=0)
         for n in (0, 1, 2, 3, 8, 64):
             if n:
                 np.testing.assert_allclose(growth_poly(n, a).coeffs, -_t_coeffs(n),
@@ -255,8 +257,8 @@ def test_extremality_bridge():
     for a in (0.25, 1.0, 4.0):
         for n in range(1, 9):
             d = closed_form_design(n, a)
-            q = growth_poly(n, a).coeffs_padded(n + 1)
-            p = d.extremal_poly.coeffs_padded(n + 1)
+            q = padded(growth_poly(n, a), n + 1)
+            p = padded(d.extremal_poly, n + 1)
             np.testing.assert_allclose(q, -(1j**n) * p, atol=1e-9)
 
 
@@ -295,6 +297,18 @@ def test_growth_gap_examples():
     assert lhs == pytest.approx(np.sqrt(2) + 2 - 3, rel=1e-12)
     lhs, rhs = growth_gap(6, 2.5)
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, rhs)
+
+
+def test_growth_gap_large_a():
+    # at large a, growth_value is close to |T_n(ai)| and s to |a|, so neither
+    # side may be formed as their difference; both match the closed form
+    for n in (1, 2, 5):
+        for a in 10.0 ** np.arange(4, 11):
+            g = a + np.hypot(a, 1.0)
+            exact = (g ** (n - 2) - (-1) ** n * g ** (-n)) / 2
+            for sign in (1, -1):
+                assert growth_gap(n, sign * a) == pytest.approx(
+                    (exact, exact), rel=1e-13, abs=0)
 
 
 def test_supports_depend_on_exterior_point():

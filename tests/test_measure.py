@@ -104,6 +104,12 @@ def test_two_path_agreement():
         a = christoffel(mu, n, z0)
         b = christoffel_lagrange(mu, n, z0)
         assert a == pytest.approx(b, rel=1e-9)
+    # optimal supports; at a = 1e-9 their weights span ten to eleven decades
+    for n in (8, 64, 192):
+        for a in (1e-9, 1e-3, 1.0, 2.5):
+            mu = closed_form_design(n, a).measure
+            assert christoffel(mu, n, 1j * a) == pytest.approx(
+                christoffel_lagrange(mu, n, 1j * a), rel=1e-12)
 
 
 def test_lagrange_path_requires_square_support():

@@ -5,6 +5,7 @@ from optpred import (
     DiscreteMeasure,
     RankDeficiencyError,
     RegressionPlan,
+    christoffel,
     gram,
     hoel_levine_weights,
     least_squares_fit,
@@ -83,6 +84,25 @@ def test_least_squares_rank_deficiency():
     V = np.ones((5, 2))
     with pytest.raises(RankDeficiencyError):
         least_squares_fit(V, np.zeros(5))
+
+
+def test_one_rank_rule_near_double_node(monkeypatch):
+    # four distinct nodes, two of them 1e-9 apart: the cubic basis is
+    # numerically rank-deficient, and the kernel and the fit refuse it alike
+    nodes = np.array([-1.0, 0.5, 0.5 + 1e-9, 1.0])
+    mu = DiscreteMeasure.uniform(nodes)
+    with pytest.raises(RankDeficiencyError):
+        christoffel(mu, 3, 2.0)
+    with pytest.raises(RankDeficiencyError):
+        least_squares_fit(vandermonde(nodes, 3), np.zeros(4))
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("noise drawn for a rank-deficient plan")
+
+    monkeypatch.setattr("optpred.regression.np.random.default_rng", no_draws)
+    plan = RegressionPlan.from_measure(mu, 40, 1.0, np.zeros(4))
+    with pytest.raises(RankDeficiencyError):
+        mc_predictor_variance(plan, 2.0, 1000, seed=0)
 
 
 def test_plan_from_measure_largest_remainder():
