@@ -30,11 +30,9 @@ from .measure import (
 )
 from .polynomial import (
     ChebPoly,
-    SupNormEstimate,
     as_nodes,
     from_lagrange_combination,
     lagrange_values,
-    sup_norm_interval,
 )
 from .regression import (
     RegressionPlan,
@@ -53,7 +51,6 @@ __all__ = [
     "DiscreteMeasure",
     "RankDeficiencyError",
     "RegressionPlan",
-    "SupNormEstimate",
     "VarianceEstimate",
     "as_nodes",
     "certify",
@@ -78,6 +75,5 @@ __all__ = [
     "pell_companion",
     "pell_residual",
     "require_exterior",
-    "sup_norm_interval",
     "vandermonde",
 ]

@@ -191,8 +191,18 @@ def _cmd_simulate(args):
     return 0 if est.rel_error <= 0.05 else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse takes -1e-3 or -inf for a flag; any token float() reads is a value
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+            return None
+        except ValueError:
+            return super()._parse_optional(arg_string)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="optpred",
         description="Optimal prediction measures on [-1, 1] for exterior points",
     )

@@ -15,13 +15,15 @@ Optimality of a candidate design is not taken on faith: the signed Lagrange
 combination P = sum_i sgn(l_i(z0)) l_i (complex sign conventions such that
 P(z0) is real positive) is a certificate.  If its sup-norm on [-1, 1] is 1
 and |P(z0)|^2 reproduces K, the design is optimal; both checks are recorded
-in a Certificate rather than asserted.
+in a Certificate rather than asserted.  The sup-norm is bounded from above
+by a Pell-type identity (_sup_bound), with no root finding and no grid.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import dct
 from scipy.optimize import root
 
 from .measure import DiscreteMeasure, christoffel
@@ -32,7 +34,6 @@ from .polynomial import (
     as_nodes,
     from_lagrange_combination,
     lagrange_values,
-    sup_norm_interval,
 )
 
 _EXTERIOR_IM_TOL = 1e-12
@@ -87,6 +88,9 @@ def extremal_signed_poly(nodes, z0):
 
 @dataclass(frozen=True)
 class Certificate:
+    """sup_norm is a certified upper bound on max |P| over [-1, 1] (_sup_bound),
+    1 up to rounding on an optimal support; max_violation is its excess over 1."""
+
     sup_norm: float
     max_violation: float
     l2_mu_norm: float
@@ -160,14 +164,40 @@ class Design:
         )
 
 
+def _sup_bound(P, nodes):
+    """A certified upper bound sqrt(1 + sum_k |E_k|) on max |P| over [-1, 1].
+
+    E = 1 - |P|^2 - c (1 - t^2) w^2 with w = prod_k (t - x_k) over the interior
+    nodes has Chebyshev coefficients E_k, and any c >= 0 gives |P|^2 <= 1 - E
+    <= 1 + sum_k |E_k| on [-1, 1].  On a root of the first-order conditions
+    E = 0 for c = |lead P|^2: the paper's Pell identity |Q_n|^2 - (x^2 - 1)
+    R_{n-1}^2 = 1, carried to every exterior z0.  E has degree N = 2 max(deg P,
+    n), so one DCT-I of its values at the N + 1 Chebyshev-Lobatto points gives
+    the E_k exactly; c is their least-squares fit, clipped at 0.  w^2 comes
+    from log-moduli scaled by its maximum; a node on a Lobatto point gives 0.
+    """
+    N = 2 * max(P.degree, len(nodes) - 1)
+    # sine form of cos(j pi / N): exactly symmetric, with an exact 0 for even N
+    t = np.sin(np.pi * np.arange(N, -N - 1, -2) / (2 * N))
+    with np.errstate(divide="ignore"):
+        log_w = np.log(np.abs(t[:, None] - nodes[1:-1])).sum(axis=1)
+    g = (1.0 - t * t) * np.exp(2.0 * (log_w - log_w.max()))
+    v = P(t)
+    r = 1.0 - (v.real**2 + v.imag**2)
+    c = max(0.0, float(r @ g) / float(g @ g))
+    E = dct(r - c * g, type=1) / N
+    E[[0, -1]] /= 2
+    return float(np.sqrt(1.0 + np.abs(E).sum()))
+
+
 def _certificate(P, mu, z0, K):
-    est = sup_norm_interval(P)
+    bound = _sup_bound(P, mu.nodes)
     moduli = np.abs(P(mu.nodes))
     l2 = float(np.sqrt(np.sum(mu.weights * moduli**2)))
     gap = float(abs(K - abs(P(z0)) ** 2) / K)
     return Certificate(
-        sup_norm=est.value,
-        max_violation=max(0.0, est.value - 1.0),
+        sup_norm=bound,
+        max_violation=max(0.0, bound - 1.0),
         l2_mu_norm=l2,
         on_support_moduli=moduli.tolist(),
         duality_gap=gap,
@@ -177,9 +207,10 @@ def _certificate(P, mu, z0, K):
 def certify(design):
     """Measure the two optimality conditions; thresholds live in Certificate.
 
-    sup_norm of the extremal polynomial over [-1, 1] (violation is the excess
-    over 1), its L^2(mu) norm (1 by construction, recomputed not assumed),
-    its moduli on the support, and the relative gap between K and |P(z0)|^2.
+    A certified upper bound on the sup-norm of the extremal polynomial over
+    [-1, 1] (violation is its excess over 1), its L^2(mu) norm (1 by
+    construction, recomputed not assumed), its moduli on the support, and the
+    relative gap between K and |P(z0)|^2.
     """
     return _certificate(
         design.extremal_poly, design.measure, design.z0, design.K_value
@@ -205,7 +236,8 @@ def design_from_support(n, z0, nodes):
 
 
 def _first_order_residual(z0):
-    """F_j = Re(conj(P(x_j)) P'(x_j)) at the interior nodes x_1 < ... < x_{n-1}.
+    """F_j = Re(conj(P(x_j)) P'(x_j)) at the interior nodes x_1 < ... < x_{n-1},
+    and its exact Jacobian.
 
     F_j is half the derivative of |P|^2 at x_j, so it vanishes on an optimal
     support, where every interior node is a maximum of |P| on [-1, 1].  It is
@@ -221,21 +253,39 @@ def _first_order_residual(z0):
     sum_{i != j} 1/(x_j - x_i), because each row of the differentiation
     matrix sums to zero.  This is the node derivative of the Lebesgue function
     Lambda = sum_i m_i (Kilgore; de Boor & Pinkus, J. Approx. Theory 24,
-    1978): F_j = -(d log Lambda/d x_j)/p_j with p the Hoel-Levine weights.
+    1978): F = -g/p with p the Hoel-Levine weights and g = p^T J the gradient
+    of log Lambda, J_ik = d log m_i/d x_k.  Formed as -g/p, F would cancel
+    near the axis.  With C = J - 1 g^T, the Hessian of log Lambda is
+    H = S + C^T diag(p) C, S = sum_i p_i (Hessian of log m_i), and since
+    dp_k/dx_l = p_k C_kl the Jacobian of F is -diag(1/p) H - diag(F) C.
 
     An unordered step gets an infinite residual, which MINPACK never accepts,
     so the iterates stay ordered inside (-1, 1).
     """
     def residual(interior):
         x = np.concatenate(([-1.0], interior, [1.0]))
+        k = len(interior)
         if not np.all(np.diff(x) > 0):
-            return np.full(len(interior), np.inf)
+            return np.full(k, np.inf), np.zeros((k, k))
         m, _ = _signed_lagrange(x, z0)
         e = z0 - x
+        inv = 1.0 / (x[:, None] - x + np.eye(len(x)))
+        np.fill_diagonal(inv, 0.0)  # 1/(x_i - x_m), no i = m terms
         ratio = (m / m[1:-1, None]) * np.real(e / e[1:-1, None])
-        diffs = x[1:-1, None] - x
-        np.fill_diagonal(diffs[:, 1:], np.inf)  # drops the i = j terms
-        return ((1.0 + ratio) / diffs).sum(axis=1)
+        F = ((1.0 + ratio) * inv[1:-1]).sum(axis=1)
+
+        p = m / m.sum()
+        q = 1.0 / e[1:-1]
+        J = inv[:, 1:-1] - q.real  # all nodes i, interior k
+        np.fill_diagonal(J[1:-1], -inv[1:-1].sum(axis=1))
+        C = J - p @ J
+        # log m_i has Hessian -Re 1/e_k^2 at (k, k), k != i, and for each
+        # m != i the Laplacian of the pair (i, m) with weight 1/(x_i - x_m)^2
+        pk = p[1:-1]
+        M = (p[:, None] + p) * inv * inv
+        S = np.diag(M[1:-1].sum(axis=1) - (1.0 - pk) * (q * q).real) - M[1:-1, 1:-1]
+        H = S + C.T @ (p[:, None] * C)
+        return F, -H / pk[:, None] - F[:, None] * C[1:-1]
 
     return residual
 
@@ -245,21 +295,22 @@ def optimize_support(n, z0):
 
     Endpoints are pinned at -1 and +1.  The n-1 interior nodes solve the
     first-order conditions F_j = 0 of _first_order_residual by one MINPACK
-    hybrid root solve in node coordinates, started from the Chebyshev extreme
-    points.  An uncertified result is returned with a warning; its certificate
-    carries the evidence.
+    hybrid root solve in node coordinates with the exact Jacobian, started
+    from the Chebyshev extreme points.  An uncertified result is returned with
+    a warning; its certificate carries the evidence.
     """
     _check_degree(n, lowest=1)
     z0 = require_exterior(z0)
     if n == 1:
         return design_from_support(1, z0, [-1.0, 1.0])
 
-    # The interior Chebyshev extrema cos(k pi / n) in sine form: exactly
-    # symmetric, with an exact 0 for even n.  The cosine form leaves 6e-17
-    # there, and MINPACK's difference step eps*|x_j| then spoils that column
-    # of the Jacobian (n=2, z0=1+1j stalls at the start).
+    # The interior Chebyshev extrema cos(k pi / n) in sine form, for its exact
+    # symmetry and exact 0 for even n.  The cosine form leaves 6e-17 there,
+    # and MINPACK sizes its first trust region by |x0|, so n=2, z0=1+1j
+    # stalls at the start.
     x0 = np.sin(np.pi * np.arange(2 - n, n - 1, 2) / (2 * n))
-    sol = root(_first_order_residual(z0), x0, method="hybr", tol=_ROOT_XTOL)
+    sol = root(_first_order_residual(z0), x0, method="hybr", jac=True,
+               tol=_ROOT_XTOL)
     x = np.concatenate(([-1.0], sol.x, [1.0]))
     if not np.all(np.diff(x) > 0):
         raise RuntimeError(f"optimize_support(n={n}, z0={z0}): root solve left [-1, 1]")

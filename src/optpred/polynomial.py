@@ -4,23 +4,19 @@ The Chebyshev basis is used everywhere; monomial coefficients are far worse
 conditioned on [-1, 1] and are never stored.  This module supplies the
 polynomial arithmetic the rest of the package needs: the values of all
 Lagrange fundamental polynomials of a node set at a point (lagrange_values,
-the package's one Lagrange evaluator), conversion of Lagrange combinations
-into Chebyshev coefficients, and the exact sup-norm over [-1, 1], taken over
-+-1 and the real roots of d/dx |p|^2.  Real roots of a Chebyshev series come from
-the eigenvalues of its colleague matrix (numpy's chebroots), so no result
-depends on a sampling grid.  The input checks every other module applies to
-degrees, points and node sets live here too, so each has one home.
+the package's one Lagrange evaluator) and the conversion of Lagrange
+combinations into Chebyshev coefficients.  The input checks every other
+module applies to degrees, points and node sets live here too, so each has
+one home.  The sup-norm certificate of a design is design._sup_bound.
 """
 
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
 
-_NEAR_TOL = 1e-9
-
-# A cap on work (solve and certificate cost O(n^3)), not a range guarantee:
+# A cap on work (the root-solve Jacobian, the Lagrange-to-Chebyshev solve and
+# the kernel QR are dense O(n^3) steps), not a range guarantee:
 # K overflows far earlier once |z0| >~ 2, closed_form_design(192, 4.0) already
 # returns K = nan, and growth_value(n, 4.0) raises from n = 340 on.
 MAX_DEGREE = 512
@@ -60,9 +56,6 @@ class ChebPoly:
     @property
     def degree(self):
         return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return bool(np.all(self.coeffs == 0))
 
     def __call__(self, z):
         return cheb.chebval(z, self.coeffs)
@@ -123,43 +116,3 @@ def from_lagrange_combination(nodes, coefficients):
         raise ValueError(f"expected {len(x)} coefficients, got {len(c)}")
     V = cheb.chebvander(x, len(x) - 1)
     return ChebPoly(np.linalg.solve(V, c))
-
-
-@dataclass(frozen=True)
-class SupNormEstimate:
-    """max |p| over [-1, 1] plus where it is (nearly) attained."""
-
-    value: float
-    argmax: float
-    near_extreme_points: list
-
-
-def sup_norm_interval(p):
-    """max_{x in [-1,1]} |p(x)| for a ChebPoly, over its exact candidate set.
-
-    With p = a + ib for real Chebyshev series a and b, every interior maximum
-    of |p|^2 = a^2 + b^2 is a real root of d = a a' + b b', a real series of
-    degree 2n - 1.  The candidates are +-1 and the real parts of the roots of
-    d (eigenvalues of its colleague matrix, chebroots) clipped to [-1, 1];
-    |p| is evaluated once on all of them.  A spurious candidate inside
-    [-1, 1] can only add a point, never raise the maximum above the true sup.
-    Points within 1e-9 of the maximum modulus are reported as near-extreme.
-    """
-    if not isinstance(p, ChebPoly):
-        p = ChebPoly(p)
-    if p.is_zero():
-        raise ValueError("sup norm of the zero polynomial is not estimated")
-
-    a, b = p.coeffs.real, p.coeffs.imag
-    d = cheb.chebadd(cheb.chebmul(a, cheb.chebder(a)),
-                     cheb.chebmul(b, cheb.chebder(b)))
-    roots = np.clip(cheb.chebroots(d).real, -1.0, 1.0)
-    x = np.unique(np.concatenate(([-1.0, 1.0], roots)))
-    v = p(x)
-    # hypot, as scalar abs() uses: numpy's vectorised complex abs can differ in
-    # the last bit, and then value would not reproduce as abs(p(argmax))
-    vals = np.hypot(v.real, v.imag)
-    best = int(np.argmax(vals))
-    value = float(vals[best])
-    near = x[vals >= value - _NEAR_TOL].tolist()
-    return SupNormEstimate(value=value, argmax=float(x[best]), near_extreme_points=near)

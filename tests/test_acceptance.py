@@ -24,9 +24,8 @@ from optpred import (
     mc_predictor_variance,
     optimize_support,
     pell_residual,
-    sup_norm_interval,
 )
-from polyhelp import padded
+from polyhelp import padded, sup_norm_interval
 
 IMAG_A = (0.25, 1.0, 4.0)
 REAL_Z0 = (1.5, 2.0, -3.0)

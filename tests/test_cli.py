@@ -134,10 +134,22 @@ def test_growth_rejects_zero(capsys):
 
 @pytest.mark.parametrize("a", ["nan", "inf", "-inf"])
 def test_growth_rejects_nonfinite_a(a, capsys):
-    # the --a=VALUE form, since argparse reads a bare "-inf" as a flag
-    assert main(["growth", "--n", "3", f"--a={a}"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and f"a = {a} is not finite" in err
+    for argv in ([f"--a={a}"], ["--a", a]):
+        assert main(["growth", "--n", "3", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"a = {a} is not finite" in err
+
+
+def test_negative_exponent_values_are_not_flags(tmp_path):
+    out = tmp_path / "growth.json"
+    assert main(["growth", "--n", "3", "--a", "-1e-3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["a"] == -1e-3
+    nodes = []
+    for im in ("-1", "-1e0"):
+        out = tmp_path / f"design{im}.json"
+        assert main(["design", "--n", "3", "--z0", "0", im, "--out", str(out)]) == 0
+        nodes.append(json.loads(out.read_text())["nodes"])
+    assert nodes[0] == nodes[1]
 
 
 def test_verify_pell(capsys):

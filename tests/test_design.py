@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
@@ -18,9 +19,9 @@ from optpred import (
     optimize_support,
     require_exterior,
 )
-from optpred.design import _first_order_residual
+from optpred.design import _first_order_residual, _sup_bound
 from optpred.imaginary import closed_form_design
-from polyhelp import padded
+from polyhelp import padded, sup_norm_interval
 
 NODES3 = np.array([-1.0, 0.0, 1.0])
 
@@ -198,6 +199,43 @@ def test_certify_closed_form_designs():
         assert d.certificate.l2_mu_norm == pytest.approx(1.0, abs=1e-10)
 
 
+def test_sup_bound_never_below_exact_sup_norm():
+    # the exact sup-norm (colleague-matrix roots of d/dx |P|^2) is the oracle
+    rng = np.random.default_rng(29)
+    eps = np.finfo(float).eps
+    for _ in range(300):
+        n = int(rng.integers(1, 33))
+        k = np.arange(1, n)
+        interior = -np.cos(np.pi * (k + rng.uniform(-0.3, 0.3, n - 1)) / n)
+        x = np.concatenate(([-1.0], interior, [1.0]))
+        z0 = complex(rng.uniform(-2, 2), rng.choice([-1, 1]) * rng.uniform(0.01, 2))
+        P = extremal_signed_poly(x, z0)
+        assert sup_norm_interval(P).value <= _sup_bound(P, x) + 4 * eps, (n, z0)
+
+
+@pytest.mark.parametrize("z0", [0.01j, 0.5 + 0.5j, 1j])
+def test_sup_bound_rejects_chebyshev_extrema(z0):
+    # the Chebyshev extrema are optimal only for real z0; the exact sup-norm
+    # there exceeds 1 by 1.20, 0.143 and 0.0227
+    d = design_from_support(16, z0, np.cos(np.pi * np.arange(16, -1, -1) / 16))
+    assert d.certificate.sup_norm >= sup_norm_interval(d.extremal_poly).value
+    assert d.certificate.max_violation > 0.1
+    assert not d.certified
+
+
+def test_sup_bound_lobatto_point_on_node():
+    # even n: the Lobatto point 0 (and, at real z0, every Lobatto point of
+    # even index) is a node, where the interior-node polynomial has log 0
+    for n in (2, 8, 16):
+        x = np.sin(np.pi * np.arange(-n, n + 1, 2) / (2 * n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = design_from_support(n, 2.0, x)
+        assert x[n // 2] == 0.0
+        assert d.certified
+        assert d.certificate.sup_norm == pytest.approx(1.0, abs=1e-13)
+
+
 def test_certify_detects_perturbed_node():
     d = closed_form_design(3, 1.0)
     nodes = d.measure.nodes.copy()
@@ -230,7 +268,7 @@ def test_optimize_support_imaginary_point(n, a):
 
 
 # the cases a near-zero start coordinate used to stall: 6e-17 where the
-# Chebyshev start has an exact 0 spoils MINPACK's difference Jacobian
+# Chebyshev start has an exact 0 shrinks MINPACK's first trust region
 @pytest.mark.parametrize("n, z0", [(2, 1 + 1j), (2, 0.5 + 0.5j), (4, 2.0), (8, 1.2j)])
 def test_optimize_support_certifies_from_symmetric_start(n, z0):
     d = optimize_support(n, z0)
@@ -245,10 +283,19 @@ def test_optimize_support_nodes_to_rounding(n, a):
     assert np.abs(d.measure.nodes - exact).max() <= 1e-12
 
 
+@pytest.mark.parametrize("z0", [2.0, 1j, 0.5 + 0.5j, 0.001j])
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_optimize_support_certifies_large_degree(n, z0):
+    d = optimize_support(n, z0)
+    assert d.certified, d.certificate.max_violation
+
+
 def test_first_order_residual_matches_extremal_poly():
     # oracle: Re(conj(P) P') at the nodes, P from its Chebyshev coefficients;
-    # perturbed Chebyshev supports keep that route well conditioned
+    # perturbed Chebyshev supports keep that route well conditioned.  The
+    # Jacobian is held against central differences of F with step 1e-6.
     rng = np.random.default_rng(0)
+    h = 1e-6
     for trial in range(200):
         n = int(rng.integers(2, 25))
         k = np.arange(1, n)
@@ -264,8 +311,13 @@ def test_first_order_residual_matches_extremal_poly():
         P = extremal_signed_poly(x, z0)
         dP = cheb.chebval(interior, cheb.chebder(P.coeffs))
         expected = np.real(np.conj(P(interior)) * dP)
-        F = _first_order_residual(z0)(interior)
+        residual = _first_order_residual(z0)
+        F, J = residual(interior)
         assert np.abs(F - expected).max() <= 1e-10 * max(1.0, np.abs(F).max())
+        steps = h * np.eye(n - 1)
+        central = np.array([residual(interior + d)[0] - residual(interior - d)[0]
+                            for d in steps]).T / (2 * h)
+        assert np.abs(J - central).max() <= 1e-7 * np.abs(central).max()
 
 
 def test_optimize_support_general_complex_point():
