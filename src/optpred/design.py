@@ -60,9 +60,13 @@ def _signed_lagrange(x, z0):
     """|l_i(z0)| and sgn(l_i(z0)) = conj(l_i(z0)) / |l_i(z0)| from one evaluation.
 
     The signs are the values of P at the nodes.  When z0 is a node every other
-    l_i(z0) is exactly 0, so a zero modulus is how that case is caught.
+    l_i(z0) is exactly 0, so a zero modulus is how that case is caught.  Far
+    out, overflow is a numeric failure at a valid z0, not an input error.
     """
-    ell = lagrange_values(x, z0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ell = lagrange_values(x, z0)
+    if not np.all(np.isfinite(ell)):
+        raise RuntimeError(f"Lagrange values overflow at z0 = {z0}")
     moduli = np.abs(ell)
     if np.any(moduli == 0.0):
         raise ValueError(f"z0 = {z0} is a node; the Lagrange signs are undefined")
@@ -89,13 +93,17 @@ def extremal_signed_poly(nodes, z0):
 @dataclass(frozen=True)
 class Certificate:
     """sup_norm is a certified upper bound on max |P| over [-1, 1] (_sup_bound),
-    1 up to rounding on an optimal support; max_violation is its excess over 1."""
+    1 up to rounding on an optimal support; max_violation is its excess over 1.
+    Like K and the weights it is an output of the support, never read back."""
 
     sup_norm: float
-    max_violation: float
     l2_mu_norm: float
     on_support_moduli: list
     duality_gap: float
+
+    @property
+    def max_violation(self):
+        return max(0.0, self.sup_norm - 1.0)
 
     @property
     def certified(self):
@@ -110,16 +118,6 @@ class Certificate:
             "duality_gap": self.duality_gap,
             "certified": self.certified,
         }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(
-            sup_norm=float(data["sup_norm"]),
-            max_violation=float(data["max_violation"]),
-            l2_mu_norm=float(data["l2_mu_norm"]),
-            on_support_moduli=[float(v) for v in data["on_support_moduli"]],
-            duality_gap=float(data["duality_gap"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -154,14 +152,15 @@ class Design:
 
     @classmethod
     def from_json(cls, data):
-        return cls(
-            measure=DiscreteMeasure.from_json(data),
-            z0=complex(data["z0"][0], data["z0"][1]),
-            n=int(data["n"]),
-            K_value=float(data["K_value"]),
-            extremal_poly=ChebPoly.from_json(data["poly"]),
-            certificate=Certificate.from_json(data["certificate"]),
-        )
+        """Rebuild the design from (n, z0, nodes) through design_from_support's
+        checks; the file's weights, K_value, poly and certificate are ignored."""
+        return design_from_support(int(data["n"]), complex(*data["z0"]), data["nodes"])
+
+
+def _lobatto(m):
+    """cos(k pi / m), k = m, ..., 0, in sine form: exactly symmetric, with an
+    exact 0 for even m where the cosine form leaves 6e-17."""
+    return np.sin(np.pi * np.arange(-m, m + 1, 2) / (2 * m))
 
 
 def _sup_bound(P, nodes):
@@ -170,22 +169,23 @@ def _sup_bound(P, nodes):
     E = 1 - |P|^2 - c (1 - t^2) w^2 with w = prod_k (t - x_k) over the interior
     nodes has Chebyshev coefficients E_k, and any c >= 0 gives |P|^2 <= 1 - E
     <= 1 + sum_k |E_k| on [-1, 1].  On a root of the first-order conditions
-    E = 0 for c = |lead P|^2: the paper's Pell identity |Q_n|^2 - (x^2 - 1)
-    R_{n-1}^2 = 1, carried to every exterior z0.  E has degree N = 2 max(deg P,
-    n), so one DCT-I of its values at the N + 1 Chebyshev-Lobatto points gives
-    the E_k exactly; c is their least-squares fit, clipped at 0.  w^2 comes
-    from log-moduli scaled by its maximum; a node on a Lobatto point gives 0.
+    E = 0 with the constant of the paper's Pell identity |Q_n|^2 - (x^2 - 1)
+    R_{n-1}^2 = 1, carried to every exterior z0: c = |lead P|^2, which is
+    4^(n-1) |P_n|^2 for the Chebyshev coefficient P_n and 0 if deg P < n.
+    E then has degree below 2n, so one DCT-I of its values at the 2n + 1
+    Chebyshev-Lobatto points gives the E_k exactly (their ascending order
+    flips only the signs of odd E_k).  c w^2 is formed in logs, as its factors
+    overflow and underflow apart at large n; a node on a Lobatto point gives 0.
     """
-    N = 2 * max(P.degree, len(nodes) - 1)
-    # sine form of cos(j pi / N): exactly symmetric, with an exact 0 for even N
-    t = np.sin(np.pi * np.arange(N, -N - 1, -2) / (2 * N))
+    n = len(nodes) - 1
+    t = _lobatto(2 * n)
+    lead = P.coeffs[n] if P.degree == n else 0.0
     with np.errstate(divide="ignore"):
         log_w = np.log(np.abs(t[:, None] - nodes[1:-1])).sum(axis=1)
-    g = (1.0 - t * t) * np.exp(2.0 * (log_w - log_w.max()))
+        log_c = 2.0 * np.log(abs(lead)) + 2 * (n - 1) * np.log(2.0)
+    g = (1.0 - t * t) * np.exp(2.0 * log_w + log_c)
     v = P(t)
-    r = 1.0 - (v.real**2 + v.imag**2)
-    c = max(0.0, float(r @ g) / float(g @ g))
-    E = dct(r - c * g, type=1) / N
+    E = dct(1.0 - (v.real**2 + v.imag**2) - g, type=1) / (2 * n)
     E[[0, -1]] /= 2
     return float(np.sqrt(1.0 + np.abs(E).sum()))
 
@@ -197,7 +197,6 @@ def _certificate(P, mu, z0, K):
     gap = float(abs(K - abs(P(z0)) ** 2) / K)
     return Certificate(
         sup_norm=bound,
-        max_violation=max(0.0, bound - 1.0),
         l2_mu_norm=l2,
         on_support_moduli=moduli.tolist(),
         duality_gap=gap,
@@ -304,11 +303,10 @@ def optimize_support(n, z0):
     if n == 1:
         return design_from_support(1, z0, [-1.0, 1.0])
 
-    # The interior Chebyshev extrema cos(k pi / n) in sine form, for its exact
-    # symmetry and exact 0 for even n.  The cosine form leaves 6e-17 there,
-    # and MINPACK sizes its first trust region by |x0|, so n=2, z0=1+1j
-    # stalls at the start.
-    x0 = np.sin(np.pi * np.arange(2 - n, n - 1, 2) / (2 * n))
+    # The interior Chebyshev extrema.  MINPACK sizes its first trust region
+    # by |x0|, so the 6e-17 the cosine form leaves for an exact 0 stalls
+    # n=2, z0=1+1j at the start.
+    x0 = _lobatto(n)[1:-1]
     sol = root(_first_order_residual(z0), x0, method="hybr", jac=True,
                tol=_ROOT_XTOL)
     x = np.concatenate(([-1.0], sol.x, [1.0]))

@@ -6,7 +6,7 @@ import pytest
 
 from optpred import DiscreteMeasure, RegressionPlan, hoel_levine_weights
 from optpred.cli import main
-from optpred.design import Design, certify
+from optpred.design import Design
 
 NODES3 = np.array([-1.0, 0.0, 1.0])
 
@@ -39,12 +39,29 @@ def test_design_round_trip_recertifies(tmp_path):
     out = tmp_path / "design.json"
     assert main(["design", "--n", "3", "--z0", "0", "1", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
-    data.pop("timestamp")
     d = Design.from_json(data)
-    fresh = certify(d)
-    assert abs(fresh.sup_norm - d.certificate.sup_norm) <= 1e-12
-    assert abs(fresh.duality_gap - d.certificate.duality_gap) <= 1e-12
-    assert abs(fresh.l2_mu_norm - d.certificate.l2_mu_norm) <= 1e-12
+    assert data["certificate"] == d.certificate.to_json()
+
+
+def test_design_payload_keys(tmp_path):
+    out = tmp_path / "design.json"
+    assert main(["design", "--n", "3", "--z0", "1", "1", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert set(data) == {"n", "z0", "nodes", "weights", "K_value", "poly",
+                         "certificate", "timestamp"}
+    assert set(data["certificate"]) == {"sup_norm", "max_violation", "l2_mu_norm",
+                                        "on_support_moduli", "duality_gap",
+                                        "certified"}
+
+
+@pytest.mark.parametrize("z0", [("1e8", "0"), ("0", "1e8")])
+def test_design_far_point_is_numeric_failure(z0, capsys):
+    # the Lagrange values overflow at a valid exterior point: exit 2, and no
+    # RuntimeWarning, which the suite's filter would raise as an error
+    assert main(["design", "--n", "64", "--z0", *z0]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:")
+    assert "RuntimeWarning" not in err
 
 
 def test_design_deterministic_output(tmp_path):

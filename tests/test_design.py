@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -179,6 +180,7 @@ def test_design_validation():
 
 def test_design_json_round_trip():
     d = design_from_support(2, 1j, NODES3)
+    assert d.to_json()["certificate"]["certified"] is True
     d2 = Design.from_json(d.to_json())
     np.testing.assert_array_equal(d2.measure.nodes, d.measure.nodes)
     np.testing.assert_array_equal(d2.measure.weights, d.measure.weights)
@@ -189,6 +191,35 @@ def test_design_json_round_trip():
     fresh = certify(d2)
     assert fresh.sup_norm == pytest.approx(d.certificate.sup_norm, abs=1e-12)
     assert fresh.duality_gap == pytest.approx(d.certificate.duality_gap, abs=1e-12)
+
+
+def test_design_from_json_rebuilds_from_support():
+    # a file's weights, K, polynomial and certificate are outputs of its
+    # support, so a stale or edited one is recomputed, not believed
+    d = closed_form_design(8, 1.0)
+    assert d.certified
+    moved = json.loads(json.dumps(d.to_json()))
+    moved["nodes"][3] += 1e-3
+    assert not Design.from_json(moved).certified
+    doubled = json.loads(json.dumps(d.to_json()))
+    doubled["K_value"] *= 2
+    loaded = Design.from_json(doubled)
+    assert loaded.K_value == d.K_value
+    assert loaded.certified
+    for z0 in ([0.5, 0.0], [1.0, 0.0], [math.nan, 0.0], [0.0, math.nan]):
+        bad = dict(d.to_json(), z0=z0)
+        with pytest.raises(ValueError, match="z0"):
+            Design.from_json(bad)
+
+
+def test_certificate_max_violation_follows_sup_norm():
+    c = Certificate(sup_norm=1.5, l2_mu_norm=1.0, on_support_moduli=[1.0, 1.0],
+                    duality_gap=0.0)
+    assert c.max_violation == 0.5
+    assert not c.certified
+    assert c.to_json()["max_violation"] == 0.5
+    assert Certificate(sup_norm=1.0 - 1e-3, l2_mu_norm=1.0, on_support_moduli=[1.0],
+                       duality_gap=0.0).max_violation == 0.0
 
 
 def test_certify_closed_form_designs():
@@ -209,6 +240,21 @@ def test_sup_bound_never_below_exact_sup_norm():
         interior = -np.cos(np.pi * (k + rng.uniform(-0.3, 0.3, n - 1)) / n)
         x = np.concatenate(([-1.0], interior, [1.0]))
         z0 = complex(rng.uniform(-2, 2), rng.choice([-1, 1]) * rng.uniform(0.01, 2))
+        P = extremal_signed_poly(x, z0)
+        assert sup_norm_interval(P).value <= _sup_bound(P, x) + 4 * eps, (n, z0)
+    # near-root supports, where the identity's constant c decides the bound:
+    # closed-form (z0 = ai) or Chebyshev (real z0) interior nodes moved by
+    # up to 10^U(-12, -2) / n
+    for trial in range(200):
+        n = int(rng.integers(2, 33))
+        if trial % 2:
+            a = 10 ** rng.uniform(-3, 0.5)
+            z0 = complex(0.0, a)
+            x = closed_form_design(n, a).measure.nodes.copy()
+        else:
+            z0 = complex(rng.choice([-1, 1]) * rng.uniform(1.01, 3.0), 0.0)
+            x = np.cos(np.pi * np.arange(n, -1, -1) / n)
+        x[1:-1] += 10 ** rng.uniform(-12, -2) / n * rng.uniform(-1, 1, n - 1)
         P = extremal_signed_poly(x, z0)
         assert sup_norm_interval(P).value <= _sup_bound(P, x) + 4 * eps, (n, z0)
 
@@ -363,9 +409,3 @@ def test_optimize_support_warns_when_uncertified(monkeypatch):
     for field in ("max_violation", "duality_gap", "residual", "solver:"):
         assert field in message
 
-
-def test_certificate_json_round_trip():
-    d = design_from_support(2, 2.0, NODES3)
-    c = Certificate.from_json(d.certificate.to_json())
-    assert c == d.certificate
-    assert d.certificate.to_json()["certified"] is True
