@@ -27,11 +27,12 @@ from .imaginary import (
     pell_residual,
 )
 from .measure import RankDeficiencyError
-from .regression import RegressionPlan, mc_predictor_variance
+from .regression import _BATCH, RegressionPlan, mc_predictor_variance
 
 _SAMPLE_POINTS = 1001
 _RNG_NOTE = (
-    "numpy.random.default_rng (PCG64), single 64-bit seed; "
+    f"numpy.random.default_rng (PCG64) per block of {_BATCH} replicates, "
+    "spawned from SeedSequence(seed); "
     "one standard normal per node mean per replicate"
 )
 _VARIANCE_NOTE = "complex-valued predictions; variance is E|x - mean|^2"

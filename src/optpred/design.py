@@ -19,6 +19,7 @@ in a Certificate rather than asserted.  The sup-norm is bounded from above
 by a Pell-type identity (_sup_bound), with no root finding and no grid.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -194,7 +195,9 @@ def _certificate(P, mu, z0, K):
     bound = _sup_bound(P, mu.nodes)
     moduli = np.abs(P(mu.nodes))
     l2 = float(np.sqrt(np.sum(mu.weights * moduli**2)))
-    gap = float(abs(K - abs(P(z0)) ** 2) / K)
+    # in logs, so an overflowing |P(z0)|^2 is never formed; a NaN K gives a
+    # NaN gap, which no certificate passes
+    gap = abs(math.expm1(2.0 * math.log(abs(P(z0))) - math.log(K)))
     return Certificate(
         sup_norm=bound,
         l2_mu_norm=l2,

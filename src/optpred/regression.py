@@ -14,9 +14,19 @@ and compares the sample variance of the predictions at z0 against the
 formula.  Predictions at complex z0 are complex, so variance means
 E|x - mean|^2 throughout.  The fit's R factor is judged by the rank rule of
 the kernels, so a rank-deficient plan is refused before any noise is drawn.
+
+Replicates come in blocks of _BATCH (the last may be shorter).  Block j draws
+from its own generator, seeded by the j-th child that SeedSequence(seed)
+spawns, so the result depends on (plan, z0, replicates, seed) and not on how
+many threads run the blocks.  The blocks run on a thread pool as wide as the
+usable CPUs (numpy's generators release the GIL for bulk draws), and each
+returns only the sum of its noise and of its squared moduli: memory is
+O(workers x batch), not O(replicates).
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,15 +144,41 @@ def least_squares_fit(V, y):
     return solve_triangular(_full_rank(r), q.T @ y, lower=False)
 
 
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _block_sums(w_parts, child, size):
+    """(sum Re d, sum Im d, sum |d|^2) of the noise d = w @ Z of one block."""
+    z = np.random.default_rng(child).standard_normal((w_parts.shape[1], size))
+    d = w_parts @ z
+    return np.array([*d.sum(axis=1), (d * d).sum()])
+
+
 def mc_predictor_variance(plan, z0, replicates, seed):
     """Empirical vs predicted variance of the least-squares prediction at z0.
 
     Each replicate draws one standard normal per node, the noise of that
     node's sqrt(c_i)-weighted mean, and predicts with the fixed vector
-    w = t(z0)^T (V^T V)^{-1} V^T of the weighted node fit.  Replicates share
-    one seeded generator and are drawn in fixed batches, so results are
-    reproducible from (plan, z0, replicates, seed) alone.
+    w = t(z0)^T (V^T V)^{-1} V^T of the weighted node fit.  The prediction
+    is a constant plus sigma d with d = w @ Z, and the constant drops out of
+    the variance: with R replicates,
+
+        empirical = sigma^2 (sum |d|^2 - |sum d|^2 / R) / (R - 1).
+
+    Replicates are drawn in blocks of _BATCH, block j from
+    default_rng(SeedSequence(seed).spawn(...)[j]), on as many threads as
+    there are usable CPUs (at most one per block).  Each block keeps only
+    its sums, added in block order, so the result is reproducible from
+    (plan, z0, replicates, seed) alone, whatever the thread count, and
+    memory stays O(batch) per thread.  seed must be a non-negative integer.
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
+    if seed < 0:
+        raise ValueError(f"seed = {seed} must be non-negative")
     if not isinstance(replicates, (int, np.integer)):
         raise TypeError(
             f"replicates must be an integer, got {type(replicates).__name__}"
@@ -159,18 +195,18 @@ def mc_predictor_variance(plan, z0, replicates, seed):
         empirical = 0.0
     else:
         w = t0 @ least_squares_fit(V, np.eye(len(V)))
-        center = w @ (V @ plan.theta)
         # real rows, so the noise matrix is never upcast to complex
         w_parts = np.stack([w.real, w.imag])
-        rng = np.random.default_rng(seed)
-        preds = np.empty(replicates, dtype=complex)
-        done = 0
-        while done < replicates:
-            k = min(_BATCH, replicates - done)
-            re, im = w_parts @ rng.standard_normal((len(V), k))
-            preds[done : done + k] = center + plan.sigma * (re + 1j * im)
-            done += k
-        empirical = float(np.var(preds, ddof=1))
+        sizes = [min(_BATCH, replicates - start)
+                 for start in range(0, replicates, _BATCH)]
+        children = np.random.SeedSequence(seed).spawn(len(sizes))
+        workers = min(_usable_cpus(), len(sizes))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            sums = list(pool.map(_block_sums, [w_parts] * len(sizes),
+                                 children, sizes))
+        s_re, s_im, s_sq = sum(sums)
+        spread = s_sq - (s_re * s_re + s_im * s_im) / replicates
+        empirical = float(plan.sigma**2 * spread / (replicates - 1))
     K = christoffel(plan.realized_measure(), n, z0)
     predicted = plan.sigma**2 / plan.m * K
     if predicted == 0.0:

@@ -235,6 +235,16 @@ def test_simulate_rejects_nonfinite_point(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_simulate_rejects_negative_seed(tmp_path, capsys):
+    plan_file = tmp_path / "plan.json"
+    _write_plan(plan_file, DiscreteMeasure(NODES3, np.array([1, 1, 1]) / 3))
+    code = main(["simulate", "--plan", str(plan_file), "--z0", "2", "0",
+                 "--replicates", "1000", "--seed", "-1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err
+
+
 @pytest.mark.parametrize("field", ["nodes", "weights", "theta"])
 def test_simulate_rejects_nonfinite_plan_field(field, tmp_path, capsys):
     plan_file = tmp_path / "plan.json"

@@ -230,6 +230,17 @@ def test_certify_closed_form_designs():
         assert d.certificate.l2_mu_norm == pytest.approx(1.0, abs=1e-10)
 
 
+def test_overflowing_kernel_is_uncertified_without_warning():
+    # K ~ 1e347 overflows a double; the duality gap is taken in logs, so
+    # |P(z0)|^2 is never formed and the design comes back flagged, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = closed_form_design(192, 4.0)
+    assert math.isnan(d.K_value)
+    assert math.isnan(d.certificate.duality_gap)
+    assert not d.certified
+
+
 def test_sup_bound_never_below_exact_sup_norm():
     # the exact sup-norm (colleague-matrix roots of d/dx |P|^2) is the oracle
     rng = np.random.default_rng(29)

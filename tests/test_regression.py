@@ -1,4 +1,5 @@
 import numpy as np
+import numpy.polynomial.chebyshev as cheb
 import pytest
 
 from optpred import (
@@ -198,6 +199,36 @@ def test_mc_replicate_floor():
         mc_predictor_variance(plan, 2.0, 1000.0, seed=0)
 
 
+def test_mc_seed_validation(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("noise drawn before the seed was checked")
+
+    monkeypatch.setattr("optpred.regression.np.random.default_rng", no_draws)
+    plan = RegressionPlan.from_measure(UNIFORM3, 30, 1.0, THETA)
+    for seed in (None, 1.5, True, "3"):
+        with pytest.raises(TypeError, match="seed"):
+            mc_predictor_variance(plan, 2.0, 1000, seed=seed)
+    for seed in (-1, np.int64(-5)):
+        with pytest.raises(ValueError, match="seed"):
+            mc_predictor_variance(plan, 2.0, 1000, seed=seed)
+
+
+def test_mc_draws_one_generator_per_block(monkeypatch):
+    # the rank-deficiency guard above patches default_rng, so the draws must
+    # go through it
+    calls = []
+    real = np.random.default_rng
+
+    def counting(seed):
+        calls.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr("optpred.regression.np.random.default_rng", counting)
+    plan = RegressionPlan.from_measure(UNIFORM3, 30, 1.0, THETA)
+    mc_predictor_variance(plan, 2.0, 25_001, seed=3)
+    assert len(calls) == 3
+
+
 def test_mc_rejects_nonfinite_point():
     plan = RegressionPlan.from_measure(UNIFORM3, 30, 1.0, THETA)
     for z0 in (np.nan, np.inf, complex(0, np.nan)):
@@ -229,3 +260,40 @@ def test_mc_oversampled_plan():
     for z0 in (1.5, 0.5 + 0.5j):
         est = mc_predictor_variance(plan, z0, 30000, seed=17)
         assert est.rel_error <= 0.05
+
+
+def test_mc_independent_of_worker_count(monkeypatch):
+    # 25_001 replicates: two full blocks and a last block of one replicate
+    plan = RegressionPlan.from_measure(UNIFORM3, 300, 1.0, THETA)
+    mu = DiscreteMeasure(NODES5, COUNTS5 / COUNTS5.sum())
+    oversampled = RegressionPlan(design=mu, counts=COUNTS5, sigma=0.7,
+                                 theta=THETA)
+    for p, z0 in ((plan, 2.0), (plan, 1j), (oversampled, 0.5 + 0.5j)):
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr("optpred.regression._usable_cpus",
+                                lambda workers=workers: workers)
+            results.append(mc_predictor_variance(p, z0, 25_001, seed=9))
+        assert results[0] == results[1] == results[2]
+
+
+def test_mc_block_sums_match_sample_variance():
+    # a large constant part of the prediction, which the block sums leave out
+    # and np.var subtracts again
+    theta = np.array([1.2e3, -0.8e3, 0.9e3])
+    mu = DiscreteMeasure(NODES5, COUNTS5 / COUNTS5.sum())
+    plan = RegressionPlan(design=mu, counts=COUNTS5, sigma=0.7, theta=theta)
+    replicates, seed = 25_001, 4
+    for z0 in (1.5, 0.5 + 0.5j):
+        est = mc_predictor_variance(plan, z0, replicates, seed)
+        V = np.sqrt(COUNTS5)[:, None] * vandermonde(NODES5, 2)
+        w = cheb.chebvander(complex(z0), 2)[0] @ least_squares_fit(
+            V, np.eye(len(V)))
+        sizes = [10000, 10000, 5001]
+        children = np.random.SeedSequence(seed).spawn(len(sizes))
+        Z = np.hstack([np.random.default_rng(c).standard_normal((len(V), k))
+                       for c, k in zip(children, sizes)])
+        preds = w @ (V @ theta) + plan.sigma * (w @ Z)
+        assert abs(np.mean(preds)) > 100 * np.std(preds)
+        expected = np.var(preds, ddof=1)
+        assert est.empirical == pytest.approx(expected, rel=1e-12, abs=0)
