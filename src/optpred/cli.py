@@ -19,7 +19,6 @@ import numpy as np
 
 from .design import optimize_support
 from .imaginary import (
-    _check_a,
     closed_form_design,
     growth_gap,
     growth_poly,
@@ -27,6 +26,7 @@ from .imaginary import (
     pell_residual,
 )
 from .measure import RankDeficiencyError
+from .polynomial import _check_int
 from .regression import _BATCH, RegressionPlan, mc_predictor_variance
 
 _SAMPLE_POINTS = 1001
@@ -82,22 +82,18 @@ def _cmd_design(args):
 
 
 def _cmd_growth(args):
-    # a is checked with its sign, before growth_poly sees only |a|
-    a = _check_a(args.a, positive=False)
-    q = growth_poly(args.n, abs(a))
-    if a < 0:
-        q = q.reflected()
+    q = growth_poly(args.n, args.a)
     if args.format == "csv":
         # |Q_n| <= 1 on [-1, 1]: the samples stay finite where the growth
         # value overflows
         _emit_poly_csv(q, args.out)
         return 0
-    lhs, rhs = growth_gap(args.n, a)
+    lhs, rhs = growth_gap(args.n, args.a)
     _emit_json(
         {
             "n": args.n,
             "a": args.a,
-            "growth_value": growth_value(args.n, a),
+            "growth_value": growth_value(args.n, args.a),
             "poly": q.to_json(),
             "gap": {"lhs": lhs, "rhs": rhs},
         },
@@ -159,6 +155,7 @@ _SUITES = {
 
 
 def _cmd_verify(args):
+    _check_int("seed", args.seed)
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
     for name in names:

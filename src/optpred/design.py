@@ -13,10 +13,13 @@ polynomial.lagrange_values.
 
 Optimality of a candidate design is not taken on faith: the signed Lagrange
 combination P = sum_i sgn(l_i(z0)) l_i (complex sign conventions such that
-P(z0) is real positive) is a certificate.  If its sup-norm on [-1, 1] is 1
-and |P(z0)|^2 reproduces K, the design is optimal; both checks are recorded
-in a Certificate rather than asserted.  The sup-norm is bounded from above
-by a Pell-type identity (_sup_bound), with no root finding and no grid.
+P(z0) is real positive) is a certificate.  With Hoel-Levine weights,
+|P| = 1 at every node, ||P||_{L2(mu)} = 1 and |P(z0)|^2 = K hold on every
+support, optimal or not.  So the sup-norm alone decides: if it is 1 on
+[-1, 1], every design nu has ||P||_{L2(nu)} <= 1 and so a kernel value of
+at least |P(z0)|^2 = K.  The other numbers recorded in a Certificate catch
+numerical faults, such as an overflowed K.  The sup-norm is bounded from
+above by a Pell-type identity (_sup_bound), with no root finding and no grid.
 """
 
 import math
@@ -94,8 +97,11 @@ def extremal_signed_poly(nodes, z0):
 @dataclass(frozen=True)
 class Certificate:
     """sup_norm is a certified upper bound on max |P| over [-1, 1] (_sup_bound),
-    1 up to rounding on an optimal support; max_violation is its excess over 1.
-    Like K and the weights it is an output of the support, never read back."""
+    1 up to rounding on an optimal support, and the one number that proves
+    optimality; max_violation is its excess over 1.  l2_mu_norm and the
+    on_support_moduli are 1 and duality_gap is 0 on every Hoel-Levine support,
+    so they catch numerical faults (an overflowed K gives a NaN or unit gap).
+    All are outputs of the support, never read back."""
 
     sup_norm: float
     l2_mu_norm: float
@@ -155,7 +161,7 @@ class Design:
     def from_json(cls, data):
         """Rebuild the design from (n, z0, nodes) through design_from_support's
         checks; the file's weights, K_value, poly and certificate are ignored."""
-        return design_from_support(int(data["n"]), complex(*data["z0"]), data["nodes"])
+        return design_from_support(data["n"], complex(*data["z0"]), data["nodes"])
 
 
 def _lobatto(m):
@@ -207,12 +213,12 @@ def _certificate(P, mu, z0, K):
 
 
 def certify(design):
-    """Measure the two optimality conditions; thresholds live in Certificate.
+    """Measure the certificate of a design; thresholds live in Certificate.
 
     A certified upper bound on the sup-norm of the extremal polynomial over
-    [-1, 1] (violation is its excess over 1), its L^2(mu) norm (1 by
-    construction, recomputed not assumed), its moduli on the support, and the
-    relative gap between K and |P(z0)|^2.
+    [-1, 1], which decides optimality, then its L^2(mu) norm, its moduli on
+    the support and the relative gap between K and |P(z0)|^2, recomputed, not
+    assumed, to check the arithmetic (see Certificate).
     """
     return _certificate(
         design.extremal_poly, design.measure, design.z0, design.K_value

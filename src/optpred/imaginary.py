@@ -1,6 +1,7 @@
 """Closed-form optimal designs for purely imaginary exterior points z0 = ai.
 
-Two polynomial families drive everything.  With s = sqrt(a^2 + 1) (computed
+Every function here takes any finite nonzero a, of either sign.  Two
+polynomial families drive everything.  With s = sqrt(a^2 + 1) (computed
 as hypot(a, 1), which does not overflow for large a), a > 0,
 beta = (s - a)/(2s) and gamma = (a + s)/(2s), both have short Chebyshev forms:
 
@@ -17,7 +18,10 @@ zeros of R_{n-1} and below 1 elsewhere on [-1, 1].  Those points, with
 Hoel-Levine weights, form the optimal prediction design for ai, the kernel
 value is (a^2+1)(|a| + s)^{2n-2}, and Q_n is (up to the phase -(i)^n) the
 polynomial of extremal growth.  R_{n-1} has parity (-1)^(n-1), so its zeros
-are symmetric about 0 and one support serves both ai and -ai.
+are symmetric about 0 and one support serves both ai and -ai.  For a < 0,
+R_n is that of |a|, and Q_n is that of |a| reflected, Q_n(-z), which takes
+its extremal value at ai; the identity still holds, since (x^2 - 1) R_{n-1}^2
+is even in x.
 
 The zeros of R_n are the eigenvalues of a symmetric tridiagonal (Jacobi)
 matrix, as in Golub-Welsch (Math. Comp. 23, 1969).  R_0 = a/s,
@@ -39,22 +43,25 @@ from .polynomial import ChebPoly, _check_degree
 _LOG_MAX = math.log(np.finfo(float).max)
 
 
-def _check_a(a, positive=True):
-    """a as a float, finite and nonzero; positive unless the caller reflects."""
+def _check_a(a):
+    """a as a float, finite and nonzero: ai is exterior for either sign."""
     a = float(a)
     if not math.isfinite(a):
         raise ValueError(f"a = {a} is not finite")
     if a == 0:
         raise ValueError("a must be nonzero; ai must be exterior to [-1, 1]")
-    if positive and a < 0:
-        raise ValueError(f"a must be positive, got {a}; reflect at the caller for a < 0")
     return a
 
 
 def growth_poly(n, a):
-    """Q_n for a > 0: beta T_{|n-2|} - (i/s) T_{n-1} - gamma T_n, no other terms."""
+    """Q_n for a > 0: beta T_{|n-2|} - (i/s) T_{n-1} - gamma T_n, no other terms.
+
+    For a < 0 it is growth_poly(n, |a|).reflected(), extremal at ai.
+    """
     _check_degree(n, lowest=1)
     a = _check_a(a)
+    if a < 0:
+        return growth_poly(n, -a).reflected()
     s = np.hypot(a, 1.0)
     c = np.zeros(n + 1, dtype=complex)
     # gamma = (a + s)/(2s) and beta = (s - a)/(2s) = 1/(4 s^2 gamma), formed
@@ -68,13 +75,13 @@ def growth_poly(n, a):
 
 
 def pell_companion(n, a):
-    """R_n for a > 0: U_n + (a/s - 1) T_n; real coefficients, parity (-1)^n.
+    """R_n: U_n + (|a|/s - 1) T_n; real coefficients, parity (-1)^n.
 
     U_n in the T basis is 2 T_n + 2 T_{n-2} + ..., its T_0 term counted once,
     so the entries of the other parity are exact zeros.
     """
     _check_degree(n)
-    a = _check_a(a)
+    a = abs(_check_a(a))
     s = np.hypot(a, 1.0)
     c = np.zeros(n + 1)
     c[n % 2 :: 2] = 2.0
@@ -93,7 +100,7 @@ def pell_residual(n, a, x):
 
 def companion_zeros(n, a):
     """All n zeros of R_n in increasing order: the eigenvalues of the n x n
-    Jacobi matrix with zero diagonal and off-diagonal sqrt(a/(2(a+s))),
+    Jacobi matrix with zero diagonal and off-diagonal sqrt(|a|/(2(|a|+s))),
     1/2, ..., 1/2 (see the module docstring).
 
     A symmetric tridiagonal matrix with nonzero off-diagonal has real,
@@ -103,7 +110,7 @@ def companion_zeros(n, a):
     and the zeros tend to those of U_n, cos(k pi / (n + 1)).
     """
     _check_degree(n)
-    a = _check_a(a)
+    a = abs(_check_a(a))
     if n == 0:
         return np.empty(0)
     e = np.full(n - 1, 0.5)
@@ -123,8 +130,8 @@ def closed_form_design(n, a):
     assembles them, so the two routes stay comparable.
     """
     _check_degree(n, lowest=1)
-    a = _check_a(a, positive=False)
-    nodes = np.concatenate(([-1.0], companion_zeros(n - 1, abs(a)), [1.0]))
+    a = _check_a(a)
+    nodes = np.concatenate(([-1.0], companion_zeros(n - 1, a), [1.0]))
     return design_from_support(n, 1j * a, nodes)
 
 
@@ -137,7 +144,7 @@ def growth_value(n, a):
     largest double (from n = 340 on at a = 4); the test is made in logs,
     log(|a| + s) = asinh(|a|), so it runs before anything can overflow."""
     _check_degree(n, lowest=1)
-    a = abs(_check_a(a, positive=False))
+    a = abs(_check_a(a))
     s = np.hypot(a, 1.0)
     if math.log(s) + (n - 1) * math.asinh(a) > _LOG_MAX:
         raise ValueError(

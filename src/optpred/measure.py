@@ -22,7 +22,7 @@ import numpy as np
 import numpy.polynomial.chebyshev as cheb
 from scipy.linalg import solve_triangular
 
-from .polynomial import ChebPoly, _finite_point, as_nodes, lagrange_values
+from .polynomial import ChebPoly, _finite, _finite_point, as_nodes, lagrange_values
 
 _MIN_PIVOT = 1e-13
 _WEIGHT_SUM_TOL = 1e-12
@@ -56,11 +56,9 @@ class DiscreteMeasure:
 
     def __post_init__(self):
         x = as_nodes(self.nodes)
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        w = _finite("weights", self.weights)
         if w.shape != x.shape:
             raise ValueError(f"{len(x)} nodes but {len(w)} weights")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
         if np.any(w <= 0):
             raise ValueError("weights must be strictly positive")
         if abs(w.sum() - 1.0) > _WEIGHT_SUM_TOL:
@@ -76,7 +74,7 @@ class DiscreteMeasure:
 
     @classmethod
     def from_json(cls, data):
-        return cls(np.asarray(data["nodes"], float), np.asarray(data["weights"], float))
+        return cls(data["nodes"], data["weights"])
 
     @classmethod
     def uniform(cls, nodes):

@@ -6,8 +6,10 @@ polynomial arithmetic the rest of the package needs: the values of all
 Lagrange fundamental polynomials of a node set at a point (lagrange_values,
 the package's one Lagrange evaluator) and the conversion of Lagrange
 combinations into Chebyshev coefficients.  The input checks every other
-module applies to degrees, points and node sets live here too, so each has
-one home.  The sup-norm certificate of a design is design._sup_bound.
+module applies live here too, one rule per kind of argument: _check_int for
+degrees, counts, m, seeds and replicates, _finite for arrays of reals or
+complex numbers, _finite_point for z0 and as_nodes for node sets.  The
+sup-norm certificate of a design is design._sup_bound.
 """
 
 import cmath
@@ -22,13 +24,34 @@ import numpy.polynomial.chebyshev as cheb
 MAX_DEGREE = 512
 
 
+def _check_int(name, value, lowest=0):
+    """value, an integer or an integer-dtype array, with no entry below lowest.
+
+    The package's one integer rule: a bool or a float is refused, never
+    rounded, and both errors name the argument.
+    """
+    array = isinstance(value, np.ndarray)
+    kind = value.dtype.type if array else type(value)
+    # bool subclasses int; numpy's bool_ subclasses neither int nor integer
+    if kind is bool or not issubclass(kind, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {kind.__name__}")
+    if (value < lowest).any() if array else value < lowest:
+        raise ValueError(f"{name} must be >= {lowest}, got {value}")
+    return value
+
+
 def _check_degree(n, lowest=0):
-    if not isinstance(n, (int, np.integer)):
-        raise TypeError(f"degree must be an integer, got {type(n).__name__}")
-    if n < lowest:
-        raise ValueError(f"degree must be >= {lowest}, got {n}")
+    _check_int("degree", n, lowest)
     if n > MAX_DEGREE:
         raise ValueError(f"degree {n} exceeds supported maximum {MAX_DEGREE}")
+
+
+def _finite(name, values, dtype=float):
+    """values as an array of at least one dimension, refused unless all finite."""
+    v = np.atleast_1d(np.asarray(values, dtype=dtype))
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
+    return v
 
 
 def _finite_point(z0):
@@ -44,11 +67,9 @@ class ChebPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
+        c = _finite("coefficients", coeffs, complex)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
         nz = np.nonzero(c)[0]
         # drop exactly-zero trailing coefficients; the zero polynomial keeps [0]
         self.coeffs = c[: nz[-1] + 1].copy() if nz.size else np.zeros(1, dtype=complex)
@@ -83,11 +104,9 @@ class ChebPoly:
 
 def as_nodes(nodes):
     """Validate and return a node set: >= 2 strictly increasing reals in [-1, 1]."""
-    x = np.atleast_1d(np.asarray(nodes, dtype=float))
+    x = _finite("nodes", nodes)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("need at least 2 nodes")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("nodes must be finite")
     if x[0] < -1.0 or x[-1] > 1.0:
         raise ValueError(f"nodes must lie in [-1, 1], got range [{x[0]}, {x[-1]}]")
     if np.any(np.diff(x) <= 0):

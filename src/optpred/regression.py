@@ -34,7 +34,7 @@ import numpy.polynomial.chebyshev as cheb
 from scipy.linalg import solve_triangular
 
 from .measure import DiscreteMeasure, RankDeficiencyError, _full_rank, christoffel
-from .polynomial import _finite_point
+from .polynomial import _check_int, _finite, _finite_point
 
 _MIN_REPLICATES = 1000
 _BATCH = 10000
@@ -42,7 +42,8 @@ _BATCH = 10000
 
 @dataclass(frozen=True)
 class RegressionPlan:
-    """A measure realized as integer observation counts per node."""
+    """A measure realized as observation counts per node, each an integer >= 1
+    (a float count is refused, not rounded)."""
 
     design: DiscreteMeasure
     counts: np.ndarray
@@ -50,19 +51,15 @@ class RegressionPlan:
     theta: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.counts, dtype=int))
+        c = _check_int("counts", np.atleast_1d(np.asarray(self.counts)), lowest=1)
         if c.shape != self.design.nodes.shape:
             raise ValueError("one count per node required")
-        if np.any(c < 1):
-            raise ValueError("every node needs at least one observation")
         sigma = float(self.sigma)
         if not math.isfinite(sigma):
             raise ValueError(f"sigma = {sigma} is not finite")
         if sigma < 0:
             raise ValueError("sigma must be nonnegative")
-        th = np.atleast_1d(np.asarray(self.theta, dtype=float))
-        if not np.all(np.isfinite(th)):
-            raise ValueError("theta must be finite")
+        th = _finite("theta", self.theta)
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "theta", th)
@@ -88,8 +85,7 @@ class RegressionPlan:
         Keeps every count within 1 of the ideal value, so the realized node
         frequencies deviate from the weights by at most 1/m.
         """
-        if not isinstance(m, (int, np.integer)):
-            raise TypeError(f"m must be an integer, got {type(m).__name__}")
+        _check_int("m", m, lowest=1)
         ideal = mu.weights * m
         counts = np.floor(ideal).astype(int)
         short = m - counts.sum()
@@ -111,9 +107,9 @@ class RegressionPlan:
     def from_json(cls, data):
         return cls(
             design=DiscreteMeasure.from_json(data),
-            counts=np.asarray(data["counts"], int),
+            counts=data["counts"],
             sigma=float(data["sigma"]),
-            theta=np.asarray(data["theta"], float),
+            theta=data["theta"],
         )
 
 
@@ -175,16 +171,8 @@ def mc_predictor_variance(plan, z0, replicates, seed):
     (plan, z0, replicates, seed) alone, whatever the thread count, and
     memory stays O(batch) per thread.  seed must be a non-negative integer.
     """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
-    if seed < 0:
-        raise ValueError(f"seed = {seed} must be non-negative")
-    if not isinstance(replicates, (int, np.integer)):
-        raise TypeError(
-            f"replicates must be an integer, got {type(replicates).__name__}"
-        )
-    if replicates < _MIN_REPLICATES:
-        raise ValueError(f"need at least {_MIN_REPLICATES} replicates")
+    _check_int("seed", seed)
+    _check_int("replicates", replicates, lowest=_MIN_REPLICATES)
     z0 = _finite_point(z0)
     n = plan.degree
     V = np.sqrt(plan.counts)[:, None] * vandermonde(plan.design.nodes, n)

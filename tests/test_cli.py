@@ -182,6 +182,13 @@ def test_verify_all(capsys):
         assert f"{name}: PASS" in out
 
 
+def test_verify_rejects_negative_seed(capsys):
+    assert main(["verify", "--suite", "pell", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be >= 0, got -1\n"
+
+
 def _write_plan(path, mu, m=300, sigma=1.0):
     plan = RegressionPlan.from_measure(mu, m, sigma, np.array([0.3, -0.2, 0.5]))
     path.write_text(json.dumps(plan.to_json()))
@@ -243,6 +250,20 @@ def test_simulate_rejects_negative_seed(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "seed" in err
+
+
+def test_simulate_rejects_fractional_counts(tmp_path, capsys):
+    # counts are refused, not truncated to 75/150/75
+    plan_file = tmp_path / "plan.json"
+    _write_plan(plan_file, DiscreteMeasure(NODES3, np.array([1, 2, 1]) / 4))
+    data = json.loads(plan_file.read_text())
+    data["counts"] = [75.9, 150.9, 75.9]
+    plan_file.write_text(json.dumps(data))
+    code = main(["simulate", "--plan", str(plan_file), "--z0", "2", "0",
+                 "--replicates", "1000"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "counts must be an integer" in err
 
 
 @pytest.mark.parametrize("field", ["nodes", "weights", "theta"])

@@ -210,6 +210,10 @@ def test_design_from_json_rebuilds_from_support():
         bad = dict(d.to_json(), z0=z0)
         with pytest.raises(ValueError, match="z0"):
             Design.from_json(bad)
+    with pytest.raises(TypeError, match="degree"):
+        Design.from_json(dict(d.to_json(), n=8.0))
+    with pytest.raises(TypeError, match="degree"):
+        Design.from_json(dict(closed_form_design(2, 1.0).to_json(), n=2.7))
 
 
 def test_certificate_max_violation_follows_sup_norm():
@@ -291,6 +295,22 @@ def test_sup_bound_lobatto_point_on_node():
         assert x[n // 2] == 0.0
         assert d.certified
         assert d.certificate.sup_norm == pytest.approx(1.0, abs=1e-13)
+
+
+def test_certificate_identities_hold_on_uncertified_supports():
+    # with Hoel-Levine weights |P| = 1 on the support, ||P||_mu = 1 and
+    # K = |P(z0)|^2 on any support; only the sup-norm tells these apart
+    rng = np.random.default_rng(15)
+    for _ in range(50):
+        n = int(rng.integers(2, 25))
+        z0 = complex(rng.uniform(-2, 2), rng.choice([-1, 1]) * rng.uniform(0.1, 2))
+        x = np.cos(np.pi * np.arange(n, -1, -1) / n)
+        x[1:-1] += rng.uniform(-0.3, 0.3, n - 1) * np.diff(x)[:-1] / 2
+        c = design_from_support(n, z0, x).certificate
+        assert not c.certified
+        assert c.duality_gap <= 1e-12
+        assert abs(c.l2_mu_norm - 1.0) <= 1e-12
+        np.testing.assert_allclose(c.on_support_moduli, 1.0, rtol=0, atol=1e-12)
 
 
 def test_certify_detects_perturbed_node():
@@ -394,6 +414,8 @@ def test_optimize_support_rejects_interior_point():
     for bad in (2.5, 2.0):
         with pytest.raises(TypeError):
             optimize_support(bad, 2.0)
+    with pytest.raises(TypeError, match="degree"):
+        optimize_support(True, 2.0)
 
 
 def test_optimize_support_degree_one():

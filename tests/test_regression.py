@@ -125,6 +125,9 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         RegressionPlan(design=UNIFORM3, counts=np.array([1, 0, 1]), sigma=1.0,
                        theta=THETA)
+    with pytest.raises(TypeError, match="counts"):
+        RegressionPlan(design=UNIFORM3, counts=[1.5, 2, 3], sigma=1.0,
+                       theta=THETA)
     with pytest.raises(ValueError):
         RegressionPlan(design=UNIFORM3, counts=np.array([1, 1, 1]), sigma=-1.0,
                        theta=THETA)
