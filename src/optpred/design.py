@@ -30,11 +30,12 @@ import numpy as np
 from scipy.fft import dct
 from scipy.optimize import root
 
-from .measure import DiscreteMeasure, christoffel
+from .measure import DiscreteMeasure
 from .polynomial import (
     ChebPoly,
     _check_degree,
     _finite_point,
+    _lobatto,
     as_nodes,
     from_lagrange_combination,
     lagrange_values,
@@ -100,7 +101,7 @@ class Certificate:
     1 up to rounding on an optimal support, and the one number that proves
     optimality; max_violation is its excess over 1.  l2_mu_norm and the
     on_support_moduli are 1 and duality_gap is 0 on every Hoel-Levine support,
-    so they catch numerical faults (an overflowed K gives a NaN or unit gap).
+    so they catch numerical faults (an overflowed K = inf gives a unit gap).
     All are outputs of the support, never read back."""
 
     sup_norm: float
@@ -164,12 +165,6 @@ class Design:
         return design_from_support(data["n"], complex(*data["z0"]), data["nodes"])
 
 
-def _lobatto(m):
-    """cos(k pi / m), k = m, ..., 0, in sine form: exactly symmetric, with an
-    exact 0 for even m where the cosine form leaves 6e-17."""
-    return np.sin(np.pi * np.arange(-m, m + 1, 2) / (2 * m))
-
-
 def _sup_bound(P, nodes):
     """A certified upper bound sqrt(1 + sum_k |E_k|) on max |P| over [-1, 1].
 
@@ -181,8 +176,10 @@ def _sup_bound(P, nodes):
     4^(n-1) |P_n|^2 for the Chebyshev coefficient P_n and 0 if deg P < n.
     E then has degree below 2n, so one DCT-I of its values at the 2n + 1
     Chebyshev-Lobatto points gives the E_k exactly (their ascending order
-    flips only the signs of odd E_k).  c w^2 is formed in logs, as its factors
-    overflow and underflow apart at large n; a node on a Lobatto point gives 0.
+    flips only the signs of odd E_k).  The values of P there come from one
+    DCT-I of its zero-padded coefficients, read in reverse.  c w^2 is formed
+    in logs, as its factors overflow and underflow apart at large n; a node
+    on a Lobatto point gives 0.
     """
     n = len(nodes) - 1
     t = _lobatto(2 * n)
@@ -191,7 +188,10 @@ def _sup_bound(P, nodes):
         log_w = np.log(np.abs(t[:, None] - nodes[1:-1])).sum(axis=1)
         log_c = 2.0 * np.log(abs(lead)) + 2 * (n - 1) * np.log(2.0)
     g = (1.0 - t * t) * np.exp(2.0 * log_w + log_c)
-    v = P(t)
+    # P(cos(k pi / 2n)) = (y_k + c_0) / 2 for the DCT-I y of the coefficients
+    padded = np.zeros(2 * n + 1, dtype=complex)
+    padded[: len(P.coeffs)] = P.coeffs
+    v = (dct(padded, type=1)[::-1] + padded[0]) / 2
     E = dct(1.0 - (v.real**2 + v.imag**2) - g, type=1) / (2 * n)
     E[[0, -1]] /= 2
     return float(np.sqrt(1.0 + np.abs(E).sum()))
@@ -201,8 +201,8 @@ def _certificate(P, mu, z0, K):
     bound = _sup_bound(P, mu.nodes)
     moduli = np.abs(P(mu.nodes))
     l2 = float(np.sqrt(np.sum(mu.weights * moduli**2)))
-    # in logs, so an overflowing |P(z0)|^2 is never formed; a NaN K gives a
-    # NaN gap, which no certificate passes
+    # in logs, so an overflowing |P(z0)|^2 is never formed; an overflowed
+    # K = inf gives a gap of exactly 1, which no certificate passes
     gap = abs(math.expm1(2.0 * math.log(abs(P(z0))) - math.log(K)))
     return Certificate(
         sup_norm=bound,
@@ -227,15 +227,22 @@ def certify(design):
 
 def design_from_support(n, z0, nodes):
     """Assemble the full Design for a given support: Hoel-Levine weights,
-    Gram-route kernel value, signed extremal polynomial, certificate."""
+    kernel value, signed extremal polynomial, certificate, in O(n^2).
+
+    With Hoel-Levine weights the kernel value is the squared Lebesgue
+    function, K = Lambda^2 with Lambda = sum_i |l_i(z0)|, taken from the same
+    moduli as the weights.  It is formed in Python floats, so a Lambda^2
+    beyond the largest double reads inf, without a warning.
+    """
     _check_degree(n, lowest=1)
     z0 = require_exterior(z0)
     x = as_nodes(nodes)
     if len(x) != n + 1:
         raise ValueError(f"degree {n} needs {n + 1} nodes, got {len(x)}")
     moduli, signs = _signed_lagrange(x, z0)
-    mu = DiscreteMeasure(x, moduli / moduli.sum())
-    K = christoffel(mu, n, z0)
+    lebesgue = float(moduli.sum())
+    mu = DiscreteMeasure(x, moduli / lebesgue)
+    K = lebesgue * lebesgue
     P = from_lagrange_combination(x, signs)
     return Design(
         measure=mu, z0=z0, n=n, K_value=K, extremal_poly=P,

@@ -8,12 +8,17 @@ kernel value
 
 is the largest value of |p(z0)|^2 over polynomials of degree <= n with
 L^2(mu) norm 1, and sigma^2/m * K(z0) is the variance of the least-squares
-polynomial predictor at z0.  The normalized kernel polynomial attaining the
-maximum, and the derivative of K along the segment toward a point mass, are
-what the design optimizer and its optimality certificate consume.  They
-solve against the R factor of one QR of B = diag(sqrt(w)) V, with V the
-chebvander matrix of rows t(x_k), so R^T R = G and cond(B) is never squared.
-K and G are returned as a plain float and a symmetric ndarray.
+polynomial predictor at z0.  The Monte Carlo check in regression takes K of
+a realized observation plan from christoffel.  The design path does not use
+this module's kernels: on a Hoel-Levine support K is the squared Lebesgue
+function (design.design_from_support), and the kernel functions here are
+its independent cross-checks, with the normalized kernel polynomial
+attaining the maximum and the derivative of K along the segment toward a
+point mass.  They solve against the R factor of one QR of
+B = diag(sqrt(w)) V, with V the chebvander matrix of rows t(x_k), so
+R^T R = G and cond(B) is never squared.  Degrees go through the package's
+integer rule.  K and G are returned as a plain float and a symmetric
+ndarray.
 """
 
 from dataclasses import dataclass
@@ -22,7 +27,14 @@ import numpy as np
 import numpy.polynomial.chebyshev as cheb
 from scipy.linalg import solve_triangular
 
-from .polynomial import ChebPoly, _finite, _finite_point, as_nodes, lagrange_values
+from .polynomial import (
+    ChebPoly,
+    _check_degree,
+    _finite,
+    _finite_point,
+    as_nodes,
+    lagrange_values,
+)
 
 _MIN_PIVOT = 1e-13
 _WEIGHT_SUM_TOL = 1e-12
@@ -84,6 +96,7 @@ class DiscreteMeasure:
 
 def gram(mu, n):
     """G[i, j] = sum_k w_k T_i(x_k) T_j(x_k); real support makes it symmetric."""
+    _check_degree(n)
     V = cheb.chebvander(mu.nodes, n)
     G = (V.T * mu.weights) @ V
     return 0.5 * (G + G.T)
@@ -91,6 +104,7 @@ def gram(mu, n):
 
 def _factor(mu, n):
     """R with R^T R = G: the QR factor of the weighted basis B, rank-checked."""
+    _check_degree(n)
     B = np.sqrt(mu.weights)[:, None] * cheb.chebvander(mu.nodes, n)
     return _full_rank(np.linalg.qr(B, mode="r"))
 
@@ -123,6 +137,7 @@ def christoffel_lagrange(mu, n, z0):
     basis of degree-n polynomials); kept as an independent cross-check of the
     Gram route.
     """
+    _check_degree(n)
     if len(mu) != n + 1:
         raise ValueError(f"Lagrange route needs exactly {n + 1} nodes, got {len(mu)}")
     ell = lagrange_values(mu.nodes, _finite_point(z0))

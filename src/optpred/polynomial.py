@@ -5,22 +5,24 @@ conditioned on [-1, 1] and are never stored.  This module supplies the
 polynomial arithmetic the rest of the package needs: the values of all
 Lagrange fundamental polynomials of a node set at a point (lagrange_values,
 the package's one Lagrange evaluator) and the conversion of Lagrange
-combinations into Chebyshev coefficients.  The input checks every other
-module applies live here too, one rule per kind of argument: _check_int for
-degrees, counts, m, seeds and replicates, _finite for arrays of reals or
-complex numbers, _finite_point for z0 and as_nodes for node sets.  The
-sup-norm certificate of a design is design._sup_bound.
+combinations into Chebyshev coefficients, by barycentric values at the
+Chebyshev-Lobatto points (_lobatto) and one DCT-I.  The input checks every
+other module applies live here too, one rule per kind of argument:
+_check_int for degrees, counts, m, seeds and replicates, _finite for arrays
+of reals or complex numbers, _finite_point for z0 and as_nodes for node
+sets.  The sup-norm certificate of a design is design._sup_bound.
 """
 
 import cmath
 
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
+from scipy.fft import dct
 
-# A cap on work (the root-solve Jacobian, the Lagrange-to-Chebyshev solve and
-# the kernel QR are dense O(n^3) steps), not a range guarantee:
-# K overflows far earlier once |z0| >~ 2, closed_form_design(192, 4.0) already
-# returns K = nan, and growth_value(n, 4.0) raises from n = 340 on.
+# A cap on work (the root-solve Jacobian is a dense O(n^3) step; assembling a
+# design from its support is O(n^2)), not a range guarantee: K overflows far
+# earlier once |z0| >~ 2, closed_form_design(192, 4.0) already returns
+# K = inf, and growth_value(n, 4.0) raises from n = 340 on.
 MAX_DEGREE = 512
 
 
@@ -126,12 +128,42 @@ def lagrange_values(nodes, z):
     return ratios.prod(axis=1)
 
 
+def _lobatto(m):
+    """cos(k pi / m), k = m, ..., 0, in sine form: exactly symmetric, with an
+    exact 0 for even m where the cosine form leaves 6e-17."""
+    return np.sin(np.pi * np.arange(-m, m + 1, 2) / (2 * m))
+
+
 def from_lagrange_combination(nodes, coefficients):
     """Chebyshev coefficients of sum_i c_i l_i(z), i.e. the polynomial of
-    degree <= n interpolating the values c_i at the nodes x_i."""
+    degree <= n interpolating the values c_i at the nodes x_i.
+
+    The barycentric formula (Berrut & Trefethen, SIAM Rev. 46, 2004), with
+    weights b_i = 1 / prod_{k != i} (x_i - x_k), gives the interpolant at the
+    n + 1 Chebyshev-Lobatto points; one DCT-I of those values gives its
+    coefficients (in ascending point order, with the signs of the odd ones
+    flipped).  O(n^2), no linear solve.  The b_i are formed in logs and
+    scaled by the largest, so none overflows, and a Lobatto point that is a
+    node takes that node's value.
+    """
     x = as_nodes(nodes)
     c = np.atleast_1d(np.asarray(coefficients, dtype=complex))
     if c.shape != x.shape:
         raise ValueError(f"expected {len(x)} coefficients, got {len(c)}")
-    V = cheb.chebvander(x, len(x) - 1)
-    return ChebPoly(np.linalg.solve(V, c))
+    n = len(x) - 1
+    diff = x[:, None] - x
+    np.fill_diagonal(diff, 1.0)
+    log_b = -np.log(np.abs(diff)).sum(axis=1)
+    # x_i lies below n - i nodes, so b_i has the sign (-1)^(n - i)
+    b = np.exp(log_b - log_b.max()) * (-1.0) ** np.arange(n, -1, -1)
+    d = _lobatto(n)[:, None] - x
+    on_node = d == 0.0
+    d[on_node] = 1.0
+    r = b / d
+    rows = on_node.any(axis=1)
+    r[rows] = on_node[rows]
+    values = (r @ c) / r.sum(axis=1)
+    coeffs = dct(values, type=1) / n
+    coeffs[[0, -1]] /= 2
+    coeffs[1::2] *= -1
+    return ChebPoly(coeffs)

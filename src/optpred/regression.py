@@ -34,7 +34,7 @@ import numpy.polynomial.chebyshev as cheb
 from scipy.linalg import solve_triangular
 
 from .measure import DiscreteMeasure, RankDeficiencyError, _full_rank, christoffel
-from .polynomial import _check_int, _finite, _finite_point
+from .polynomial import _check_degree, _check_int, _finite, _finite_point
 
 _MIN_REPLICATES = 1000
 _BATCH = 10000
@@ -51,6 +51,9 @@ class RegressionPlan:
     theta: np.ndarray
 
     def __post_init__(self):
+        # numpy casts a bool among integers to 1: judge each entry as given
+        for count in np.asarray(self.counts, dtype=object).flat:
+            _check_int("counts", count, lowest=1)
         c = _check_int("counts", np.atleast_1d(np.asarray(self.counts)), lowest=1)
         if c.shape != self.design.nodes.shape:
             raise ValueError("one count per node required")
@@ -124,6 +127,7 @@ class VarianceEstimate:
 def vandermonde(x, n):
     """Rows (T_0(x_k), ..., T_n(x_k)) for the observation nodes x (with
     replication); (1/m) V^T V is the Gram matrix of the realized measure."""
+    _check_degree(n)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if len(np.unique(x)) < n + 1:
         raise RankDeficiencyError(f"need {n + 1} distinct points for degree {n}")

@@ -1,5 +1,7 @@
-"""Shared test helpers: padded Chebyshev coefficient vectors, and the exact
-sup-norm over [-1, 1] that the tests hold the design certificate against."""
+"""Shared test helpers: padded Chebyshev coefficient vectors, the exact
+sup-norm over [-1, 1] that the tests hold the design certificate against,
+and the dense interpolation solve that from_lagrange_combination is held
+against."""
 
 from dataclasses import dataclass
 
@@ -21,6 +23,14 @@ def padded(p, length):
 def is_zero(p):
     """True for the zero polynomial, whose ChebPoly keeps the single coefficient 0."""
     return bool(np.all(p.coeffs == 0))
+
+
+def lagrange_to_cheb_solve(nodes, values):
+    """Chebyshev coefficients of the interpolant of values at nodes by one
+    dense O(n^3) solve of the chebvander system V c = values."""
+    x = np.asarray(nodes, dtype=float)
+    return np.linalg.solve(cheb.chebvander(x, len(x) - 1),
+                           np.asarray(values, dtype=complex))
 
 
 @dataclass(frozen=True)

@@ -235,14 +235,26 @@ def test_certify_closed_form_designs():
 
 
 def test_overflowing_kernel_is_uncertified_without_warning():
-    # K ~ 1e347 overflows a double; the duality gap is taken in logs, so
-    # |P(z0)|^2 is never formed and the design comes back flagged, silently
+    # K = Lambda^2 ~ 1e347 overflows a double to inf; the duality gap is taken
+    # in logs, so |P(z0)|^2 is never formed, reads exactly 1 against K = inf,
+    # and the design comes back flagged, silently
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         d = closed_form_design(192, 4.0)
-    assert math.isnan(d.K_value)
-    assert math.isnan(d.certificate.duality_gap)
+    assert d.K_value == math.inf
+    assert d.certificate.duality_gap == 1.0
     assert not d.certified
+
+
+@pytest.mark.parametrize("z0", [2.0, 1j, 0.5 + 0.5j])
+def test_lebesgue_kernel_value_matches_gram_route(z0):
+    # design_from_support takes K as the squared Lebesgue function; the Gram
+    # QR of christoffel is the independent route to the same number
+    for n in (4, 8, 16, 32, 64):
+        d = optimize_support(n, z0)
+        assert d.certified
+        K = christoffel(d.measure, n, z0)
+        assert abs(d.K_value - K) <= 1e-12 * K, (n, d.K_value, K)
 
 
 def test_sup_bound_never_below_exact_sup_norm():

@@ -182,6 +182,22 @@ def test_kernel_functions_reject_nonfinite_point():
             directional_derivative(UNIFORM3, 0.5, 2, bad)
 
 
+def test_kernel_functions_refuse_non_integer_degree():
+    for bad in (True, 2.0):
+        with pytest.raises(TypeError, match="degree must be an integer"):
+            christoffel(UNIFORM3, bad, 2.0)
+        with pytest.raises(TypeError, match="degree must be an integer"):
+            gram(UNIFORM3, bad)
+        with pytest.raises(TypeError, match="degree must be an integer"):
+            kernel_poly(UNIFORM3, bad, 2.0)
+        with pytest.raises(TypeError, match="degree must be an integer"):
+            directional_derivative(UNIFORM3, 0.5, bad, 2.0)
+        with pytest.raises(TypeError, match="degree must be an integer"):
+            christoffel_lagrange(UNIFORM3, bad, 2.0)
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        gram(UNIFORM3, -1)
+
+
 def test_kernel_poly_maximality():
     rng = np.random.default_rng(29)
     mu = _random_measure(rng, 4)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
 import pytest
@@ -8,8 +10,8 @@ from optpred import (
     from_lagrange_combination,
     lagrange_values,
 )
-from optpred.imaginary import growth_poly
-from polyhelp import is_zero, padded, sup_norm_interval
+from optpred.imaginary import companion_zeros, growth_poly
+from polyhelp import is_zero, lagrange_to_cheb_solve, padded, sup_norm_interval
 
 NODES3 = np.array([-1.0, 0.0, 1.0])
 
@@ -108,6 +110,59 @@ def test_interpolation_round_trip():
         p = ChebPoly(c)
         q = from_lagrange_combination(nodes, p(nodes))
         np.testing.assert_allclose(padded(q, len(c)), c, atol=1e-11)
+
+
+def _assert_matches_solve(nodes, values):
+    """from_lagrange_combination against the dense solve, to 1e-12 of the
+    largest coefficient (or absolutely, when that is below 1)."""
+    oracle = lagrange_to_cheb_solve(nodes, values)
+    got = padded(from_lagrange_combination(nodes, values), len(oracle))
+    tol = 1e-12 * max(1.0, np.abs(oracle).max())
+    err = np.abs(got - oracle).max()
+    assert err <= tol, (len(nodes) - 1, err)
+
+
+def _unit_signs(nodes, z0):
+    """sgn(l_i(z0)) = conj(l_i(z0)) / |l_i(z0)|, the extremal polynomial's values."""
+    ell = lagrange_values(nodes, z0)
+    return np.conj(ell) / np.abs(ell)
+
+
+@pytest.mark.parametrize("n", [8, 64, 192, 512])
+def test_from_lagrange_combination_matches_solve_on_closed_form_supports(n):
+    for a in (0.5, 1.0):
+        x = np.concatenate(([-1.0], companion_zeros(n - 1, a), [1.0]))
+        _assert_matches_solve(x, _unit_signs(x, 1j * a))
+
+
+def test_from_lagrange_combination_matches_solve_on_perturbed_chebyshev():
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        n = int(rng.integers(2, 129))
+        x = np.cos(np.pi * np.arange(n, -1, -1) / n)
+        x[1:-1] += rng.uniform(-0.3, 0.3, n - 1) * np.diff(x)[:-1] / 2
+        z0 = complex(rng.uniform(-2, 2), rng.uniform(0.1, 2))
+        _assert_matches_solve(x, _unit_signs(x, z0))
+        values = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        _assert_matches_solve(x, values)
+
+
+def test_from_lagrange_combination_lobatto_point_on_node():
+    # the Lobatto points cos(k pi / n) include 0 for even n: on the Lobatto
+    # support itself every point is a node, and on a perturbed support with
+    # x_{n/2} = 0 kept exact, one point is
+    rng = np.random.default_rng(67)
+    for n in (2, 8, 16, 64):
+        lobatto = np.sin(np.pi * np.arange(-n, n + 1, 2) / (2 * n))
+        perturbed = lobatto.copy()
+        perturbed[1:-1] += rng.uniform(-0.2, 0.2, n - 1) * np.diff(lobatto)[:-1] / 2
+        perturbed[n // 2] = 0.0
+        for x in (lobatto, perturbed):
+            values = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _assert_matches_solve(x, values)
+                _assert_matches_solve(x, _unit_signs(x, 0.5 + 0.5j))
 
 
 def test_sup_norm_t5():

@@ -45,6 +45,13 @@ def test_vandermonde_rank_deficiency():
         vandermonde(np.array([-1.0, 1.0]), 2)
 
 
+def test_vandermonde_refuses_non_integer_degree():
+    x = np.array([-1.0, 0.0, 1.0])
+    for bad in (True, 2.0):
+        with pytest.raises(TypeError, match="degree must be an integer"):
+            vandermonde(x, bad)
+
+
 def test_least_squares_noiseless_recovery():
     x = np.repeat(NODES3, 4)
     V = vandermonde(x, 2)
@@ -142,6 +149,17 @@ def test_plan_validation():
         with pytest.raises(ValueError, match="theta must be finite"):
             RegressionPlan(design=UNIFORM3, counts=np.array([1, 1, 1]),
                            sigma=1.0, theta=np.array([0.3, bad, 0.5]))
+
+
+def test_plan_json_refuses_bool_among_integer_counts():
+    # numpy would read [true, 2, 1] as [1, 2, 1]; each entry is judged as given
+    data = RegressionPlan.from_measure(UNIFORM3, 4, 1.0, THETA).to_json()
+    for counts in ([True, 2, 1], [2, 1, False]):
+        data["counts"] = counts
+        with pytest.raises(TypeError, match="counts must be an integer, got bool"):
+            RegressionPlan.from_json(data)
+    data["counts"] = [1, 2, 1]
+    np.testing.assert_array_equal(RegressionPlan.from_json(data).counts, [1, 2, 1])
 
 
 def test_plan_json_round_trip():
