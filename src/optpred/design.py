@@ -8,8 +8,13 @@ function at z0.  On an optimal support every interior node is a critical point
 of |P|^2 for the signed polynomial P below, so the nodes are found by one root
 solve of those first-order conditions, taken directly in node coordinates.
 The conditions are built from the same moduli |l_i(z0)| as the weights, so
-weights, residual and extremal polynomial share one Lagrange evaluator,
-polynomial.lagrange_values.
+weights, residual and extremal polynomial share one Lagrange evaluator: the
+moduli and unit phases behind polynomial.lagrange_values, from one real
+pairwise pass over the nodes.  The solver gets the residual and its O(n^3)
+Jacobian as two functions and builds the Jacobian only when MINPACK asks
+for it, about once per solve.  The extremal polynomial's barycentric
+weights come from the same moduli, b_i = |l_i(z0)| |z0 - x_i| (-1)^(n - i)
+up to a common factor, so assembling a design makes no second pass.
 
 Optimality of a candidate design is not taken on faith: the signed Lagrange
 combination P = sum_i sgn(l_i(z0)) l_i (complex sign conventions such that
@@ -35,10 +40,11 @@ from .polynomial import (
     ChebPoly,
     _check_degree,
     _finite_point,
+    _interpolant,
+    _lagrange_polar,
     _lobatto,
+    _node_signs,
     as_nodes,
-    from_lagrange_combination,
-    lagrange_values,
 )
 
 _EXTERIOR_IM_TOL = 1e-12
@@ -62,20 +68,20 @@ def require_exterior(z0):
 
 
 def _signed_lagrange(x, z0):
-    """|l_i(z0)| and sgn(l_i(z0)) = conj(l_i(z0)) / |l_i(z0)| from one evaluation.
+    """|l_i(z0)| and sgn(l_i(z0)) = conj(l_i(z0)) / |l_i(z0)| from one
+    evaluation (polynomial._lagrange_polar).
 
     The signs are the values of P at the nodes.  When z0 is a node every other
     l_i(z0) is exactly 0, so a zero modulus is how that case is caught.  Far
     out, overflow is a numeric failure at a valid z0, not an input error.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        ell = lagrange_values(x, z0)
-    if not np.all(np.isfinite(ell)):
+        moduli, phases = _lagrange_polar(x, z0)
+    if not np.isfinite(moduli).all():
         raise RuntimeError(f"Lagrange values overflow at z0 = {z0}")
-    moduli = np.abs(ell)
-    if np.any(moduli == 0.0):
+    if not moduli.all():
         raise ValueError(f"z0 = {z0} is a node; the Lagrange signs are undefined")
-    return moduli, np.conj(ell) / moduli
+    return moduli, np.conj(phases)
 
 
 def hoel_levine_weights(nodes, z0):
@@ -84,15 +90,24 @@ def hoel_levine_weights(nodes, z0):
     return moduli / moduli.sum()
 
 
+def _extremal(x, z0):
+    """The moduli m_i = |l_i(z0)| and P = sum_i sgn(l_i(z0)) l_i from one
+    evaluation: l_i(z0) = l(z0) b_i / (z0 - x_i) for the node polynomial l,
+    so P's barycentric weights are b_i = m_i |z0 - x_i| (-1)^(n - i) up to a
+    common factor, taken with m scaled by its largest so that none overflows.
+    """
+    moduli, signs = _signed_lagrange(x, z0)
+    b = moduli / moduli.max() * np.abs(z0 - x) * _node_signs(len(x))
+    return moduli, _interpolant(x, b, signs)
+
+
 def extremal_signed_poly(nodes, z0):
     """P = sum_i sgn(l_i(z0)) l_i with the conjugate sign sgn(z) = conj(z)/|z|.
 
     The conjugation makes P(z0) = sum |l_i(z0)| real and positive.  On an
     optimal support this is the polynomial of extremal growth at z0.
     """
-    x = as_nodes(nodes)
-    _, signs = _signed_lagrange(x, _finite_point(z0))
-    return from_lagrange_combination(x, signs)
+    return _extremal(as_nodes(nodes), _finite_point(z0))[1]
 
 
 @dataclass(frozen=True)
@@ -239,11 +254,10 @@ def design_from_support(n, z0, nodes):
     x = as_nodes(nodes)
     if len(x) != n + 1:
         raise ValueError(f"degree {n} needs {n + 1} nodes, got {len(x)}")
-    moduli, signs = _signed_lagrange(x, z0)
+    moduli, P = _extremal(x, z0)
     lebesgue = float(moduli.sum())
     mu = DiscreteMeasure(x, moduli / lebesgue)
     K = lebesgue * lebesgue
-    P = from_lagrange_combination(x, signs)
     return Design(
         measure=mu, z0=z0, n=n, K_value=K, extremal_poly=P,
         certificate=_certificate(P, mu, z0, K),
@@ -252,7 +266,7 @@ def design_from_support(n, z0, nodes):
 
 def _first_order_residual(z0):
     """F_j = Re(conj(P(x_j)) P'(x_j)) at the interior nodes x_1 < ... < x_{n-1},
-    and its exact Jacobian.
+    and its exact Jacobian, as two closures (fun, jac) over the interior nodes.
 
     F_j is half the derivative of |P|^2 at x_j, so it vanishes on an optimal
     support, where every interior node is a maximum of |P| on [-1, 1].  It is
@@ -274,21 +288,31 @@ def _first_order_residual(z0):
     H = S + C^T diag(p) C, S = sum_i p_i (Hessian of log m_i), and since
     dp_k/dx_l = p_k C_kl the Jacobian of F is -diag(1/p) H - diag(F) C.
 
-    An unordered step gets an infinite residual, which MINPACK never accepts,
-    so the iterates stay ordered inside (-1, 1).
+    fun costs O(n^2) and builds no Jacobian.  jac, whose C^T diag(p) C product
+    is O(n^3), builds one only when MINPACK's hybrj asks for it: at the start
+    and after its Broyden rank-one updates make poor progress (More, Garbow
+    & Hillstrom, ANL-80-74, 1980), about once per solve.  Both keep the
+    latest point's terms, and jac its Jacobian, since scipy's shape checks
+    and hybrj's first step ask for F three times and J twice at the start.
+    An unordered step gets an infinite residual, which MINPACK never
+    accepts, so the iterates stay ordered inside (-1, 1).
     """
-    def residual(interior):
+    def terms(interior):
         x = np.concatenate(([-1.0], interior, [1.0]))
-        k = len(interior)
-        if not np.all(np.diff(x) > 0):
-            return np.full(k, np.inf), np.zeros((k, k))
+        if not (np.diff(x) > 0).all():
+            return None
         m, _ = _signed_lagrange(x, z0)
         e = z0 - x
         inv = 1.0 / (x[:, None] - x + np.eye(len(x)))
         np.fill_diagonal(inv, 0.0)  # 1/(x_i - x_m), no i = m terms
         ratio = (m / m[1:-1, None]) * np.real(e / e[1:-1, None])
         F = ((1.0 + ratio) * inv[1:-1]).sum(axis=1)
+        return m, e, inv, F
 
+    def jacobian(t, k):
+        if t is None:
+            return np.zeros((k, k))
+        m, e, inv, F = t
         p = m / m.sum()
         q = 1.0 / e[1:-1]
         J = inv[:, 1:-1] - q.real  # all nodes i, interior k
@@ -300,9 +324,26 @@ def _first_order_residual(z0):
         M = (p[:, None] + p) * inv * inv
         S = np.diag(M[1:-1].sum(axis=1) - (1.0 - pk) * (q * q).real) - M[1:-1, 1:-1]
         H = S + C.T @ (p[:, None] * C)
-        return F, -H / pk[:, None] - F[:, None] * C[1:-1]
+        return -H / pk[:, None] - F[:, None] * C[1:-1]
 
-    return residual
+    last = [None, None, None]  # the latest point, its terms, its Jacobian
+
+    def at(interior):
+        if last[0] is None or not np.array_equal(last[0], interior):
+            last[:] = [interior.copy(), terms(interior), None]
+        return last
+
+    def fun(interior):
+        t = at(interior)[1]
+        return np.full(len(interior), np.inf) if t is None else t[3]
+
+    def jac(interior):
+        point = at(interior)
+        if point[2] is None:
+            point[2] = jacobian(point[1], len(interior))
+        return point[2]
+
+    return fun, jac
 
 
 def optimize_support(n, z0):
@@ -310,9 +351,11 @@ def optimize_support(n, z0):
 
     Endpoints are pinned at -1 and +1.  The n-1 interior nodes solve the
     first-order conditions F_j = 0 of _first_order_residual by one MINPACK
-    hybrid root solve in node coordinates with the exact Jacobian, started
-    from the Chebyshev extreme points.  An uncertified result is returned with
-    a warning; its certificate carries the evidence.
+    hybrid root solve (hybrj) in node coordinates, started from the Chebyshev
+    extreme points.  It takes F and the exact Jacobian as separate functions,
+    so each step costs one O(n^2) residual and the O(n^3) Jacobian is built
+    only when hybrj asks for it.  An uncertified result is returned with a
+    warning; its certificate carries the evidence.
     """
     _check_degree(n, lowest=1)
     z0 = require_exterior(z0)
@@ -323,8 +366,8 @@ def optimize_support(n, z0):
     # by |x0|, so the 6e-17 the cosine form leaves for an exact 0 stalls
     # n=2, z0=1+1j at the start.
     x0 = _lobatto(n)[1:-1]
-    sol = root(_first_order_residual(z0), x0, method="hybr", jac=True,
-               tol=_ROOT_XTOL)
+    fun, jac = _first_order_residual(z0)
+    sol = root(fun, x0, method="hybr", jac=jac, tol=_ROOT_XTOL)
     x = np.concatenate(([-1.0], sol.x, [1.0]))
     if not np.all(np.diff(x) > 0):
         raise RuntimeError(f"optimize_support(n={n}, z0={z0}): root solve left [-1, 1]")

@@ -92,9 +92,16 @@ def pell_companion(n, a):
 
 
 def pell_residual(n, a, x):
-    """|  |Q_n(x)|^2 - (x^2 - 1) R_{n-1}(x)^2 - 1  | at real x; 0 in exact math."""
-    q = growth_poly(n, a)(x)
-    r = pell_companion(n - 1, a)(x)
+    """|  |Q_n(x)|^2 - (x^2 - 1) R_{n-1}(x)^2 - 1  | at real x; 0 in exact math.
+
+    Q_n and R_{n-1} are evaluated together, by one Clenshaw pass over their
+    coefficients as the two columns of one array.
+    """
+    Q, R = growth_poly(n, a).coeffs, pell_companion(n - 1, a).coeffs
+    c = np.zeros((n + 1, 2), dtype=complex)
+    c[: len(Q), 0] = Q
+    c[: len(R), 1] = R
+    q, r = cheb.chebval(x, c)
     return np.abs(np.abs(q) ** 2 - (x * x - 1.0) * (r * r).real - 1.0)
 
 

@@ -119,13 +119,36 @@ def as_nodes(nodes):
 def lagrange_values(nodes, z):
     """All fundamental Lagrange polynomials l_0(z), ..., l_n(z) at a scalar z.
 
-    Uses the pairwise-ratio product, which never divides by z - x_j and is
-    therefore exact (up to rounding) even when z coincides with a node.
+    Taken as modulus times unit phase from _lagrange_polar, one real
+    pairwise pass that never divides by z - x_j: a z on a node gives exactly
+    the unit vector, and a real z gives real values.
     """
-    x = as_nodes(nodes)
-    ratios = (z - x[None, :]) / (x[:, None] - x[None, :] + np.eye(len(x)))
-    np.fill_diagonal(ratios, 1.0)
-    return ratios.prod(axis=1)
+    moduli, phases = _lagrange_polar(as_nodes(nodes), z)
+    return moduli * phases
+
+
+def _lagrange_polar(x, z):
+    """|l_i(z)| and l_i(z) / |l_i(z)| for valid nodes x, from one real pass.
+
+    m_i = prod_{k != i} |z - x_k| / |x_i - x_k|, a product of pairwise ratios
+    rather than a ratio of two products, which would over- and underflow
+    apart.  With unit u = (z - x) / |z - x|, the phase of prod_{k != i}
+    (z - x_k) is prod_k u_k / u_i, and prod_{k != i} (x_i - x_k) has the sign
+    (-1)^(n - i) (_node_signs); the modified Lagrange form behind this is
+    backward stable (Higham, IMA J. Numer. Anal. 24, 2004).  The phases carry
+    the dtype of z, so a real z gives real ones.  A z on a node x_j gives the
+    unit vector e_j for both moduli and phases.
+    """
+    d = np.abs(z - x)
+    if not d.all():
+        unit = (d == 0.0).astype(float)
+        return unit, unit.astype(np.result_type(z, float))
+    pairs = np.abs(x[:, None] - x)
+    np.fill_diagonal(pairs, d)  # the i = k ratio is d_i / d_i = 1
+    moduli = (d / pairs).prod(axis=1)
+    u = (z - x) / d
+    turn = u.prod()
+    return moduli, turn / abs(turn) / u * _node_signs(len(x))
 
 
 def _lobatto(m):
@@ -141,21 +164,38 @@ def from_lagrange_combination(nodes, coefficients):
     The barycentric formula (Berrut & Trefethen, SIAM Rev. 46, 2004), with
     weights b_i = 1 / prod_{k != i} (x_i - x_k), gives the interpolant at the
     n + 1 Chebyshev-Lobatto points; one DCT-I of those values gives its
-    coefficients (in ascending point order, with the signs of the odd ones
-    flipped).  O(n^2), no linear solve.  The b_i are formed in logs and
-    scaled by the largest, so none overflows, and a Lobatto point that is a
-    node takes that node's value.
+    coefficients (_interpolant).  O(n^2), no linear solve.  Here the b_i are
+    formed in logs and scaled by the largest, so none overflows; a caller
+    that already holds the moduli |l_i(z0)| at some z0 off the nodes has
+    them up to one common factor as |l_i(z0)| |z0 - x_i| and passes them to
+    _interpolant directly, as design.design_from_support does.
     """
     x = as_nodes(nodes)
     c = np.atleast_1d(np.asarray(coefficients, dtype=complex))
     if c.shape != x.shape:
         raise ValueError(f"expected {len(x)} coefficients, got {len(c)}")
-    n = len(x) - 1
     diff = x[:, None] - x
     np.fill_diagonal(diff, 1.0)
     log_b = -np.log(np.abs(diff)).sum(axis=1)
-    # x_i lies below n - i nodes, so b_i has the sign (-1)^(n - i)
-    b = np.exp(log_b - log_b.max()) * (-1.0) ** np.arange(n, -1, -1)
+    return _interpolant(x, np.exp(log_b - log_b.max()) * _node_signs(len(x)), c)
+
+
+def _node_signs(count):
+    """(-1)^(n - i), i = 0, ..., n: the sign of prod_{k != i} (x_i - x_k), as
+    x_i lies below n - i nodes, and so of the barycentric weight b_i."""
+    signs = np.ones(count)
+    signs[-2::-2] = -1.0
+    return signs
+
+
+def _interpolant(x, b, c):
+    """The ChebPoly interpolating c at the nodes x, given barycentric weights
+    b (any common scale): its values at the n + 1 Chebyshev-Lobatto points
+    by the barycentric formula, then one DCT-I (in ascending point order, so
+    with the signs of the odd coefficients flipped).  A Lobatto point that
+    is a node takes that node's value.
+    """
+    n = len(x) - 1
     d = _lobatto(n)[:, None] - x
     on_node = d == 0.0
     d[on_node] = 1.0

@@ -1,7 +1,8 @@
 """Shared test helpers: padded Chebyshev coefficient vectors, the exact
 sup-norm over [-1, 1] that the tests hold the design certificate against,
-and the dense interpolation solve that from_lagrange_combination is held
-against."""
+the dense interpolation solve that from_lagrange_combination is held
+against, and the complex pairwise-ratio product that lagrange_values is
+held against."""
 
 from dataclasses import dataclass
 
@@ -23,6 +24,15 @@ def padded(p, length):
 def is_zero(p):
     """True for the zero polynomial, whose ChebPoly keeps the single coefficient 0."""
     return bool(np.all(p.coeffs == 0))
+
+
+def lagrange_pairwise(nodes, z):
+    """l_0(z), ..., l_n(z) as products of the complex pairwise ratios
+    (z - x_k) / (x_i - x_k), one (n+1)^2 matrix; exact at a node z."""
+    x = np.asarray(nodes, dtype=float)
+    ratios = (z - x[None, :]) / (x[:, None] - x[None, :] + np.eye(len(x)))
+    np.fill_diagonal(ratios, 1.0)
+    return ratios.prod(axis=1)
 
 
 def lagrange_to_cheb_solve(nodes, values):

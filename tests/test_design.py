@@ -6,6 +6,7 @@ import numpy as np
 import numpy.polynomial.chebyshev as cheb
 import pytest
 
+import optpred.design
 from optpred import (
     Certificate,
     Design,
@@ -400,13 +401,34 @@ def test_first_order_residual_matches_extremal_poly():
         P = extremal_signed_poly(x, z0)
         dP = cheb.chebval(interior, cheb.chebder(P.coeffs))
         expected = np.real(np.conj(P(interior)) * dP)
-        residual = _first_order_residual(z0)
-        F, J = residual(interior)
+        fun, jac = _first_order_residual(z0)
+        F, J = fun(interior), jac(interior)
         assert np.abs(F - expected).max() <= 1e-10 * max(1.0, np.abs(F).max())
         steps = h * np.eye(n - 1)
-        central = np.array([residual(interior + d)[0] - residual(interior - d)[0]
+        central = np.array([fun(interior + d) - fun(interior - d)
                             for d in steps]).T / (2 * h)
         assert np.abs(J - central).max() <= 1e-7 * np.abs(central).max()
+
+
+def test_jacobian_built_only_when_minpack_asks(monkeypatch):
+    # every Jacobian jac returns is kept alive, so distinct objects are
+    # distinct builds; scipy's shape check asks once more than sol.njev
+    real_root = optpred.design.root
+    returned, solution = [], []
+
+    def spy(fun, x0, *, jac, **kwargs):
+        def counted(x):
+            returned.append(jac(x))
+            return returned[-1]
+
+        solution.append(real_root(fun, x0, jac=counted, **kwargs))
+        return solution[-1]
+
+    monkeypatch.setattr("optpred.design.root", spy)
+    optimize_support(12, 0.5 + 0.5j)
+    (sol,) = solution
+    builds = len({id(J) for J in returned})
+    assert builds == sol.njev < sol.nfev
 
 
 def test_optimize_support_general_complex_point():

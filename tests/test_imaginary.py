@@ -160,6 +160,21 @@ def test_pell_residual_random():
         assert pell_residual(n, a, x).max() <= 1e-12
 
 
+def test_pell_residual_matches_two_evaluations():
+    # one Clenshaw pass over both coefficient columns against Q_n and R_{n-1}
+    # each evaluated on its own
+    rng = np.random.default_rng(23)
+    for n in range(1, 21):
+        for a in (1e-3, 0.7, -2.5, 9.0):
+            x = rng.uniform(-1, 1, 50)
+            q = growth_poly(n, a)(x)
+            r = pell_companion(n - 1, a)(x)
+            two = np.abs(np.abs(q) ** 2 - (x * x - 1.0) * (r * r).real - 1.0)
+            assert np.abs(pell_residual(n, a, x) - two).max() <= 1e-13
+    value = pell_residual(5, 0.7, 0.3)
+    assert np.ndim(value) == 0 and value <= 1e-14
+
+
 def test_companion_zeros_low_degree():
     np.testing.assert_allclose(companion_zeros(1, 1.0), [0.0], atol=1e-14)
     expected = 1.0 / np.sqrt(2 * (1 + np.sqrt(2)))

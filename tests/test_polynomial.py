@@ -11,7 +11,13 @@ from optpred import (
     lagrange_values,
 )
 from optpred.imaginary import companion_zeros, growth_poly
-from polyhelp import is_zero, lagrange_to_cheb_solve, padded, sup_norm_interval
+from polyhelp import (
+    is_zero,
+    lagrange_pairwise,
+    lagrange_to_cheb_solve,
+    padded,
+    sup_norm_interval,
+)
 
 NODES3 = np.array([-1.0, 0.0, 1.0])
 
@@ -89,6 +95,39 @@ def test_partition_of_unity():
     for _ in range(50):
         z = rng.uniform(-2, 2) + 1j * rng.uniform(-2, 2)
         assert abs(lagrange_values(nodes, z).sum() - 1.0) <= 1e-12
+
+
+def _perturbed_chebyshev(rng, n):
+    """The Chebyshev extrema, each interior one moved by up to 0.3 of a gap."""
+    x = np.cos(np.pi * np.arange(n, -1, -1) / n)
+    x[1:-1] += rng.uniform(-0.3, 0.3, n - 1) * np.diff(x)[:-1] / 2
+    return x
+
+
+@pytest.mark.parametrize("n", [4, 32, 128, 256])
+def test_lagrange_values_matches_pairwise_oracle(n):
+    # each l_i(z0) to 1e-12 of its own modulus, near the interval and away
+    rng = np.random.default_rng(n)
+    for im in np.geomspace(1e-9, 3.0, 6):
+        closed = np.concatenate(([-1.0], companion_zeros(n - 1, im), [1.0]))
+        for x, z0 in ((closed, 1j * im),
+                      (_perturbed_chebyshev(rng, n), complex(rng.uniform(-2, 2), -im))):
+            oracle = lagrange_pairwise(x, z0)
+            err = np.abs(lagrange_values(x, z0) - oracle) / np.abs(oracle)
+            assert err.max() <= 1e-12, (n, z0, err.max())
+
+
+def test_lagrange_values_on_node_and_real_point():
+    x = _perturbed_chebyshev(np.random.default_rng(11), 16)
+    for j in (0, 7, 16):
+        for z in (x[j], complex(x[j])):
+            expected = np.zeros(17)
+            expected[j] = 1.0
+            np.testing.assert_array_equal(lagrange_values(x, z), expected)
+    assert lagrange_values(x, 1.5).dtype == np.float64
+    assert lagrange_values(x, 1.5 + 0.5j).dtype == np.complex128
+    np.testing.assert_allclose(lagrange_values(x, 1.5), lagrange_pairwise(x, 1.5),
+                               rtol=1e-12)
 
 
 def test_from_lagrange_combination_examples():

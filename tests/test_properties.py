@@ -3,11 +3,16 @@
 On the real axis the optimal nodes are the Chebyshev extrema and
 K = T_n(x)^2 = cosh(n acosh|x|)^2; on the imaginary axis the closed-form
 design gives the nodes and K = (a^2 + 1)(|a| + sqrt(a^2 + 1))^(2n - 2).
+Everywhere else K is bracketed by two closed forms: |T_n(z0)|^2 <= K on
+every support, and K <= |phi(z0)|^(2n) on a certified one.
 """
 
+import cmath
 import math
+import warnings
 
 import numpy as np
+import numpy.polynomial.chebyshev as cheb
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,3 +58,27 @@ def test_imaginary_point_certifies_at_closed_form(n, a):
 @given(n=DEGREES, re=st.floats(-3.0, 3.0), im=_signed(0.01, 3.0))
 def test_complex_point_certifies(n, re, im):
     _certified(n, complex(re, im))
+
+
+def test_kernel_value_within_closed_form_bracket():
+    # K = Lambda^2 >= |p(z0)|^2 for every p with |p| <= 1 at the nodes, T_n
+    # among them; a certified design has sup |P| = 1 on [-1, 1], so K =
+    # |P(z0)|^2 <= |phi(z0)|^(2n) by the Bernstein-Walsh inequality, with
+    # phi(z) = z + sqrt(z - 1) sqrt(z + 1), the branch with |phi| > 1
+    rng = np.random.default_rng(5)
+    certified = 0
+    for _ in range(100):
+        n = int(rng.integers(2, 33))
+        re = rng.uniform(-2, 2)
+        z0 = complex(re, 10 ** rng.uniform(-9, 0.5) * rng.choice([-1, 1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            d = optimize_support(n, z0)
+        log_K = math.log(d.K_value)
+        t_n = cheb.chebval(z0, [0.0] * n + [1.0])
+        assert log_K >= 2.0 * math.log(abs(t_n)) - 1e-12, (n, z0)
+        if d.certified:
+            certified += 1
+            phi = z0 + cmath.sqrt(z0 - 1) * cmath.sqrt(z0 + 1)
+            assert log_K <= 2 * n * math.log(abs(phi)) + 1e-12, (n, z0)
+    assert certified >= 50
