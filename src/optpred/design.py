@@ -27,7 +27,9 @@ numerical faults, such as an overflowed K.  The sup-norm is bounded from
 above by a Pell-type identity (_sup_bound), with no root finding and no grid.
 """
 
+import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -65,6 +67,22 @@ def require_exterior(z0):
     if abs(z0.imag) < _EXTERIOR_IM_TOL and -1.0 <= z0.real <= 1.0:
         raise ValueError(f"z0 = {z0} lies on [-1, 1]; need an exterior point")
     return z0
+
+
+def _log_kernel_bracket(n, z0):
+    """(2 log|T_n(z0)|, 2n log|phi(z0)|): the optimal K at an exterior z0
+    lies between the exponentials of the two, with phi(z) = z + sqrt(z - 1)
+    sqrt(z + 1), the branch with |phi| > 1.
+
+    T_n has sup-norm 1 on [-1, 1], and every p of degree n has |p(z0)| <=
+    sup|p| |phi(z0)|^n (Bernstein-Walsh).  Every support has K >= the optimum,
+    so K above the upper end proves a design suboptimal.  Both ends are logs
+    and cannot overflow: with eta = acosh(z0), Re eta = log|phi(z0)| and
+    T_n(z0) = cosh(n eta) = e^(n eta) (1 + e^(-2n eta)) / 2.
+    """
+    eta = cmath.acosh(z0)
+    upper = 2 * n * eta.real
+    return upper + 2 * math.log(abs(1 + cmath.exp(-2 * n * eta)) / 2), upper
 
 
 def _signed_lagrange(x, z0):
@@ -373,11 +391,16 @@ def optimize_support(n, z0):
         raise RuntimeError(f"optimize_support(n={n}, z0={z0}): root solve left [-1, 1]")
     design = design_from_support(n, z0, x)
     if not design.certified:
+        # an overflowed K = inf is at least the largest double
+        log_K = math.log(min(design.K_value, sys.float_info.max))
+        upper = _log_kernel_bracket(n, z0)[1]
+        verdict = "provably suboptimal" if log_K > upper else "undecided"
         warnings.warn(
             f"optimize_support(n={n}, z0={z0}): design failed certification "
             f"(max_violation={design.certificate.max_violation:.3e}, "
             f"duality_gap={design.certificate.duality_gap:.3e}, "
             f"residual={np.abs(sol.fun).max():.3e}; "
-            f"solver: {' '.join(sol.message.split())})"
+            f"solver: {' '.join(sol.message.split())}); {verdict}: "
+            f"log K = {log_K:.6g}, 2n log|phi(z0)| = {upper:.6g}"
         )
     return design

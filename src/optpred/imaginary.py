@@ -94,15 +94,34 @@ def pell_companion(n, a):
 def pell_residual(n, a, x):
     """|  |Q_n(x)|^2 - (x^2 - 1) R_{n-1}(x)^2 - 1  | at real x; 0 in exact math.
 
-    Q_n and R_{n-1} are evaluated together, by one Clenshaw pass over their
-    coefficients as the two columns of one array.
+    Either one pair (n, a) with x of any shape, or a batch: equal-length 1-d
+    sequences n and a with a 2-d x, row j of x taken at (n[j], a[j]).  The
+    result has the shape of x.  Each pair's Re Q_n, Im Q_n and R_{n-1}
+    (from growth_poly and pell_companion) are zero-padded to degree max(n)
+    as three columns; one chebvander block of x to that degree, contracted
+    with those columns by one broadcast matmul, evaluates every row at once.
     """
-    Q, R = growth_poly(n, a).coeffs, pell_companion(n - 1, a).coeffs
-    c = np.zeros((n + 1, 2), dtype=complex)
-    c[: len(Q), 0] = Q
-    c[: len(R), 1] = R
-    q, r = cheb.chebval(x, c)
-    return np.abs(np.abs(q) ** 2 - (x * x - 1.0) * (r * r).real - 1.0)
+    batch = np.ndim(n) > 0 or np.ndim(a) > 0
+    if batch and not (np.ndim(n) == np.ndim(a) == 1 and len(n) == len(a)):
+        raise ValueError("n and a must be 1-d sequences of equal length")
+    # n is iterated as given, so each entry meets growth_poly's degree check
+    pairs = list(zip(n, a)) if batch else [(n, a)]
+    x = np.asarray(x, dtype=float)
+    if batch and (x.ndim != 2 or len(x) != len(pairs)):
+        raise ValueError(f"x must be 2-d with one row per (n, a) pair, "
+                         f"got shape {x.shape} for {len(pairs)} pairs")
+    polys = [(growth_poly(nj, aj).coeffs, pell_companion(nj - 1, aj).coeffs)
+             for nj, aj in pairs]
+    deg = max(len(Q) for Q, _ in polys) - 1
+    c = np.zeros((len(polys), deg + 1, 3))
+    for cj, (Q, R) in zip(c, polys):
+        cj[: len(Q), 0] = Q.real
+        cj[: len(Q), 1] = Q.imag
+        cj[: len(R), 2] = R.real
+    # one pair broadcasts its block c[0] over any shape of x; chebvander
+    # reads a 0-d x as shape (1,), which the last reshape undoes
+    qr, qi, r = np.moveaxis(cheb.chebvander(x, deg) @ c, -1, 0)
+    return np.abs(qr * qr + qi * qi - (x * x - 1.0) * (r * r) - 1.0).reshape(x.shape)
 
 
 def companion_zeros(n, a):

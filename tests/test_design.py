@@ -21,8 +21,8 @@ from optpred import (
     optimize_support,
     require_exterior,
 )
-from optpred.design import _first_order_residual, _sup_bound
-from optpred.imaginary import closed_form_design
+from optpred.design import _first_order_residual, _log_kernel_bracket, _sup_bound
+from optpred.imaginary import closed_form_design, growth_gap, growth_value
 from polyhelp import padded, sup_norm_interval
 
 NODES3 = np.array([-1.0, 0.0, 1.0])
@@ -475,4 +475,45 @@ def test_optimize_support_warns_when_uncertified(monkeypatch):
     message = str(record[0].message)
     for field in ("max_violation", "duality_gap", "residual", "solver:"):
         assert field in message
+    # the design is optimal, so K is below the Bernstein-Walsh end
+    assert "undecided" in message and "provably suboptimal" not in message
+
+
+def test_uncertified_warning_reads_verdict():
+    # draws 3 and 39 of the seed-5 band sampler, both uncertified today: the
+    # first has log K 1.03 above 2n log|phi(z0)|, the second 1.4e-3 below it
+    rng = np.random.default_rng(5)
+    draws = []
+    for _ in range(40):
+        n = int(rng.integers(2, 33))
+        re = rng.uniform(-2, 2)
+        draws.append((n, complex(re, 10 ** rng.uniform(-9, 0.5) * rng.choice([-1, 1]))))
+    for (n, z0), verdict in ((draws[3], "provably suboptimal"), (draws[39], "undecided")):
+        with pytest.warns(UserWarning, match="failed certification") as record:
+            d = optimize_support(n, z0)
+        assert not d.certified
+        assert f"); {verdict}: log K = " in str(record[0].message)
+        log_K = math.log(d.K_value)
+        assert (log_K > _log_kernel_bracket(n, z0)[1]) == (verdict != "undecided")
+
+
+def test_log_kernel_bracket_matches_axis_closed_forms():
+    # on z0 = ai the optimum is growth_value^2, |T_n(ai)| = growth_value - gap
+    # (either form of growth_gap), and |phi(ai)| = |a| + s
+    for a in (0.25, 1.0, 4.0):
+        s = math.hypot(a, 1.0)
+        for n in (*range(1, 13), 64):
+            lower, upper = _log_kernel_bracket(n, 1j * a)
+            assert _log_kernel_bracket(n, -1j * a) == pytest.approx((lower, upper),
+                                                                   rel=1e-15)
+            log_opt = math.log(growth_value(n, a))
+            assert lower < 2 * log_opt < upper
+            for gap in growth_gap(n, a):
+                t_n = growth_value(n, a) - gap
+                assert lower / 2 == pytest.approx(math.log(t_n), rel=1e-13, abs=1e-13)
+            assert upper / 2 - log_opt == pytest.approx(math.log1p(a / s), rel=1e-13)
+    for n in (1, 4, 16):
+        lower, upper = _log_kernel_bracket(n, 2.0)
+        assert lower == pytest.approx(math.log(_cheb_t_squared(n, 2.0)), rel=1e-14)
+        assert upper == pytest.approx(2 * n * math.acosh(2.0), rel=1e-15)
 

@@ -175,6 +175,41 @@ def test_pell_residual_matches_two_evaluations():
     assert np.ndim(value) == 0 and value <= 1e-14
 
 
+def test_pell_residual_batch_matches_scalar_calls():
+    # the draws of `optpred verify --suite pell --seed 7`; the batch sums each
+    # row in the matmul's order, so it agrees with one call per row to
+    # rounding, not bit for bit
+    rng = np.random.default_rng(7)
+    ns, avals, xs = [], [], []
+    for _ in range(200):
+        ns.append(int(rng.integers(1, 21)))
+        avals.append(10.0 * (1.0 - rng.random()))
+        xs.append(rng.uniform(-1.0, 1.0, 50))
+    batch = pell_residual(ns, avals, xs)
+    assert batch.shape == (200, 50)
+    rows = np.array([pell_residual(n, a, x) for n, a, x in zip(ns, avals, xs)])
+    assert np.abs(batch - rows).max() <= 1e-15
+    assert batch.max() <= 1e-13
+
+
+def test_pell_residual_batch_input_rules():
+    x = np.zeros((2, 5))
+    # each degree is judged as given: numpy would read [True, 2] as [1, 2]
+    for n in ([True, 2], [2, 2.5]):
+        with pytest.raises(TypeError, match="degree"):
+            pell_residual(n, [1.0, 1.0], x)
+    with pytest.raises(TypeError, match="degree"):
+        pell_residual(2.5, 1.0, 0.3)
+    for n, a in (([2, 3], [1.0]), ([2], [1.0, 2.0]), ([2, 3], 1.0), (2, [1.0, 2.0])):
+        with pytest.raises(ValueError, match="equal length"):
+            pell_residual(n, a, x)
+    for bad in (np.zeros((3, 5)), np.zeros(2), np.zeros((2, 5, 1))):
+        with pytest.raises(ValueError, match="one row per"):
+            pell_residual([2, 3], [1.0, 2.0], bad)
+    assert np.ndim(pell_residual(3, 0.5, 0.25)) == 0
+    assert pell_residual([1, 4], [0.5, -3.0], np.full((2, 1), 0.5)).shape == (2, 1)
+
+
 def test_companion_zeros_low_degree():
     np.testing.assert_allclose(companion_zeros(1, 1.0), [0.0], atol=1e-14)
     expected = 1.0 / np.sqrt(2 * (1 + np.sqrt(2)))
