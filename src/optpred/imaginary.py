@@ -112,7 +112,8 @@ def pell_residual(n, a, x):
                          f"got shape {x.shape} for {len(pairs)} pairs")
     polys = [(growth_poly(nj, aj).coeffs, pell_companion(nj - 1, aj).coeffs)
              for nj, aj in pairs]
-    deg = max(len(Q) for Q, _ in polys) - 1
+    # default: an empty batch evaluates to an empty array
+    deg = max((len(Q) for Q, _ in polys), default=1) - 1
     c = np.zeros((len(polys), deg + 1, 3))
     for cj, (Q, R) in zip(c, polys):
         cj[: len(Q), 0] = Q.real

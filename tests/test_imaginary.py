@@ -177,8 +177,8 @@ def test_pell_residual_matches_two_evaluations():
 
 def test_pell_residual_batch_matches_scalar_calls():
     # the draws of `optpred verify --suite pell --seed 7`; the batch sums each
-    # row in the matmul's order, so it agrees with one call per row to
-    # rounding, not bit for bit
+    # row in the stacked matmul's order, so it need agree with one call per
+    # row only to rounding
     rng = np.random.default_rng(7)
     ns, avals, xs = [], [], []
     for _ in range(200):
@@ -206,8 +206,8 @@ def test_pell_residual_batch_input_rules():
     for bad in (np.zeros((3, 5)), np.zeros(2), np.zeros((2, 5, 1))):
         with pytest.raises(ValueError, match="one row per"):
             pell_residual([2, 3], [1.0, 2.0], bad)
-    assert np.ndim(pell_residual(3, 0.5, 0.25)) == 0
     assert pell_residual([1, 4], [0.5, -3.0], np.full((2, 1), 0.5)).shape == (2, 1)
+    assert pell_residual([], [], np.zeros((0, 3))).shape == (0, 3)
 
 
 def test_companion_zeros_low_degree():
