@@ -31,7 +31,7 @@ from .regression import _BATCH, RegressionPlan, mc_predictor_variance
 
 _SAMPLE_POINTS = 1001
 _RNG_NOTE = (
-    f"numpy.random.default_rng (PCG64) per block of {_BATCH} replicates, "
+    f"numpy.random.Generator(SFC64) per block of {_BATCH} replicates, "
     "spawned from SeedSequence(seed); "
     "one standard normal per node mean per replicate"
 )

@@ -51,7 +51,7 @@ def _check_degree(n, lowest=0):
 def _finite(name, values, dtype=float):
     """values as an array of at least one dimension, refused unless all finite."""
     v = np.atleast_1d(np.asarray(values, dtype=dtype))
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} must be finite")
     return v
 

@@ -16,12 +16,14 @@ E|x - mean|^2 throughout.  The fit's R factor is judged by the rank rule of
 the kernels, so a rank-deficient plan is refused before any noise is drawn.
 
 Replicates come in blocks of _BATCH (the last may be shorter).  Block j draws
-from its own generator, seeded by the j-th child that SeedSequence(seed)
+from its own SFC64 generator, seeded by the j-th child that SeedSequence(seed)
 spawns, so the result depends on (plan, z0, replicates, seed) and not on how
-many threads run the blocks.  The blocks run on a thread pool as wide as the
-usable CPUs (numpy's generators release the GIL for bulk draws), and each
-returns only the sum of its noise and of its squared moduli: memory is
-O(workers x batch), not O(replicates).
+many threads run the blocks.  SFC64 stands in for numpy's default PCG64
+because the normal draws are nearly all of the simulation's time and SFC64
+makes each draw about 15% cheaper.  The blocks run on a thread pool as
+wide as the usable CPUs (numpy's generators release the GIL for bulk draws),
+and each returns only the sum of its noise and of its squared moduli: memory
+is O(workers x batch), not O(replicates).
 """
 
 import math
@@ -152,7 +154,8 @@ def _usable_cpus():
 
 def _block_sums(w_parts, child, size):
     """(sum Re d, sum Im d, sum |d|^2) of the noise d = w @ Z of one block."""
-    z = np.random.default_rng(child).standard_normal((w_parts.shape[1], size))
+    rng = np.random.Generator(np.random.SFC64(child))
+    z = rng.standard_normal((w_parts.shape[1], size))
     d = w_parts @ z
     return np.array([*d.sum(axis=1), (d * d).sum()])
 
@@ -169,8 +172,8 @@ def mc_predictor_variance(plan, z0, replicates, seed):
         empirical = sigma^2 (sum |d|^2 - |sum d|^2 / R) / (R - 1).
 
     Replicates are drawn in blocks of _BATCH, block j from
-    default_rng(SeedSequence(seed).spawn(...)[j]), on as many threads as
-    there are usable CPUs (at most one per block).  Each block keeps only
+    Generator(SFC64(SeedSequence(seed).spawn(...)[j])), on as many threads
+    as there are usable CPUs (at most one per block).  Each block keeps only
     its sums, added in block order, so the result is reproducible from
     (plan, z0, replicates, seed) alone, whatever the thread count, and
     memory stays O(batch) per thread.  seed must be a non-negative integer.

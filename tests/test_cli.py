@@ -204,7 +204,7 @@ def test_simulate_uniform_plan(tmp_path):
     data = json.loads(out.read_text())
     assert data["predicted"] == pytest.approx(0.19, rel=1e-12)
     assert data["rel_error"] <= 0.05
-    assert "rng" in data["metadata"]
+    assert "SFC64" in data["metadata"]["rng"]
     assert "variance" in data["metadata"]
 
 

@@ -161,8 +161,8 @@ def test_pell_residual_random():
 
 
 def test_pell_residual_matches_two_evaluations():
-    # one Clenshaw pass over both coefficient columns against Q_n and R_{n-1}
-    # each evaluated on its own
+    # one chebvander block over the coefficient columns against Q_n and
+    # R_{n-1} each evaluated on its own
     rng = np.random.default_rng(23)
     for n in range(1, 21):
         for a in (1e-3, 0.7, -2.5, 9.0):

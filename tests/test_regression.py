@@ -107,7 +107,7 @@ def test_one_rank_rule_near_double_node(monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("noise drawn for a rank-deficient plan")
 
-    monkeypatch.setattr("optpred.regression.np.random.default_rng", no_draws)
+    monkeypatch.setattr("optpred.regression.np.random.SFC64", no_draws)
     plan = RegressionPlan.from_measure(mu, 40, 1.0, np.zeros(4))
     with pytest.raises(RankDeficiencyError):
         mc_predictor_variance(plan, 2.0, 1000, seed=0)
@@ -224,7 +224,7 @@ def test_mc_seed_validation(monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("noise drawn before the seed was checked")
 
-    monkeypatch.setattr("optpred.regression.np.random.default_rng", no_draws)
+    monkeypatch.setattr("optpred.regression.np.random.SFC64", no_draws)
     plan = RegressionPlan.from_measure(UNIFORM3, 30, 1.0, THETA)
     for seed in (None, 1.5, True, "3"):
         with pytest.raises(TypeError, match="seed"):
@@ -235,16 +235,15 @@ def test_mc_seed_validation(monkeypatch):
 
 
 def test_mc_draws_one_generator_per_block(monkeypatch):
-    # the rank-deficiency guard above patches default_rng, so the draws must
-    # go through it
+    # the no-draw guards above patch SFC64, so the draws must go through it
     calls = []
-    real = np.random.default_rng
+    real = np.random.SFC64
 
     def counting(seed):
         calls.append(seed)
         return real(seed)
 
-    monkeypatch.setattr("optpred.regression.np.random.default_rng", counting)
+    monkeypatch.setattr("optpred.regression.np.random.SFC64", counting)
     plan = RegressionPlan.from_measure(UNIFORM3, 30, 1.0, THETA)
     mc_predictor_variance(plan, 2.0, 25_001, seed=3)
     assert len(calls) == 3
@@ -312,8 +311,9 @@ def test_mc_block_sums_match_sample_variance():
             V, np.eye(len(V)))
         sizes = [10000, 10000, 5001]
         children = np.random.SeedSequence(seed).spawn(len(sizes))
-        Z = np.hstack([np.random.default_rng(c).standard_normal((len(V), k))
-                       for c, k in zip(children, sizes)])
+        Z = np.hstack([
+            np.random.Generator(np.random.SFC64(c)).standard_normal((len(V), k))
+            for c, k in zip(children, sizes)])
         preds = w @ (V @ theta) + plan.sigma * (w @ Z)
         assert abs(np.mean(preds)) > 100 * np.std(preds)
         expected = np.var(preds, ddof=1)
