@@ -3,7 +3,6 @@
 from .design import (
     Certificate,
     Design,
-    certify,
     design_from_support,
     extremal_signed_poly,
     hoel_levine_weights,
@@ -19,21 +18,8 @@ from .imaginary import (
     pell_companion,
     pell_residual,
 )
-from .measure import (
-    DiscreteMeasure,
-    RankDeficiencyError,
-    christoffel,
-    christoffel_lagrange,
-    directional_derivative,
-    gram,
-    kernel_poly,
-)
-from .polynomial import (
-    ChebPoly,
-    as_nodes,
-    from_lagrange_combination,
-    lagrange_values,
-)
+from .measure import DiscreteMeasure, RankDeficiencyError, christoffel
+from .polynomial import ChebPoly, as_nodes, lagrange_values
 from .regression import (
     RegressionPlan,
     VarianceEstimate,
@@ -53,21 +39,15 @@ __all__ = [
     "RegressionPlan",
     "VarianceEstimate",
     "as_nodes",
-    "certify",
     "christoffel",
-    "christoffel_lagrange",
     "closed_form_design",
     "companion_zeros",
     "design_from_support",
-    "directional_derivative",
     "extremal_signed_poly",
-    "from_lagrange_combination",
-    "gram",
     "growth_gap",
     "growth_poly",
     "growth_value",
     "hoel_levine_weights",
-    "kernel_poly",
     "lagrange_values",
     "least_squares_fit",
     "mc_predictor_variance",

@@ -170,7 +170,8 @@ def _cmd_simulate(args):
     try:
         with open(args.plan) as fh:
             plan = RegressionPlan.from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError,
+            OverflowError) as exc:
         raise ValueError(f"cannot read plan file {args.plan!r}: {exc}") from exc
     z0 = complex(args.z0[0], args.z0[1])
     est = mc_predictor_variance(plan, z0, args.replicates, args.seed)
@@ -222,8 +223,7 @@ def build_parser():
     p.set_defaults(handler=_cmd_growth)
 
     p = sub.add_parser("verify", help="run identity and optimality suites")
-    p.add_argument("--suite", choices=["pell", "equivalence", "duality", "all"],
-                   default="all")
+    p.add_argument("--suite", choices=[*_SUITES, "all"], default="all")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_verify)
 

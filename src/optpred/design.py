@@ -231,30 +231,19 @@ def _sup_bound(P, nodes):
 
 
 def _certificate(P, mu, z0, K):
+    """The Certificate of P on mu, with P evaluated once, at the nodes and z0."""
     bound = _sup_bound(P, mu.nodes)
-    moduli = np.abs(P(mu.nodes))
+    values = P(np.append(mu.nodes, z0))
+    moduli = np.abs(values[:-1])
     l2 = float(np.sqrt(np.sum(mu.weights * moduli**2)))
     # in logs, so an overflowing |P(z0)|^2 is never formed; an overflowed
     # K = inf gives a gap of exactly 1, which no certificate passes
-    gap = abs(math.expm1(2.0 * math.log(abs(P(z0))) - math.log(K)))
+    gap = abs(math.expm1(2.0 * math.log(abs(values[-1])) - math.log(K)))
     return Certificate(
         sup_norm=bound,
         l2_mu_norm=l2,
         on_support_moduli=moduli.tolist(),
         duality_gap=gap,
-    )
-
-
-def certify(design):
-    """Measure the certificate of a design; thresholds live in Certificate.
-
-    A certified upper bound on the sup-norm of the extremal polynomial over
-    [-1, 1], which decides optimality, then its L^2(mu) norm, its moduli on
-    the support and the relative gap between K and |P(z0)|^2, recomputed, not
-    assumed, to check the arithmetic (see Certificate).
-    """
-    return _certificate(
-        design.extremal_poly, design.measure, design.z0, design.K_value
     )
 
 

@@ -56,21 +56,22 @@ def _check_a(a):
 def growth_poly(n, a):
     """Q_n for a > 0: beta T_{|n-2|} - (i/s) T_{n-1} - gamma T_n, no other terms.
 
-    For a < 0 it is growth_poly(n, |a|).reflected(), extremal at ai.
+    For a < 0 it is Q_n(-z) of |a|, extremal at ai: the odd Chebyshev
+    coefficients of |a| with their signs flipped.
     """
     _check_degree(n, lowest=1)
     a = _check_a(a)
-    if a < 0:
-        return growth_poly(n, -a).reflected()
     s = np.hypot(a, 1.0)
     c = np.zeros(n + 1, dtype=complex)
     # gamma = (a + s)/(2s) and beta = (s - a)/(2s) = 1/(4 s^2 gamma), formed
     # without s - a (cancellation) or a + s (overflow above a ~ 9e307); beta is
     # divided in steps, so large a underflows it to 0 instead of overflowing
-    gamma = 0.5 * (1.0 + a / s)
+    gamma = 0.5 * (1.0 + abs(a) / s)
     c[abs(n - 2)] = 0.25 / s / s / gamma
     c[n - 1] -= 1j / s
     c[n] -= gamma  # at n = 1 this merges into T_1 with beta
+    if a < 0:
+        c[1::2] *= -1
     return ChebPoly(c)
 
 

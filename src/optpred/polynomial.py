@@ -4,13 +4,15 @@ The Chebyshev basis is used everywhere; monomial coefficients are far worse
 conditioned on [-1, 1] and are never stored.  This module supplies the
 polynomial arithmetic the rest of the package needs: the values of all
 Lagrange fundamental polynomials of a node set at a point (lagrange_values,
-the package's one Lagrange evaluator) and the conversion of Lagrange
-combinations into Chebyshev coefficients, by barycentric values at the
-Chebyshev-Lobatto points (_lobatto) and one DCT-I.  The input checks every
-other module applies live here too, one rule per kind of argument:
-_check_int for degrees, counts, m, seeds and replicates, _finite for arrays
-of reals or complex numbers, _finite_point for z0 and as_nodes for node
-sets.  The sup-norm certificate of a design is design._sup_bound.
+the package's one Lagrange evaluator) and the Chebyshev coefficients of a
+Lagrange combination whose barycentric weights the caller already holds
+(_interpolant, as design._extremal does with weights from the Lagrange
+moduli), by barycentric values at the Chebyshev-Lobatto points (_lobatto)
+and one DCT-I.  The input checks every other module applies live here too,
+one rule per kind of argument: _check_int for degrees, counts, m, seeds and
+replicates, _finite for arrays of reals or complex numbers, _finite_point
+for z0 and as_nodes for node sets.  The sup-norm certificate of a design is
+design._sup_bound.
 """
 
 import cmath
@@ -27,17 +29,16 @@ MAX_DEGREE = 512
 
 
 def _check_int(name, value, lowest=0):
-    """value, an integer or an integer-dtype array, with no entry below lowest.
+    """value, an integer no lower than lowest.
 
     The package's one integer rule: a bool or a float is refused, never
     rounded, and both errors name the argument.
     """
-    array = isinstance(value, np.ndarray)
-    kind = value.dtype.type if array else type(value)
+    kind = type(value)
     # bool subclasses int; numpy's bool_ subclasses neither int nor integer
     if kind is bool or not issubclass(kind, (int, np.integer)):
         raise TypeError(f"{name} must be an integer, got {kind.__name__}")
-    if (value < lowest).any() if array else value < lowest:
+    if value < lowest:
         raise ValueError(f"{name} must be >= {lowest}, got {value}")
     return value
 
@@ -86,22 +87,11 @@ class ChebPoly:
     def __repr__(self):
         return f"ChebPoly({self.coeffs.tolist()})"
 
-    def reflected(self):
-        """The polynomial p(-z); flips the sign of odd Chebyshev coefficients."""
-        signs = (-1.0) ** np.arange(len(self.coeffs))
-        return ChebPoly(self.coeffs * signs)
-
     def to_json(self):
         return {
             "basis": "chebyshev",
             "coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs],
         }
-
-    @classmethod
-    def from_json(cls, data):
-        if data.get("basis") != "chebyshev":
-            raise ValueError(f"unsupported basis {data.get('basis')!r}")
-        return cls([complex(re, im) for re, im in data["coeffs"]])
 
 
 def as_nodes(nodes):
@@ -157,29 +147,6 @@ def _lobatto(m):
     return np.sin(np.pi * np.arange(-m, m + 1, 2) / (2 * m))
 
 
-def from_lagrange_combination(nodes, coefficients):
-    """Chebyshev coefficients of sum_i c_i l_i(z), i.e. the polynomial of
-    degree <= n interpolating the values c_i at the nodes x_i.
-
-    The barycentric formula (Berrut & Trefethen, SIAM Rev. 46, 2004), with
-    weights b_i = 1 / prod_{k != i} (x_i - x_k), gives the interpolant at the
-    n + 1 Chebyshev-Lobatto points; one DCT-I of those values gives its
-    coefficients (_interpolant).  O(n^2), no linear solve.  Here the b_i are
-    formed in logs and scaled by the largest, so none overflows; a caller
-    that already holds the moduli |l_i(z0)| at some z0 off the nodes has
-    them up to one common factor as |l_i(z0)| |z0 - x_i| and passes them to
-    _interpolant directly, as design.design_from_support does.
-    """
-    x = as_nodes(nodes)
-    c = np.atleast_1d(np.asarray(coefficients, dtype=complex))
-    if c.shape != x.shape:
-        raise ValueError(f"expected {len(x)} coefficients, got {len(c)}")
-    diff = x[:, None] - x
-    np.fill_diagonal(diff, 1.0)
-    log_b = -np.log(np.abs(diff)).sum(axis=1)
-    return _interpolant(x, np.exp(log_b - log_b.max()) * _node_signs(len(x)), c)
-
-
 def _node_signs(count):
     """(-1)^(n - i), i = 0, ..., n: the sign of prod_{k != i} (x_i - x_k), as
     x_i lies below n - i nodes, and so of the barycentric weight b_i."""
@@ -191,8 +158,9 @@ def _node_signs(count):
 def _interpolant(x, b, c):
     """The ChebPoly interpolating c at the nodes x, given barycentric weights
     b (any common scale): its values at the n + 1 Chebyshev-Lobatto points
-    by the barycentric formula, then one DCT-I (in ascending point order, so
-    with the signs of the odd coefficients flipped).  A Lobatto point that
+    by the barycentric formula (Berrut & Trefethen, SIAM Rev. 46, 2004),
+    then one DCT-I (in ascending point order, so with the signs of the odd
+    coefficients flipped).  O(n^2), no linear solve.  A Lobatto point that
     is a node takes that node's value.
     """
     n = len(x) - 1

@@ -56,7 +56,7 @@ class RegressionPlan:
         # numpy casts a bool among integers to 1: judge each entry as given
         for count in np.asarray(self.counts, dtype=object).flat:
             _check_int("counts", count, lowest=1)
-        c = _check_int("counts", np.atleast_1d(np.asarray(self.counts)), lowest=1)
+        c = np.atleast_1d(np.asarray(self.counts, dtype=np.int64))
         if c.shape != self.design.nodes.shape:
             raise ValueError("one count per node required")
         sigma = float(self.sigma)

@@ -1,15 +1,21 @@
-"""Shared test helpers: padded Chebyshev coefficient vectors, the exact
-sup-norm over [-1, 1] that the tests hold the design certificate against,
-the dense interpolation solve that from_lagrange_combination is held
-against, and the complex pairwise-ratio product that lagrange_values is
-held against."""
+"""Shared test helpers and oracles: padded Chebyshev coefficient vectors,
+the exact sup-norm over [-1, 1] that the tests hold the design certificate
+against, the dense interpolation solve that the extremal polynomial's
+coefficients are held against, the complex pairwise-ratio product that
+lagrange_values is held against, and the Christoffel-kernel cross-checks
+of the design path (the Gram matrix, K by the Lagrange route, the
+normalized kernel polynomial and the directional derivative of K), which
+solve against the same weighted QR factor as optpred.christoffel."""
 
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
+from scipy.linalg import solve_triangular
 
-from optpred import ChebPoly
+from optpred import ChebPoly, lagrange_values
+from optpred.measure import _full_rank
+from optpred.polynomial import _finite_point
 
 _NEAR_TOL = 1e-9
 
@@ -81,3 +87,59 @@ def sup_norm_interval(p):
     value = float(vals[best])
     near = x[vals >= value - _NEAR_TOL].tolist()
     return SupNormEstimate(value=value, argmax=float(x[best]), near_extreme_points=near)
+
+
+def gram(mu, n):
+    """G[i, j] = sum_k w_k T_i(x_k) T_j(x_k); real support makes it symmetric."""
+    V = cheb.chebvander(mu.nodes, n)
+    G = (V.T * mu.weights) @ V
+    return 0.5 * (G + G.T)
+
+
+def christoffel_lagrange(mu, n, z0):
+    """K(z0) by the Lagrange route, sum_i |l_i(z0)|^2 / w_i.
+
+    Only valid when the support has exactly n+1 nodes (the l_i then form a
+    basis of degree-n polynomials).
+    """
+    if len(mu) != n + 1:
+        raise ValueError(f"Lagrange route needs exactly {n + 1} nodes, got {len(mu)}")
+    ell = lagrange_values(mu.nodes, _finite_point(z0))
+    return float(np.sum(np.abs(ell) ** 2 / mu.weights))
+
+
+def _kernel_basis(mu, n, z0):
+    """(R, u): the rank-checked QR factor R of the weighted basis and
+    u = R^{-T} t(z0), so K(z0) = |u|^2 and R^{-T} conj(t(z0)) = conj(u)."""
+    B = np.sqrt(mu.weights)[:, None] * cheb.chebvander(mu.nodes, n)
+    R = _full_rank(np.linalg.qr(B, mode="r"))
+    return R, solve_triangular(R, cheb.chebvander(z0, n)[0], trans="T")
+
+
+def kernel_poly(mu, n, z0):
+    """The normalized kernel polynomial P(z) = K(z0, z) / sqrt(K(z0, z0)).
+
+    P has L^2(mu) norm 1 and |P(z0)|^2 = K(z0, z0); among all polynomials of
+    degree <= n with unit L^2(mu) norm it maximizes |p(z0)|.  Chebyshev
+    coefficients are G^{-1} conj(t(z0)) / sqrt(K).
+    """
+    if np.min(np.abs(z0 - mu.nodes)) == 0.0:
+        raise ValueError("z0 lies in the support; kernel polynomial degenerates")
+    R, u = _kernel_basis(mu, n, z0)
+    c = solve_triangular(R, np.conj(u))
+    return ChebPoly(c / np.sqrt(float(np.vdot(u, u).real)))
+
+
+def directional_derivative(mu0, a, n, z0):
+    """d/dt at t=0 of K(z0) along mu_t = (1-t) mu0 + t delta_a, a in [-1, 1].
+
+    Equals K(z0) * (1 - |P(a)|^2) with P the kernel polynomial of mu0, that is
+    K(z0, z0) - |K(z0, a)|^2 with K(z0, a) = <u, R^{-T} t(a)> from one QR
+    factor.  At an optimal measure every such derivative is >= 0, and it
+    vanishes on the support.
+    """
+    if not -1.0 <= a <= 1.0:
+        raise ValueError(f"direction point {a} outside [-1, 1]")
+    R, u = _kernel_basis(mu0, n, z0)
+    v = solve_triangular(R, cheb.chebvander(a, n)[0], trans="T")
+    return float(np.vdot(u, u).real - abs(np.vdot(u, v)) ** 2)

@@ -17,7 +17,6 @@ from optpred import (
     RegressionPlan,
     closed_form_design,
     companion_zeros,
-    directional_derivative,
     growth_gap,
     growth_poly,
     hoel_levine_weights,
@@ -25,7 +24,7 @@ from optpred import (
     optimize_support,
     pell_residual,
 )
-from polyhelp import padded, sup_norm_interval
+from polyhelp import directional_derivative, padded, sup_norm_interval
 
 IMAG_A = (0.25, 1.0, 4.0)
 REAL_Z0 = (1.5, 2.0, -3.0)

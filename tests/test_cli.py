@@ -266,6 +266,18 @@ def test_simulate_rejects_fractional_counts(tmp_path, capsys):
     assert err.startswith("error:") and "counts must be an integer" in err
 
 
+def test_simulate_rejects_count_beyond_int64(tmp_path, capsys):
+    plan_file = tmp_path / "plan.json"
+    _write_plan(plan_file, DiscreteMeasure(NODES3, np.array([1, 2, 1]) / 4))
+    data = json.loads(plan_file.read_text())
+    data["counts"] = [2**63, 2, 1]
+    plan_file.write_text(json.dumps(data))
+    code = main(["simulate", "--plan", str(plan_file), "--z0", "2", "0",
+                 "--replicates", "1000"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: cannot read plan file")
+
+
 @pytest.mark.parametrize("field", ["nodes", "weights", "theta"])
 def test_simulate_rejects_nonfinite_plan_field(field, tmp_path, capsys):
     plan_file = tmp_path / "plan.json"

@@ -1,8 +1,25 @@
 import optpred
 
+# the public surface: every name here is run by the package, the CLI or the
+# benchmark, or is the public entry to code they run
+EXPORTS = {
+    "Certificate", "ChebPoly", "Design", "DiscreteMeasure",
+    "RankDeficiencyError", "RegressionPlan", "VarianceEstimate", "as_nodes",
+    "christoffel", "closed_form_design", "companion_zeros",
+    "design_from_support", "extremal_signed_poly", "growth_gap",
+    "growth_poly", "growth_value", "hoel_levine_weights", "lagrange_values",
+    "least_squares_fit", "mc_predictor_variance", "optimize_support",
+    "pell_companion", "pell_residual", "require_exterior", "vandermonde",
+}
+
 
 def test_all_names_resolve_once():
     names = optpred.__all__
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(optpred, name), name
+
+
+def test_all_is_pinned():
+    assert set(optpred.__all__) == EXPORTS
+    assert len(EXPORTS) == 25

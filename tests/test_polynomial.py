@@ -1,15 +1,11 @@
+import json
 import warnings
 
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
 import pytest
 
-from optpred import (
-    ChebPoly,
-    as_nodes,
-    from_lagrange_combination,
-    lagrange_values,
-)
+from optpred import ChebPoly, as_nodes, extremal_signed_poly, lagrange_values
 from optpred.imaginary import companion_zeros, growth_poly
 from polyhelp import (
     is_zero,
@@ -46,9 +42,6 @@ def test_chebpoly_basics():
     assert p.degree == 2  # trailing zero dropped
     assert is_zero(ChebPoly([0.0, 0.0]))
     assert p(0.5) == pytest.approx(1.0 + 2.0 * (2 * 0.25 - 1), abs=1e-14)
-    q = p.reflected()
-    xs = np.linspace(-1, 1, 11)
-    np.testing.assert_allclose(q(xs), p(-xs), atol=1e-14)
     with pytest.raises(ValueError):
         ChebPoly([])
     with pytest.raises(ValueError):
@@ -56,12 +49,11 @@ def test_chebpoly_basics():
 
 
 def test_chebpoly_json_round_trip():
+    # the design payload's "poly" block: [re, im] pairs that read back exactly
     p = ChebPoly([1.5, -2j, 0.25 + 0.5j])
-    q = ChebPoly.from_json(p.to_json())
-    np.testing.assert_array_equal(p.coeffs, q.coeffs)
-    assert p.to_json()["basis"] == "chebyshev"
-    with pytest.raises(ValueError):
-        ChebPoly.from_json({"basis": "monomial", "coeffs": [[1, 0]]})
+    data = json.loads(json.dumps(p.to_json()))
+    assert data["basis"] == "chebyshev"
+    np.testing.assert_array_equal([complex(*c) for c in data["coeffs"]], p.coeffs)
 
 
 def test_lagrange_values_examples():
@@ -130,48 +122,24 @@ def test_lagrange_values_on_node_and_real_point():
                                rtol=1e-12)
 
 
-def test_from_lagrange_combination_examples():
-    p = from_lagrange_combination(np.array([-1.0, 1.0]), [-1.0, 1.0])
-    np.testing.assert_allclose(p.coeffs, [0.0, 1.0], atol=1e-14)
-    t2 = from_lagrange_combination(NODES3, [1.0, -1.0, 1.0])
-    np.testing.assert_allclose(t2.coeffs, [0.0, 0.0, 1.0], atol=1e-14)
-    const = from_lagrange_combination(NODES3, [1.0, 1.0, 1.0])
-    np.testing.assert_allclose(const.coeffs, [1.0], atol=1e-14)
-    with pytest.raises(ValueError):
-        from_lagrange_combination(NODES3, [1.0, 2.0])
-
-
-def test_interpolation_round_trip():
-    rng = np.random.default_rng(5)
-    nodes = np.array([-1.0, -0.7, -0.2, 0.3, 0.8, 1.0])
-    for _ in range(25):
-        c = rng.standard_normal(len(nodes)) + 1j * rng.standard_normal(len(nodes))
-        p = ChebPoly(c)
-        q = from_lagrange_combination(nodes, p(nodes))
-        np.testing.assert_allclose(padded(q, len(c)), c, atol=1e-11)
-
-
-def _assert_matches_solve(nodes, values):
-    """from_lagrange_combination against the dense solve, to 1e-12 of the
-    largest coefficient (or absolutely, when that is below 1)."""
-    oracle = lagrange_to_cheb_solve(nodes, values)
-    got = padded(from_lagrange_combination(nodes, values), len(oracle))
+def _assert_matches_solve(nodes, z0):
+    """The coefficients of extremal_signed_poly, the Lagrange combination
+    sum_i sgn(l_i(z0)) l_i, against the dense solve of its values at the
+    nodes, to 1e-12 of the largest coefficient (or absolutely, when that is
+    below 1)."""
+    ell = lagrange_values(nodes, z0)
+    oracle = lagrange_to_cheb_solve(nodes, np.conj(ell) / np.abs(ell))
+    got = padded(extremal_signed_poly(nodes, z0), len(oracle))
     tol = 1e-12 * max(1.0, np.abs(oracle).max())
     err = np.abs(got - oracle).max()
     assert err <= tol, (len(nodes) - 1, err)
-
-
-def _unit_signs(nodes, z0):
-    """sgn(l_i(z0)) = conj(l_i(z0)) / |l_i(z0)|, the extremal polynomial's values."""
-    ell = lagrange_values(nodes, z0)
-    return np.conj(ell) / np.abs(ell)
 
 
 @pytest.mark.parametrize("n", [8, 64, 192, 512])
 def test_from_lagrange_combination_matches_solve_on_closed_form_supports(n):
     for a in (0.5, 1.0):
         x = np.concatenate(([-1.0], companion_zeros(n - 1, a), [1.0]))
-        _assert_matches_solve(x, _unit_signs(x, 1j * a))
+        _assert_matches_solve(x, 1j * a)
 
 
 def test_from_lagrange_combination_matches_solve_on_perturbed_chebyshev():
@@ -181,9 +149,7 @@ def test_from_lagrange_combination_matches_solve_on_perturbed_chebyshev():
         x = np.cos(np.pi * np.arange(n, -1, -1) / n)
         x[1:-1] += rng.uniform(-0.3, 0.3, n - 1) * np.diff(x)[:-1] / 2
         z0 = complex(rng.uniform(-2, 2), rng.uniform(0.1, 2))
-        _assert_matches_solve(x, _unit_signs(x, z0))
-        values = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-        _assert_matches_solve(x, values)
+        _assert_matches_solve(x, z0)
 
 
 def test_from_lagrange_combination_lobatto_point_on_node():
@@ -197,11 +163,9 @@ def test_from_lagrange_combination_lobatto_point_on_node():
         perturbed[1:-1] += rng.uniform(-0.2, 0.2, n - 1) * np.diff(lobatto)[:-1] / 2
         perturbed[n // 2] = 0.0
         for x in (lobatto, perturbed):
-            values = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                _assert_matches_solve(x, values)
-                _assert_matches_solve(x, _unit_signs(x, 0.5 + 0.5j))
+                _assert_matches_solve(x, 0.5 + 0.5j)
 
 
 def test_sup_norm_t5():

@@ -7,12 +7,12 @@ from optpred import (
     RankDeficiencyError,
     RegressionPlan,
     christoffel,
-    gram,
     hoel_levine_weights,
     least_squares_fit,
     mc_predictor_variance,
     vandermonde,
 )
+from polyhelp import gram
 
 NODES3 = np.array([-1.0, 0.0, 1.0])
 UNIFORM3 = DiscreteMeasure(NODES3, np.array([1, 1, 1]) / 3)
