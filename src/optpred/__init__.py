@@ -18,9 +18,10 @@ from .imaginary import (
     pell_companion,
     pell_residual,
 )
-from .measure import DiscreteMeasure, RankDeficiencyError, christoffel
+from .measure import DiscreteMeasure
 from .polynomial import ChebPoly, as_nodes, lagrange_values
 from .regression import (
+    RankDeficiencyError,
     RegressionPlan,
     VarianceEstimate,
     least_squares_fit,
@@ -39,7 +40,6 @@ __all__ = [
     "RegressionPlan",
     "VarianceEstimate",
     "as_nodes",
-    "christoffel",
     "closed_form_design",
     "companion_zeros",
     "design_from_support",

@@ -4,8 +4,9 @@ suites, and the Monte Carlo variance simulator.
 Exit codes are part of the contract so CI can consume the tool directly:
 0 = certified / all checks passed, 1 = input error (including a growth
 value beyond the largest double), 2 = numeric failure
-(optimizer converged but certificate failed, a verify suite failed, or the
-simulated variance disagreed with the formula).
+(optimizer converged but certificate failed, a verify suite failed, a
+simulated plan's fit was refused or overflowed, or the simulated variance
+disagreed with the formula).
 """
 
 import argparse
@@ -25,9 +26,13 @@ from .imaginary import (
     growth_value,
     pell_residual,
 )
-from .measure import RankDeficiencyError
 from .polynomial import _check_int
-from .regression import _BATCH, RegressionPlan, mc_predictor_variance
+from .regression import (
+    _BATCH,
+    RankDeficiencyError,
+    RegressionPlan,
+    mc_predictor_variance,
+)
 
 _SAMPLE_POINTS = 1001
 _RNG_NOTE = (

@@ -9,11 +9,13 @@ the fitted value at any point z0 is
 with K the kernel value of the realized node measure mu_X.  The fit sees the
 data only through the node means, independent with sd sigma / sqrt(c_i) for
 a node observed c_i times, so the simulator draws one noise per node and
-replicate, predicts with one fixed vector of the sqrt(c_i)-weighted node fit,
-and compares the sample variance of the predictions at z0 against the
-formula.  Predictions at complex z0 are complex, so variance means
-E|x - mean|^2 throughout.  The fit's R factor is judged by the rank rule of
-the kernels, so a rank-deficient plan is refused before any noise is drawn.
+replicate, predicts with one fixed vector w of the sqrt(c_i)-weighted node
+fit, and compares the sample variance of the predictions at z0 against
+sigma^2 |w|^2, which is the formula exactly.  Predictions at complex z0 are
+complex, so variance means E|x - mean|^2 throughout.  The fit's R factor
+must pass one rank rule (_full_rank), and every plan is fit, a noiseless one
+too, so a rank-deficient plan (RankDeficiencyError) or a z0 far enough out
+that |w|^2 overflows (RuntimeError) is refused before any noise is drawn.
 
 Replicates come in blocks of _BATCH (the last may be shorter).  Block j draws
 from its own SFC64 generator, seeded by the j-th child that SeedSequence(seed)
@@ -35,11 +37,30 @@ import numpy as np
 import numpy.polynomial.chebyshev as cheb
 from scipy.linalg import solve_triangular
 
-from .measure import DiscreteMeasure, RankDeficiencyError, _full_rank, christoffel
+from .measure import DiscreteMeasure
 from .polynomial import _check_degree, _check_int, _finite, _finite_point
 
+_MIN_PIVOT = 1e-13
 _MIN_REPLICATES = 1000
 _BATCH = 10000
+
+
+class RankDeficiencyError(Exception):
+    """A weighted basis is numerically rank-deficient (too few rows or a tiny pivot)."""
+
+
+def _full_rank(R):
+    """R, if square with min|r_ii|^2 >= _MIN_PIVOT max|r_ii|^2 (an all-zero R fails).
+
+    The rank rule of least_squares_fit: r_ii^2 are the pivots of V^T V.
+    """
+    d = np.abs(np.diag(R)) ** 2
+    if R.shape[0] < R.shape[1] or not d.min() >= _MIN_PIVOT * d.max():
+        raise RankDeficiencyError(
+            f"{R.shape} R factor, squared pivots {d.min():.3e} to {d.max():.3e}: "
+            f"rank below {R.shape[1]}; refusing to regularize"
+        )
+    return R
 
 
 @dataclass(frozen=True)
@@ -79,9 +100,6 @@ class RegressionPlan:
 
     def observation_nodes(self):
         return np.repeat(self.design.nodes, self.counts)
-
-    def realized_measure(self):
-        return DiscreteMeasure(self.design.nodes, self.counts / self.m)
 
     @classmethod
     def from_measure(cls, mu, m, sigma, theta):
@@ -140,7 +158,7 @@ def least_squares_fit(V, y):
     """Least-squares coefficients via QR, no normal-equations inverse.
 
     y may be a vector or a matrix of stacked right-hand sides (one fit per
-    column).  R goes through the rank rule of the kernel functions.
+    column).  R goes through the rank rule, _full_rank.
     """
     q, r = np.linalg.qr(V)
     return solve_triangular(_full_rank(r), q.T @ y, lower=False)
@@ -166,10 +184,13 @@ def mc_predictor_variance(plan, z0, replicates, seed):
     Each replicate draws one standard normal per node, the noise of that
     node's sqrt(c_i)-weighted mean, and predicts with the fixed vector
     w = t(z0)^T (V^T V)^{-1} V^T of the weighted node fit.  The prediction
-    is a constant plus sigma d with d = w @ Z, and the constant drops out of
-    the variance: with R replicates,
+    is a constant plus sigma d with d = w @ Z, so the predicted variance is
+    sigma^2 |w|^2 = (sigma^2 / m) K(z0), and the constant drops out of the
+    empirical one: with R replicates,
 
         empirical = sigma^2 (sum |d|^2 - |sum d|^2 / R) / (R - 1).
+
+    A rank-deficient plan or a non-finite |w|^2 raises before any draw.
 
     Replicates are drawn in blocks of _BATCH, block j from
     Generator(SFC64(SeedSequence(seed).spawn(...)[j])), on as many threads
@@ -183,13 +204,17 @@ def mc_predictor_variance(plan, z0, replicates, seed):
     z0 = _finite_point(z0)
     n = plan.degree
     V = np.sqrt(plan.counts)[:, None] * vandermonde(plan.design.nodes, n)
-    t0 = cheb.chebvander(z0, n)[0]
+    fit = least_squares_fit(V, np.eye(len(V)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = cheb.chebvander(z0, n)[0] @ fit
+        w_sq = float(np.vdot(w, w).real)
+    if not math.isfinite(w_sq):
+        raise RuntimeError(f"prediction variance overflows at z0 = {z0}")
 
     if plan.sigma == 0.0:
         # every replicate is the same noiseless fit; the variance is exactly 0
         empirical = 0.0
     else:
-        w = t0 @ least_squares_fit(V, np.eye(len(V)))
         # real rows, so the noise matrix is never upcast to complex
         w_parts = np.stack([w.real, w.imag])
         sizes = [min(_BATCH, replicates - start)
@@ -202,15 +227,14 @@ def mc_predictor_variance(plan, z0, replicates, seed):
         s_re, s_im, s_sq = sum(sums)
         spread = s_sq - (s_re * s_re + s_im * s_im) / replicates
         empirical = float(plan.sigma**2 * spread / (replicates - 1))
-    K = christoffel(plan.realized_measure(), n, z0)
-    predicted = plan.sigma**2 / plan.m * K
+    predicted = plan.sigma**2 * w_sq
     if predicted == 0.0:
         rel = 0.0 if empirical == 0.0 else np.inf
     else:
         rel = abs(empirical - predicted) / predicted
     return VarianceEstimate(
         empirical=empirical,
-        predicted=float(predicted),
+        predicted=predicted,
         replicates=int(replicates),
         rel_error=float(rel),
     )

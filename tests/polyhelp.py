@@ -2,10 +2,11 @@
 the exact sup-norm over [-1, 1] that the tests hold the design certificate
 against, the dense interpolation solve that the extremal polynomial's
 coefficients are held against, the complex pairwise-ratio product that
-lagrange_values is held against, and the Christoffel-kernel cross-checks
-of the design path (the Gram matrix, K by the Lagrange route, the
-normalized kernel polynomial and the directional derivative of K), which
-solve against the same weighted QR factor as optpred.christoffel."""
+lagrange_values is held against, and the Christoffel-kernel oracles (the
+Gram matrix, K by QR and by the Lagrange route, the normalized kernel
+polynomial and the directional derivative of K).  The QR routes solve
+against the R factor of one QR of the sqrt(w)-weighted chebvander matrix,
+under the rank rule of optpred's least-squares fit."""
 
 from dataclasses import dataclass
 
@@ -14,8 +15,8 @@ import numpy.polynomial.chebyshev as cheb
 from scipy.linalg import solve_triangular
 
 from optpred import ChebPoly, lagrange_values
-from optpred.measure import _full_rank
 from optpred.polynomial import _finite_point
+from optpred.regression import _full_rank
 
 _NEAR_TOL = 1e-9
 
@@ -96,14 +97,27 @@ def gram(mu, n):
     return 0.5 * (G + G.T)
 
 
+def christoffel(mu, n, z0):
+    """K(z0) = t(z0)^H G^{-1} t(z0) >= |p(z0)|^2 / ||p||_{L2(mu)}^2 for deg <= n.
+
+    K = |u|^2 with u = R^{-T} t(z0), one triangular solve against the
+    rank-checked QR factor R of the weighted basis B, never G or its
+    inverse: R^T R = G, so cond(B) is never squared.  Works for any measure
+    with at least n+1 support points.
+    """
+    _, u = _kernel_basis(mu, n, z0)
+    return float(np.vdot(u, u).real)
+
+
 def christoffel_lagrange(mu, n, z0):
     """K(z0) by the Lagrange route, sum_i |l_i(z0)|^2 / w_i.
 
     Only valid when the support has exactly n+1 nodes (the l_i then form a
     basis of degree-n polynomials).
     """
-    if len(mu) != n + 1:
-        raise ValueError(f"Lagrange route needs exactly {n + 1} nodes, got {len(mu)}")
+    if len(mu.nodes) != n + 1:
+        raise ValueError(f"Lagrange route needs exactly {n + 1} nodes, "
+                         f"got {len(mu.nodes)}")
     ell = lagrange_values(mu.nodes, _finite_point(z0))
     return float(np.sum(np.abs(ell) ** 2 / mu.weights))
 

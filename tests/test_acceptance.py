@@ -226,7 +226,7 @@ def test_criterion_10_monte_carlo_variance():
     nodes = np.array([-1.0, 0.0, 1.0])
     theta = np.array([0.3, -0.2, 0.5])
     uniform = RegressionPlan.from_measure(
-        DiscreteMeasure.uniform(nodes), 300, 1.0, theta
+        DiscreteMeasure(nodes, np.full(3, 1 / 3)), 300, 1.0, theta
     )
     hl = RegressionPlan.from_measure(
         DiscreteMeasure(nodes, hoel_levine_weights(nodes, 2.0)), 300, 1.0, theta

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from optpred import DiscreteMeasure, RegressionPlan, hoel_levine_weights
+from optpred import DiscreteMeasure, RegressionPlan
 from optpred.cli import main
 from optpred.design import Design
 
@@ -276,6 +276,18 @@ def test_simulate_rejects_count_beyond_int64(tmp_path, capsys):
                  "--replicates", "1000"])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: cannot read plan file")
+
+
+@pytest.mark.parametrize("re", ["1e100", "1e200"])
+def test_simulate_far_point_is_numeric_failure(re, tmp_path, capsys):
+    plan_file = tmp_path / "plan.json"
+    _write_plan(plan_file, DiscreteMeasure(NODES3, np.array([1, 1, 1]) / 3))
+    code = main(["simulate", "--plan", str(plan_file), "--z0", re, "0",
+                 "--replicates", "1000"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numeric failure: prediction variance overflows")
 
 
 @pytest.mark.parametrize("field", ["nodes", "weights", "theta"])

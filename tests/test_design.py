@@ -11,7 +11,6 @@ from optpred import (
     Certificate,
     Design,
     DiscreteMeasure,
-    christoffel,
     design_from_support,
     extremal_signed_poly,
     hoel_levine_weights,
@@ -21,7 +20,7 @@ from optpred import (
 )
 from optpred.design import _first_order_residual, _log_kernel_bracket, _sup_bound
 from optpred.imaginary import closed_form_design, growth_gap, growth_value
-from polyhelp import kernel_poly, padded, sup_norm_interval
+from polyhelp import christoffel, kernel_poly, padded, sup_norm_interval
 
 NODES3 = np.array([-1.0, 0.0, 1.0])
 
@@ -244,7 +243,7 @@ def test_overflowing_kernel_is_uncertified_without_warning():
 @pytest.mark.parametrize("z0", [2.0, 1j, 0.5 + 0.5j])
 def test_lebesgue_kernel_value_matches_gram_route(z0):
     # design_from_support takes K as the squared Lebesgue function; the Gram
-    # QR of christoffel is the independent route to the same number
+    # QR of the christoffel oracle is the independent route to the same number
     for n in (4, 8, 16, 32, 64):
         d = optimize_support(n, z0)
         assert d.certified

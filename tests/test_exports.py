@@ -5,7 +5,7 @@ import optpred
 EXPORTS = {
     "Certificate", "ChebPoly", "Design", "DiscreteMeasure",
     "RankDeficiencyError", "RegressionPlan", "VarianceEstimate", "as_nodes",
-    "christoffel", "closed_form_design", "companion_zeros",
+    "closed_form_design", "companion_zeros",
     "design_from_support", "extremal_signed_poly", "growth_gap",
     "growth_poly", "growth_value", "hoel_levine_weights", "lagrange_values",
     "least_squares_fit", "mc_predictor_variance", "optimize_support",
@@ -22,4 +22,4 @@ def test_all_names_resolve_once():
 
 def test_all_is_pinned():
     assert set(optpred.__all__) == EXPORTS
-    assert len(EXPORTS) == 25
+    assert len(EXPORTS) == 24

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
 import pytest
@@ -6,17 +8,30 @@ from optpred import (
     DiscreteMeasure,
     RankDeficiencyError,
     RegressionPlan,
-    christoffel,
+    closed_form_design,
     hoel_levine_weights,
     least_squares_fit,
     mc_predictor_variance,
+    optimize_support,
     vandermonde,
 )
-from polyhelp import gram
+from polyhelp import christoffel, gram
 
 NODES3 = np.array([-1.0, 0.0, 1.0])
 UNIFORM3 = DiscreteMeasure(NODES3, np.array([1, 1, 1]) / 3)
 THETA = np.array([0.3, -0.2, 0.5])
+
+
+def _realized_measure(plan):
+    """The node frequencies c_i / m of a plan, as a measure."""
+    return DiscreteMeasure(plan.design.nodes, plan.counts / plan.m)
+
+
+def _refuse_draws(monkeypatch, why):
+    def no_draws(*args, **kwargs):
+        raise AssertionError(why)
+
+    monkeypatch.setattr("optpred.regression.np.random.SFC64", no_draws)
 
 
 def test_vandermonde_two_point():
@@ -34,7 +49,7 @@ def test_vandermonde_gram_identity():
     plan = RegressionPlan.from_measure(UNIFORM3, 300, 1.0, THETA)
     x = plan.observation_nodes()
     V = vandermonde(x, 2)
-    G = gram(plan.realized_measure(), 2)
+    G = gram(_realized_measure(plan), 2)
     np.testing.assert_allclose(V.T @ V / len(x), G, atol=1e-12)
 
 
@@ -50,6 +65,8 @@ def test_vandermonde_refuses_non_integer_degree():
     for bad in (True, 2.0):
         with pytest.raises(TypeError, match="degree must be an integer"):
             vandermonde(x, bad)
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        vandermonde(x, -1)
 
 
 def test_least_squares_noiseless_recovery():
@@ -96,21 +113,20 @@ def test_least_squares_rank_deficiency():
 
 def test_one_rank_rule_near_double_node(monkeypatch):
     # four distinct nodes, two of them 1e-9 apart: the cubic basis is
-    # numerically rank-deficient, and the kernel and the fit refuse it alike
+    # numerically rank-deficient, and the kernel oracle, the fit and the
+    # simulator refuse it alike, a noiseless plan too
     nodes = np.array([-1.0, 0.5, 0.5 + 1e-9, 1.0])
-    mu = DiscreteMeasure.uniform(nodes)
+    mu = DiscreteMeasure(nodes, np.full(4, 0.25))
     with pytest.raises(RankDeficiencyError):
         christoffel(mu, 3, 2.0)
     with pytest.raises(RankDeficiencyError):
         least_squares_fit(vandermonde(nodes, 3), np.zeros(4))
 
-    def no_draws(*args, **kwargs):
-        raise AssertionError("noise drawn for a rank-deficient plan")
-
-    monkeypatch.setattr("optpred.regression.np.random.SFC64", no_draws)
-    plan = RegressionPlan.from_measure(mu, 40, 1.0, np.zeros(4))
-    with pytest.raises(RankDeficiencyError):
-        mc_predictor_variance(plan, 2.0, 1000, seed=0)
+    _refuse_draws(monkeypatch, "noise drawn for a rank-deficient plan")
+    for sigma in (1.0, 0.0):
+        plan = RegressionPlan.from_measure(mu, 40, sigma, np.zeros(4))
+        with pytest.raises(RankDeficiencyError):
+            mc_predictor_variance(plan, 2.0, 1000, seed=0)
 
 
 def test_plan_from_measure_largest_remainder():
@@ -221,10 +237,7 @@ def test_mc_replicate_floor():
 
 
 def test_mc_seed_validation(monkeypatch):
-    def no_draws(*args, **kwargs):
-        raise AssertionError("noise drawn before the seed was checked")
-
-    monkeypatch.setattr("optpred.regression.np.random.SFC64", no_draws)
+    _refuse_draws(monkeypatch, "noise drawn before the seed was checked")
     plan = RegressionPlan.from_measure(UNIFORM3, 30, 1.0, THETA)
     for seed in (None, 1.5, True, "3"):
         with pytest.raises(TypeError, match="seed"):
@@ -254,6 +267,44 @@ def test_mc_rejects_nonfinite_point():
     for z0 in (np.nan, np.inf, complex(0, np.nan)):
         with pytest.raises(ValueError, match="not finite"):
             mc_predictor_variance(plan, z0, 1000, seed=0)
+
+
+@pytest.mark.parametrize("z0", [1e100, 1e200])
+@pytest.mark.parametrize("sigma", [1.0, 0.0])
+def test_mc_overflow_fails_before_drawing(monkeypatch, sigma, z0):
+    # |w|^2 ~ T_2(z0)^2 overflows; that is a numeric failure, raised with no
+    # warning and before any noise is drawn, whatever sigma is
+    _refuse_draws(monkeypatch, "noise drawn for an overflowed prediction")
+    plan = RegressionPlan.from_measure(UNIFORM3, 300, sigma, THETA)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="overflows"):
+            mc_predictor_variance(plan, z0, 1000, seed=0)
+
+
+def test_mc_predicted_is_kernel_of_realized_measure():
+    # sigma^2 |w|^2 of the simulator's own fit is the paper's
+    # (sigma^2 / m) K(z0) of the realized measure, K by the QR oracle; on the
+    # CLI plans, two closed-form designs (m = 1000, and saturated) and an
+    # optimal design
+    hl = DiscreteMeasure(NODES3, hoel_levine_weights(NODES3, 2.0))
+    b = closed_form_design(8, 1.0).measure
+    c = closed_form_design(16, 0.25).measure
+    d = optimize_support(32, 0.3 + 0.2j).measure
+    cases = [
+        (RegressionPlan.from_measure(UNIFORM3, 300, 1.0, THETA), 2.0),
+        (RegressionPlan.from_measure(hl, 300, 1.0, THETA), 2.0),
+        (RegressionPlan.from_measure(b, 1000, 0.5, np.zeros(9)), 1j),
+        (RegressionPlan(design=c, counts=np.ones(17, dtype=int), sigma=1.0,
+                        theta=np.zeros(17)), 0.25j),
+        (RegressionPlan.from_measure(d, 5000, 2.0, np.zeros(33)), 0.3 + 0.2j),
+    ]
+    for plan, z0 in cases:
+        est = mc_predictor_variance(plan, z0, 1000, seed=2)
+        K = christoffel(_realized_measure(plan), plan.degree, z0)
+        expected = plan.sigma**2 / plan.m * K
+        assert abs(est.predicted - expected) <= 1e-14 * expected, (
+            plan.degree, z0, est.predicted, expected)
 
 
 # five nodes for a degree-2 fit, so the fit smooths rather than interpolates
