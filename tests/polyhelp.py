@@ -15,7 +15,7 @@ import numpy.polynomial.chebyshev as cheb
 from scipy.linalg import solve_triangular
 
 from optpred import ChebPoly, lagrange_values
-from optpred.polynomial import _finite_point
+from optpred.polynomial import _check_degree, _finite_point
 from optpred.regression import _full_rank
 
 _NEAR_TOL = 1e-9
@@ -103,8 +103,11 @@ def christoffel(mu, n, z0):
     K = |u|^2 with u = R^{-T} t(z0), one triangular solve against the
     rank-checked QR factor R of the weighted basis B, never G or its
     inverse: R^T R = G, so cond(B) is never squared.  Works for any measure
-    with at least n+1 support points.
+    with at least n+1 support points.  z0 must be finite and n an integer
+    >= 0, as the package's own entry points require.
     """
+    _finite_point(z0)  # check only: a real z0 stays real, and so does its rounding
+    _check_degree(n)
     _, u = _kernel_basis(mu, n, z0)
     return float(np.vdot(u, u).real)
 

@@ -170,6 +170,20 @@ def test_kernel_poly_rejects_support_point():
         kernel_poly(UNIFORM3, 2, 0.0)
 
 
+def test_kernel_functions_reject_nonfinite_point():
+    for bad in (np.nan, np.inf, complex(0, np.nan)):
+        with pytest.raises(ValueError, match="not finite"):
+            christoffel(UNIFORM3, 2, bad)
+
+
+def test_kernel_functions_refuse_non_integer_degree():
+    for bad in (True, 2.0):
+        with pytest.raises(TypeError, match="degree must be an integer"):
+            christoffel(UNIFORM3, bad, 2.0)
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        christoffel(UNIFORM3, -1, 2.0)
+
+
 def test_kernel_poly_maximality():
     rng = np.random.default_rng(29)
     mu = _random_measure(rng, 4)
