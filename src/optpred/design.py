@@ -5,14 +5,14 @@ w_i = |l_i(z0)| / sum_j |l_j(z0)| (Hoel-Levine), and the kernel value then
 collapses to the squared Lebesgue function, K = (sum_i |l_i(z0)|)^2.  The
 remaining problem is placing the n-1 interior nodes to minimize the Lebesgue
 function at z0.  On an optimal support every interior node is a critical point
-of |P|^2 for the signed polynomial P below, so the nodes are found by one root
-solve of those first-order conditions, taken directly in node coordinates.
-The conditions are built from the same moduli |l_i(z0)| as the weights, so
-weights, residual and extremal polynomial share one Lagrange evaluator: the
-moduli and unit phases behind polynomial.lagrange_values, from one real
-pairwise pass over the nodes.  The solver gets the residual and its O(n^3)
-Jacobian as two functions and builds the Jacobian only when MINPACK asks
-for it, about once per solve.  The extremal polynomial's barycentric
+of |P|^2 for the signed polynomial P below, so the nodes solve those
+first-order conditions, found by a short Levenberg-Marquardt loop (_solve)
+directly in node coordinates.  The conditions are built from the same moduli
+|l_i(z0)| as the weights, so weights, residual and extremal polynomial share
+one Lagrange evaluator: the moduli and unit phases behind
+polynomial.lagrange_values, from one real pairwise pass over the nodes.  Each
+trial point of the loop costs one O(n^2) residual, and each step it takes
+one O(n^3) exact Jacobian.  The extremal polynomial's barycentric
 weights come from the same moduli, b_i = |l_i(z0)| |z0 - x_i| (-1)^(n - i)
 up to a common factor, so assembling a design makes no second pass.
 
@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dct
-from scipy.optimize import root
 
 from .measure import DiscreteMeasure
 from .polynomial import (
@@ -51,10 +50,11 @@ from .polynomial import (
 
 _EXTERIOR_IM_TOL = 1e-12
 _CERT_TOL = 1e-8
-# relative step tolerance of the root solve, which acts on the node coordinates
-# themselves: at 1e-12 the nodes stop up to 5.9e-10 off the closed forms
-# (n=32, z0=0.01i), at 1e-14 within 3.3e-13 for n <= 32
+# relative step tolerance of the root solve, on the node coordinates: on
+# z0 = ai, n <= 32, a in 1e-3..4, the nodes stop within 1.6e-11 of the closed
+# forms at 1e-12 and 2.2e-12 at 1e-14, where F is at its rounding level
 _ROOT_XTOL = 1e-14
+_MAX_ITER = 300
 
 
 def require_exterior(z0):
@@ -271,13 +271,15 @@ def design_from_support(n, z0, nodes):
     )
 
 
-def _first_order_residual(z0):
-    """F_j = Re(conj(P(x_j)) P'(x_j)) at the interior nodes x_1 < ... < x_{n-1},
-    and its exact Jacobian, as two closures (fun, jac) over the interior nodes.
+def _residual_terms(interior, z0):
+    """(m, e, inv, F) at the interior nodes x_1 < ... < x_{n-1} in O(n^2), or
+    None unless -1 < x_1 < ... < x_{n-1} < 1: the moduli m_i = |l_i(z0)|,
+    e_i = z0 - x_i, inv_ik = 1/(x_i - x_k) (0 for i = k) and the first-order
+    residual F_j = Re(conj(P(x_j)) P'(x_j)).
 
     F_j is half the derivative of |P|^2 at x_j, so it vanishes on an optimal
     support, where every interior node is a maximum of |P| on [-1, 1].  It is
-    computed from the Lagrange moduli m_i = |l_i(z0)| and e_i = z0 - x_i alone:
+    computed from the Lagrange moduli and e alone:
 
         F_j = sum_{i != j} (1 + (m_i/m_j) Re(e_i/e_j)) / (x_j - x_i).
 
@@ -291,94 +293,94 @@ def _first_order_residual(z0):
     Lambda = sum_i m_i (Kilgore; de Boor & Pinkus, J. Approx. Theory 24,
     1978): F = -g/p with p the Hoel-Levine weights and g = p^T J the gradient
     of log Lambda, J_ik = d log m_i/d x_k.  Formed as -g/p, F would cancel
-    near the axis.  With C = J - 1 g^T, the Hessian of log Lambda is
-    H = S + C^T diag(p) C, S = sum_i p_i (Hessian of log m_i), and since
-    dp_k/dx_l = p_k C_kl the Jacobian of F is -diag(1/p) H - diag(F) C.
-
-    fun costs O(n^2) and builds no Jacobian.  jac, whose C^T diag(p) C product
-    is O(n^3), builds one only when MINPACK's hybrj asks for it: at the start
-    and after its Broyden rank-one updates make poor progress (More, Garbow
-    & Hillstrom, ANL-80-74, 1980), about once per solve.  Both keep the
-    latest point's terms, and jac its Jacobian, since scipy's shape checks
-    and hybrj's first step ask for F three times and J twice at the start.
-    An unordered step gets an infinite residual, which MINPACK never
-    accepts, so the iterates stay ordered inside (-1, 1).
+    near the axis.
     """
-    def terms(interior):
-        x = np.concatenate(([-1.0], interior, [1.0]))
-        if not (np.diff(x) > 0).all():
-            return None
-        m, _ = _signed_lagrange(x, z0)
-        e = z0 - x
-        inv = 1.0 / (x[:, None] - x + np.eye(len(x)))
-        np.fill_diagonal(inv, 0.0)  # 1/(x_i - x_m), no i = m terms
-        ratio = (m / m[1:-1, None]) * np.real(e / e[1:-1, None])
-        F = ((1.0 + ratio) * inv[1:-1]).sum(axis=1)
-        return m, e, inv, F
+    x = np.concatenate(([-1.0], interior, [1.0]))
+    if not (np.diff(x) > 0).all():
+        return None
+    m, _ = _signed_lagrange(x, z0)
+    e = z0 - x
+    inv = 1.0 / (x[:, None] - x + np.eye(len(x)))
+    np.fill_diagonal(inv, 0.0)  # 1/(x_i - x_m), no i = m terms
+    ratio = (m / m[1:-1, None]) * np.real(e / e[1:-1, None])
+    F = ((1.0 + ratio) * inv[1:-1]).sum(axis=1)
+    return m, e, inv, F
 
-    def jacobian(t, k):
-        if t is None:
-            return np.zeros((k, k))
-        m, e, inv, F = t
-        p = m / m.sum()
-        q = 1.0 / e[1:-1]
-        J = inv[:, 1:-1] - q.real  # all nodes i, interior k
-        np.fill_diagonal(J[1:-1], -inv[1:-1].sum(axis=1))
-        C = J - p @ J
-        # log m_i has Hessian -Re 1/e_k^2 at (k, k), k != i, and for each
-        # m != i the Laplacian of the pair (i, m) with weight 1/(x_i - x_m)^2
-        pk = p[1:-1]
-        M = (p[:, None] + p) * inv * inv
-        S = np.diag(M[1:-1].sum(axis=1) - (1.0 - pk) * (q * q).real) - M[1:-1, 1:-1]
-        H = S + C.T @ (p[:, None] * C)
-        return -H / pk[:, None] - F[:, None] * C[1:-1]
 
-    last = [None, None, None]  # the latest point, its terms, its Jacobian
+def _residual_jacobian(terms):
+    """The exact Jacobian of F from the (m, e, inv, F) of _residual_terms.
 
-    def at(interior):
-        if last[0] is None or not np.array_equal(last[0], interior):
-            last[:] = [interior.copy(), terms(interior), None]
-        return last
+    With C = J - 1 g^T, the Hessian of log Lambda is H = S + C^T diag(p) C,
+    S = sum_i p_i (Hessian of log m_i), and since dp_k/dx_l = p_k C_kl the
+    Jacobian of F = -g/p is -diag(1/p) H - diag(F) C; C^T diag(p) C is O(n^3).
+    """
+    m, e, inv, F = terms
+    p = m / m.sum()
+    q = 1.0 / e[1:-1]
+    J = inv[:, 1:-1] - q.real  # all nodes i, interior k
+    np.fill_diagonal(J[1:-1], -inv[1:-1].sum(axis=1))
+    C = J - p @ J
+    # log m_i has Hessian -Re 1/e_k^2 at (k, k), k != i, and for each
+    # m != i the Laplacian of the pair (i, m) with weight 1/(x_i - x_m)^2
+    pk = p[1:-1]
+    M = (p[:, None] + p) * inv * inv
+    S = np.diag(M[1:-1].sum(axis=1) - (1.0 - pk) * (q * q).real) - M[1:-1, 1:-1]
+    H = S + C.T @ (p[:, None] * C)
+    return -H / pk[:, None] - F[:, None] * C[1:-1]
 
-    def fun(interior):
-        t = at(interior)[1]
-        return np.full(len(interior), np.inf) if t is None else t[3]
 
-    def jac(interior):
-        point = at(interior)
-        if point[2] is None:
-            point[2] = jacobian(point[1], len(interior))
-        return point[2]
+def _solve(x0, z0):
+    """(x, F, why): Levenberg-Marquardt on F = 0 from the ordered start x0.
 
-    return fun, jac
+    Each iteration solves (A + mu D) s = -g, with A = J^T J, g = J^T F and
+    D the running largest diag(A) (Marquardt's scaling; More, LNM 630,
+    1978).  x + s is taken only if it is ordered and lowers |F|^2; then mu
+    follows the gain ratio rho (Nielsen, IMM-REP-1999-05) and one Jacobian is
+    built.  A refused trial point costs one O(n^2) residual and raises mu.
+    It stops on F = 0, on a step below _ROOT_XTOL max(1, max|x|) or after
+    _MAX_ITER iterations; why says which.
+    """
+    terms = _residual_terms(x0, z0)
+    x, F, D, mu, nu = x0, terms[3], 0.0, 1e-6, 2.0
+    for k in range(_MAX_ITER):
+        if terms is not None:  # a new iterate and its one Jacobian
+            J = _residual_jacobian(terms)
+            A, g, f = J.T @ J, J.T @ F, F @ F
+            D, terms = np.maximum(D, np.diag(A)), None
+        if f == 0.0:
+            return x, F, f"F = 0 after {k} iterations"
+        s = np.linalg.solve(A + np.diag(mu * D), -g)
+        if np.abs(s).max() <= _ROOT_XTOL * max(1.0, np.abs(x).max()):
+            return x, F, f"step below tolerance after {k} iterations"
+        y = x + s
+        trial = _residual_terms(y, z0)
+        f_new = np.inf if trial is None else trial[3] @ trial[3]
+        if f_new < f:
+            rho = (f - f_new) / 2 / (-s @ g - s @ A @ s / 2)
+            mu *= max(1 / 3, 1 - (2 * rho - 1) ** 3)
+            x, F, terms, nu = y, trial[3], trial, 2.0
+        else:
+            mu, nu = mu * nu, 2 * nu
+    return x, F, f"no convergence in {_MAX_ITER} iterations"
 
 
 def optimize_support(n, z0):
     """Optimal interior node placement for predicting at z0.
 
     Endpoints are pinned at -1 and +1.  The n-1 interior nodes solve the
-    first-order conditions F_j = 0 of _first_order_residual by one MINPACK
-    hybrid root solve (hybrj) in node coordinates, started from the Chebyshev
-    extreme points.  It takes F and the exact Jacobian as separate functions,
-    so each step costs one O(n^2) residual and the O(n^3) Jacobian is built
-    only when hybrj asks for it.  An uncertified result is returned with a
-    warning; its certificate carries the evidence.
+    first-order conditions F_j = 0 (_residual_terms) by _solve, with the
+    exact Jacobian, from the Chebyshev extreme points in their exactly
+    symmetric sine form; every iterate keeps the nodes ordered.  An
+    uncertified result comes back with a warning: its certificate carries the
+    evidence, and the warning adds the residual and why the solve stopped.
     """
     _check_degree(n, lowest=1)
     z0 = require_exterior(z0)
     if n == 1:
         return design_from_support(1, z0, [-1.0, 1.0])
 
-    # The interior Chebyshev extrema.  MINPACK sizes its first trust region
-    # by |x0|, so the 6e-17 the cosine form leaves for an exact 0 stalls
-    # n=2, z0=1+1j at the start.
-    x0 = _lobatto(n)[1:-1]
-    fun, jac = _first_order_residual(z0)
-    sol = root(fun, x0, method="hybr", jac=jac, tol=_ROOT_XTOL)
-    x = np.concatenate(([-1.0], sol.x, [1.0]))
-    if not np.all(np.diff(x) > 0):
-        raise RuntimeError(f"optimize_support(n={n}, z0={z0}): root solve left [-1, 1]")
-    design = design_from_support(n, z0, x)
+    x, F, why = _solve(_lobatto(n)[1:-1], z0)
+    design = design_from_support(n, z0, np.concatenate(([-1.0], x, [1.0])))
     if not design.certified:
         # an overflowed K = inf is at least the largest double
         log_K = math.log(min(design.K_value, sys.float_info.max))
@@ -388,8 +390,7 @@ def optimize_support(n, z0):
             f"optimize_support(n={n}, z0={z0}): design failed certification "
             f"(max_violation={design.certificate.max_violation:.3e}, "
             f"duality_gap={design.certificate.duality_gap:.3e}, "
-            f"residual={np.abs(sol.fun).max():.3e}; "
-            f"solver: {' '.join(sol.message.split())}); {verdict}: "
+            f"residual={np.abs(F).max():.3e}; solver: {why}); {verdict}: "
             f"log K = {log_K:.6g}, 2n log|phi(z0)| = {upper:.6g}"
         )
     return design

@@ -14,8 +14,9 @@ fit, and compares the sample variance of the predictions at z0 against
 sigma^2 |w|^2, which is the formula exactly.  Predictions at complex z0 are
 complex, so variance means E|x - mean|^2 throughout.  The fit's R factor
 must pass one rank rule (_full_rank), and every plan is fit, a noiseless one
-too, so a rank-deficient plan (RankDeficiencyError) or a z0 far enough out
-that |w|^2 overflows (RuntimeError) is refused before any noise is drawn.
+too, so a rank-deficient plan (RankDeficiencyError) or a z0 far enough out,
+or a sigma large enough, that sigma^2 |w|^2 overflows (RuntimeError) is
+refused before any noise is drawn.
 
 Replicates come in blocks of _BATCH (the last may be shorter).  Block j draws
 from its own SFC64 generator, seeded by the j-th child that SeedSequence(seed)
@@ -190,7 +191,8 @@ def mc_predictor_variance(plan, z0, replicates, seed):
 
         empirical = sigma^2 (sum |d|^2 - |sum d|^2 / R) / (R - 1).
 
-    A rank-deficient plan or a non-finite |w|^2 raises before any draw.
+    A rank-deficient plan or a predicted variance sigma^2 |w|^2 beyond the
+    double range (a far z0 or a huge sigma) raises before any draw.
 
     Replicates are drawn in blocks of _BATCH, block j from
     Generator(SFC64(SeedSequence(seed).spawn(...)[j])), on as many threads
@@ -208,8 +210,10 @@ def mc_predictor_variance(plan, z0, replicates, seed):
     with np.errstate(over="ignore", invalid="ignore"):
         w = cheb.chebvander(z0, n)[0] @ fit
         w_sq = float(np.vdot(w, w).real)
-    if not math.isfinite(w_sq):
-        raise RuntimeError(f"prediction variance overflows at z0 = {z0}")
+        predicted = plan.sigma * plan.sigma * w_sq
+    if not math.isfinite(predicted):
+        raise RuntimeError(f"prediction variance overflows at z0 = {z0}, "
+                           f"sigma = {plan.sigma}")
 
     if plan.sigma == 0.0:
         # every replicate is the same noiseless fit; the variance is exactly 0
@@ -226,8 +230,7 @@ def mc_predictor_variance(plan, z0, replicates, seed):
                                  children, sizes))
         s_re, s_im, s_sq = sum(sums)
         spread = s_sq - (s_re * s_re + s_im * s_im) / replicates
-        empirical = float(plan.sigma**2 * spread / (replicates - 1))
-    predicted = plan.sigma**2 * w_sq
+        empirical = float(plan.sigma * plan.sigma * spread / (replicates - 1))
     if predicted == 0.0:
         rel = 0.0 if empirical == 0.0 else np.inf
     else:

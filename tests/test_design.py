@@ -18,7 +18,12 @@ from optpred import (
     optimize_support,
     require_exterior,
 )
-from optpred.design import _first_order_residual, _log_kernel_bracket, _sup_bound
+from optpred.design import (
+    _log_kernel_bracket,
+    _residual_jacobian,
+    _residual_terms,
+    _sup_bound,
+)
 from optpred.imaginary import closed_form_design, growth_gap, growth_value
 from polyhelp import christoffel, kernel_poly, padded, sup_norm_interval
 
@@ -350,8 +355,8 @@ def test_optimize_support_imaginary_point(n, a):
     assert d.certified
 
 
-# the cases a near-zero start coordinate used to stall: 6e-17 where the
-# Chebyshev start has an exact 0 shrinks MINPACK's first trust region
+# symmetric starts with an exact 0 coordinate: the cosine form leaves 6e-17
+# there, which once stalled the solve at n=2, z0=1+1j
 @pytest.mark.parametrize("n, z0", [(2, 1 + 1j), (2, 0.5 + 0.5j), (4, 2.0), (8, 1.2j)])
 def test_optimize_support_certifies_from_symmetric_start(n, z0):
     d = optimize_support(n, z0)
@@ -364,6 +369,16 @@ def test_optimize_support_nodes_to_rounding(n, a):
     d = optimize_support(n, 1j * a)
     exact = closed_form_design(n, a).measure.nodes
     assert np.abs(d.measure.nodes - exact).max() <= 1e-12
+
+
+def test_optimize_support_axis_near_interval():
+    # at a = 1e-6 odd n puts a pair of nodes 3.7e-4 (n=31) to 1.4e-3 (n=3)
+    # apart around 0; every design certifies and lands on the closed form
+    for n in range(2, 33):
+        d = optimize_support(n, 1e-6j)
+        assert d.certified, (n, d.certificate.max_violation)
+        exact = closed_form_design(n, 1e-6).measure.nodes
+        assert np.abs(d.measure.nodes - exact).max() <= 1e-9, n
 
 
 @pytest.mark.parametrize("z0", [2.0, 1j, 0.5 + 0.5j, 0.001j])
@@ -394,34 +409,46 @@ def test_first_order_residual_matches_extremal_poly():
         P = extremal_signed_poly(x, z0)
         dP = cheb.chebval(interior, cheb.chebder(P.coeffs))
         expected = np.real(np.conj(P(interior)) * dP)
-        fun, jac = _first_order_residual(z0)
-        F, J = fun(interior), jac(interior)
+        terms = _residual_terms(interior, z0)
+        F, J = terms[3], _residual_jacobian(terms)
         assert np.abs(F - expected).max() <= 1e-10 * max(1.0, np.abs(F).max())
         steps = h * np.eye(n - 1)
-        central = np.array([fun(interior + d) - fun(interior - d)
+        central = np.array([_residual_terms(interior + d, z0)[3]
+                            - _residual_terms(interior - d, z0)[3]
                             for d in steps]).T / (2 * h)
         assert np.abs(J - central).max() <= 1e-7 * np.abs(central).max()
 
 
-def test_jacobian_built_only_when_minpack_asks(monkeypatch):
-    # every Jacobian jac returns is kept alive, so distinct objects are
-    # distinct builds; scipy's shape check asks once more than sol.njev
-    real_root = optpred.design.root
-    returned, solution = [], []
+def test_residual_terms_refuse_unordered_nodes():
+    for interior in ([0.5, -0.5], [0.0, 0.0], [-1.0, 0.5], [0.5, 1.5]):
+        assert _residual_terms(np.array(interior), 0.5 + 0.5j) is None
 
-    def spy(fun, x0, *, jac, **kwargs):
-        def counted(x):
-            returned.append(jac(x))
-            return returned[-1]
 
-        solution.append(real_root(fun, x0, jac=counted, **kwargs))
-        return solution[-1]
+def test_jacobian_built_at_start_and_per_accepted_step(monkeypatch):
+    # the solve evaluates F at its start and at each trial point; a trial is
+    # accepted iff it is ordered and lowers |F|^2 below the last accepted
+    # one, and exactly the start and the accepted points get a Jacobian
+    terms, jacobian = optpred.design._residual_terms, optpred.design._residual_jacobian
+    evaluated, built = [], []
 
-    monkeypatch.setattr("optpred.design.root", spy)
-    optimize_support(12, 0.5 + 0.5j)
-    (sol,) = solution
-    builds = len({id(J) for J in returned})
-    assert builds == sol.njev < sol.nfev
+    def spy_terms(interior, z0):
+        evaluated.append(terms(interior, z0))
+        return evaluated[-1]
+
+    def spy_jacobian(t):
+        built.append(t)
+        return jacobian(t)
+
+    monkeypatch.setattr("optpred.design._residual_terms", spy_terms)
+    monkeypatch.setattr("optpred.design._residual_jacobian", spy_jacobian)
+    assert optimize_support(7, 0.125 - 0.015625j).certified
+    accepted, best = [], math.inf
+    for t in evaluated:
+        if t is not None and t[3] @ t[3] < best:
+            accepted.append(t)
+            best = t[3] @ t[3]
+    assert len(built) == len(accepted) < len(evaluated)
+    assert all(a is b for a, b in zip(built, accepted))
 
 
 def test_optimize_support_general_complex_point():
@@ -472,19 +499,21 @@ def test_optimize_support_warns_when_uncertified(monkeypatch):
     assert "undecided" in message and "provably suboptimal" not in message
 
 
-def test_uncertified_warning_reads_verdict():
-    # draws 3 and 39 of the seed-5 band sampler, both uncertified today: the
-    # first has log K 1.03 above 2n log|phi(z0)|, the second 1.4e-3 below it
-    rng = np.random.default_rng(5)
-    draws = []
-    for _ in range(40):
-        n = int(rng.integers(2, 33))
-        re = rng.uniform(-2, 2)
-        draws.append((n, complex(re, 10 ** rng.uniform(-9, 0.5) * rng.choice([-1, 1]))))
-    for (n, z0), verdict in ((draws[3], "provably suboptimal"), (draws[39], "undecided")):
+def test_uncertified_warning_reads_verdict(monkeypatch):
+    # the solve kept at its Chebyshev start, which is far from optimal at the
+    # first point (log K 1.03 above 2n log|phi(z0)| = 2.6e-6) and merely
+    # uncertified at the second (log K 11.94 below 12.74)
+    def start(x0, z0):
+        return x0, _residual_terms(x0, z0)[3], "kept at the start"
+
+    monkeypatch.setattr("optpred.design._solve", start)
+    cases = (((6, 0.6094764463519509 + 1.6898451743904647e-07j), "provably suboptimal"),
+             ((12, 0.5 + 0.5j), "undecided"))
+    for (n, z0), verdict in cases:
         with pytest.warns(UserWarning, match="failed certification") as record:
             d = optimize_support(n, z0)
         assert not d.certified
+        assert "solver: kept at the start); " in str(record[0].message)
         assert f"); {verdict}: log K = " in str(record[0].message)
         log_K = math.log(d.K_value)
         assert (log_K > _log_kernel_bracket(n, z0)[1]) == (verdict != "undecided")

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import optpred
 
 # the public surface: every name here is run by the package, the CLI or the
@@ -23,3 +28,14 @@ def test_all_names_resolve_once():
 def test_all_is_pinned():
     assert set(optpred.__all__) == EXPORTS
     assert len(EXPORTS) == 24
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # the root solve is the package's own loop; a fresh interpreter shows
+    # what importing the package (and the CLI module) pulls in
+    src = Path(optpred.__file__).resolve().parents[1]
+    code = "import sys, optpred, optpred.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

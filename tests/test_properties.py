@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optpred import closed_form_design, optimize_support
@@ -56,6 +56,13 @@ def test_imaginary_point_certifies_at_closed_form(n, a):
 
 @PROPERTY
 @given(n=DEGREES, re=st.floats(-3.0, 3.0), im=_signed(0.01, 3.0))
+# points where damped, step-capped and Newton-first variants of Newton fail
+@example(n=7, re=0.125, im=-0.015625)
+@example(n=10, re=0.125, im=-0.01)
+@example(n=31, re=0.125, im=-0.015625)
+# near-band points where MINPACK's hybrid method stopped uncertified
+@example(n=7, re=0.8319432471450254, im=0.01220590673145695)
+@example(n=10, re=0.8724417875710577, im=0.010896119317311766)
 def test_complex_point_certifies(n, re, im):
     _certified(n, complex(re, im))
 

@@ -282,6 +282,19 @@ def test_mc_overflow_fails_before_drawing(monkeypatch, sigma, z0):
             mc_predictor_variance(plan, z0, 1000, seed=0)
 
 
+@pytest.mark.parametrize("sigma, z0", [(1e200, 2.0), (1e150, 1e30)])
+def test_mc_large_sigma_fails_before_drawing(monkeypatch, sigma, z0):
+    # sigma^2 overflows alone at 1e200, and sigma^2 |w|^2 does at 1e150 with
+    # |w|^2 ~ T_2(1e30)^2 finite: a numeric failure, with no warning, before
+    # any noise is drawn
+    _refuse_draws(monkeypatch, "noise drawn for an overflowed prediction")
+    plan = RegressionPlan.from_measure(UNIFORM3, 300, sigma, THETA)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="overflows"):
+            mc_predictor_variance(plan, z0, 1000, seed=0)
+
+
 def test_mc_predicted_is_kernel_of_realized_measure():
     # sigma^2 |w|^2 of the simulator's own fit is the paper's
     # (sigma^2 / m) K(z0) of the realized measure, K by the QR oracle; on the
