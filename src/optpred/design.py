@@ -34,12 +34,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
 
 from .measure import DiscreteMeasure
 from .polynomial import (
     ChebPoly,
     _check_degree,
+    _dct1,
     _finite_point,
     _interpolant,
     _lagrange_polar,
@@ -224,8 +224,8 @@ def _sup_bound(P, nodes):
     # P(cos(k pi / 2n)) = (y_k + c_0) / 2 for the DCT-I y of the coefficients
     padded = np.zeros(2 * n + 1, dtype=complex)
     padded[: len(P.coeffs)] = P.coeffs
-    v = (dct(padded, type=1)[::-1] + padded[0]) / 2
-    E = dct(1.0 - (v.real**2 + v.imag**2) - g, type=1) / (2 * n)
+    v = (_dct1(padded)[::-1] + padded[0]) / 2
+    E = _dct1(1.0 - (v.real**2 + v.imag**2) - g) / (2 * n)
     E[[0, -1]] /= 2
     return float(np.sqrt(1.0 + np.abs(E).sum()))
 

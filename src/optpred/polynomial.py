@@ -19,7 +19,6 @@ import cmath
 
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
-from scipy.fft import dct
 
 # A cap on work (the root-solve Jacobian is a dense O(n^3) step; assembling a
 # design from its support is O(n^2)), not a range guarantee: K overflows far
@@ -155,6 +154,20 @@ def _node_signs(count):
     return signs
 
 
+def _dct1(v):
+    """The unnormalized DCT-I, y_k = v_0 + (-1)^k v_{N-1} + 2 sum_{j=1}^{N-2}
+    v_j cos(pi j k/(N - 1)): the first N entries of the FFT of the even
+    extension [v_0, ..., v_{N-1}, v_{N-2}, ..., v_1].  Real input gives a
+    real result, through rfft, whose N entries are exactly those.  For N = 1
+    the extension is [v_0], and y = v.
+    """
+    v = np.asarray(v)
+    even = np.concatenate((v, v[-2:0:-1]))
+    if np.iscomplexobj(v):
+        return np.fft.fft(even)[: len(v)]
+    return np.fft.rfft(even).real
+
+
 def _interpolant(x, b, c):
     """The ChebPoly interpolating c at the nodes x, given barycentric weights
     b (any common scale): its values at the n + 1 Chebyshev-Lobatto points
@@ -171,7 +184,7 @@ def _interpolant(x, b, c):
     rows = on_node.any(axis=1)
     r[rows] = on_node[rows]
     values = (r @ c) / r.sum(axis=1)
-    coeffs = dct(values, type=1) / n
+    coeffs = _dct1(values) / n
     coeffs[[0, -1]] /= 2
     coeffs[1::2] *= -1
     return ChebPoly(coeffs)

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
-from scipy.linalg import solve_triangular
 
 from .measure import DiscreteMeasure
 from .polynomial import _check_degree, _check_int, _finite, _finite_point
@@ -159,10 +158,13 @@ def least_squares_fit(V, y):
     """Least-squares coefficients via QR, no normal-equations inverse.
 
     y may be a vector or a matrix of stacked right-hand sides (one fit per
-    column).  R goes through the rank rule, _full_rank.
+    column).  R goes through the rank rule, _full_rank.  R^-1 Q^T (k x m, for
+    k coefficients and m rows) comes first, from one small solve, and reaches
+    y by one matrix product; solving against Q^T y instead would run the
+    solve's two triangular sweeps over every column of y.
     """
     q, r = np.linalg.qr(V)
-    return solve_triangular(_full_rank(r), q.T @ y, lower=False)
+    return np.linalg.solve(_full_rank(r), q.T) @ y
 
 
 def _usable_cpus():

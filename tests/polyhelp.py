@@ -4,12 +4,14 @@ against, the dense interpolation solve that the extremal polynomial's
 coefficients are held against, the complex pairwise-ratio product that
 lagrange_values is held against, and the Christoffel-kernel oracles (the
 Gram matrix, K by QR and by the Lagrange route, the normalized kernel
-polynomial and the directional derivative of K).  The QR routes solve
-against the R factor of one QR of the sqrt(w)-weighted chebvander matrix,
-under the rank rule of optpred's least-squares fit."""
+polynomial and the directional derivative of K), and the 50-digit zeros
+of R_n that companion_zeros is held against.  The QR routes solve against
+the R factor of one QR of the sqrt(w)-weighted chebvander matrix, under the
+rank rule of optpred's least-squares fit."""
 
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
 from scipy.linalg import solve_triangular
@@ -160,3 +162,32 @@ def directional_derivative(mu0, a, n, z0):
     R, u = _kernel_basis(mu0, n, z0)
     v = solve_triangular(R, cheb.chebvander(a, n)[0], trans="T")
     return float(np.vdot(u, u).real - abs(np.vdot(u, v)) ** 2)
+
+
+def phase_zeros(n, a, guesses):
+    """The n zeros of R_n(|a|) in increasing order to 50 digits, as roots of
+    h(theta) = n theta + atan2(r sin theta, cos theta) = k pi, r = |a|/s.
+
+    Newton in mpmath from theta = acos(guesses[n - k]), until a step falls
+    below 1e-45 theta.  h is increasing with exactly one root in
+    ((k - 1) pi/n, k pi/n), so a root found inside that bracket is the k-th
+    zero, whatever the guess; one found outside raises AssertionError.
+    """
+    with mpmath.workdps(50):
+        a = abs(mpmath.mpf(a))
+        r = a / mpmath.sqrt(a * a + 1)
+        zeros = []
+        for k, guess in zip(range(n, 0, -1), guesses):
+            theta = mpmath.acos(mpmath.mpf(float(guess)))
+            for _ in range(40):
+                sin, cos = mpmath.sin(theta), mpmath.cos(theta)
+                h = n * theta + mpmath.atan2(r * sin, cos) - k * mpmath.pi
+                step = h / (n + r / (cos * cos + r * r * sin * sin))
+                theta -= step
+                if abs(step) <= mpmath.mpf(10) ** -45 * theta:
+                    break
+            else:
+                raise AssertionError(f"no 50-digit root for n={n}, k={k}")
+            assert (k - 1) * mpmath.pi / n < theta < k * mpmath.pi / n
+            zeros.append(mpmath.cos(theta))
+        return np.array([float(x) for x in zeros])

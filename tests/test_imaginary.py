@@ -12,7 +12,8 @@ from optpred import (
     pell_companion,
     pell_residual,
 )
-from polyhelp import padded
+from optpred import imaginary
+from polyhelp import padded, phase_zeros
 
 
 def _t_coeffs(n):
@@ -222,7 +223,7 @@ def test_companion_zeros_low_degree():
 @pytest.mark.parametrize("a", [0.001, 0.25, 1.0, 4.0])
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 64, 191, 511])
 def test_companion_interlacing_and_signs(n, a):
-    # the Jacobi eigenvalues against the sign changes of the Chebyshev series
+    # the phase-equation zeros against the sign changes of the Chebyshev series
     pts = np.cos(np.pi * np.arange(n, -1, -1) / n)
     zeros = companion_zeros(n, a)
     assert len(zeros) == n
@@ -232,6 +233,58 @@ def test_companion_interlacing_and_signs(n, a):
     vals = pell_companion(n, a)(pts).real
     signs = (-1.0) ** np.arange(n, -1, -1)
     assert np.all(np.sign(vals) == signs)
+
+
+@pytest.mark.parametrize("a", [1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.7, 1.0, 4.0, 1e3, 1e8])
+def test_companion_zeros_match_phase_equation(a):
+    # against 50-digit roots of n theta + atan2(r sin theta, cos theta) = k pi
+    for n in (1, 2, 3, 4, 5, 8, 17, 64, 191):
+        zeros = companion_zeros(n, a)
+        assert np.abs(zeros - phase_zeros(n, a, zeros)).max() <= 1e-15
+
+
+def test_companion_zeros_converge_far_below_the_cap(monkeypatch):
+    # the safeguarded Newton loop ends within _ZERO_ITERATIONS by construction;
+    # a cap of 6 gives the same zeros, so no (n, a) here comes near it
+    rng = np.random.default_rng(23)
+    cases = [(n, a) for n in (*range(1, 34), 64, 127, 191, 256, 511, 512)
+             for a in (5e-324, 1e-300, 1e-12, 1e-3, 0.5, 1.0, 1e3, 1.7e308,
+                       *10.0 ** rng.uniform(-15, 10, 4))]
+    full = [companion_zeros(n, a) for n, a in cases]
+    monkeypatch.setattr(imaginary, "_ZERO_ITERATIONS", 6)
+    for (n, a), zeros in zip(cases, full):
+        assert np.array_equal(companion_zeros(n, a), zeros), (n, a)
+        assert len(zeros) == n and np.all(np.diff(zeros) > 0)
+        assert -1.0 < zeros[0] and zeros[-1] < 1.0
+
+
+def _zero_limits(n):
+    """{0} and cos(k pi/(n - 1)): as a -> 0, R_{n-1} -> U_{n-1} - T_{n-1} =
+    x U_{n-2}, whose zeros these are (with the endpoints added)."""
+    return np.append(np.cos(np.pi * np.arange(n) / (n - 1)), 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 16, 32, 64])
+@pytest.mark.parametrize("a", [1e-3, 1e-6, 1e-9, 1e-12])
+def test_companion_zeros_small_a_even_degree(n, a):
+    # x U_{n-2} has simple zeros here: each zero moves by O(a), at most a
+    zeros = companion_zeros(n - 1, a)
+    gap = np.abs(zeros[:, None] - _zero_limits(n)).min(axis=1)
+    assert gap.max() <= a
+
+
+@pytest.mark.parametrize("n", [5, 9, 17, 33, 65])
+@pytest.mark.parametrize("a", [1e-9, 1e-12])
+def test_companion_zeros_small_a_odd_degree(n, a):
+    # x U_{n-2} has a double zero at 0 here, which splits into the pair
+    # +-sqrt(a/(n - 1)) (tan psi tan((n-1) psi) = r); the others move by at most a
+    zeros = companion_zeros(n - 1, a)
+    mid = n // 2 - 1
+    pair = zeros[mid : mid + 2]
+    np.testing.assert_allclose(pair, np.sqrt(a / (n - 1)) * np.array([-1.0, 1.0]), rtol=1e-6)
+    rest = np.delete(zeros, [mid, mid + 1])
+    gap = np.abs(rest[:, None] - _zero_limits(n)).min(axis=1)
+    assert gap.max() <= a
 
 
 def test_companion_zeros_symmetric():

@@ -4,9 +4,11 @@ import warnings
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
 import pytest
+import scipy.fft
 
 from optpred import ChebPoly, as_nodes, extremal_signed_poly, lagrange_values
 from optpred.imaginary import companion_zeros, growth_poly
+from optpred.polynomial import _dct1
 from polyhelp import (
     is_zero,
     lagrange_pairwise,
@@ -166,6 +168,19 @@ def test_from_lagrange_combination_lobatto_point_on_node():
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 _assert_matches_solve(x, 0.5 + 0.5j)
+
+
+def test_dct1_matches_scipy():
+    rng = np.random.default_rng(23)
+    for size in range(2, 1025):
+        v = rng.standard_normal(size)
+        for x in (v, v + 1j * rng.standard_normal(size)):
+            y, ref = _dct1(x), scipy.fft.dct(x, type=1)
+            assert y.dtype == ref.dtype
+            assert np.linalg.norm(y - ref) <= 1e-15 * np.linalg.norm(ref)
+    # scipy refuses N = 1; the even extension of one entry is itself
+    for x in (np.array([0.75]), np.array([0.75 - 2j])):
+        assert np.array_equal(_dct1(x), x)
 
 
 def test_sup_norm_t5():
