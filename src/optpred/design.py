@@ -25,6 +25,11 @@ support, optimal or not.  So the sup-norm alone decides: if it is 1 on
 at least |P(z0)|^2 = K.  The other numbers recorded in a Certificate catch
 numerical faults, such as an overflowed K.  The sup-norm is bounded from
 above by a Pell-type identity (_sup_bound), with no root finding and no grid.
+The certificate evaluates P once on one grid: one DCT-I of its coefficients
+gives its values at the 2n + 1 Chebyshev-Lobatto points, which the bound
+reads, and every other one of them, at the n + 1 Lobatto points, gives |P|
+on the support through polynomial._barycentric, the evaluator _interpolant
+uses.  P(z0) alone is taken from the coefficients.
 """
 
 import cmath
@@ -38,12 +43,14 @@ import numpy as np
 from .measure import DiscreteMeasure
 from .polynomial import (
     ChebPoly,
+    _barycentric,
     _check_degree,
     _dct1,
     _finite_point,
     _interpolant,
     _lagrange_polar,
     _lobatto,
+    _lobatto_weights,
     _node_signs,
     as_nodes,
 )
@@ -198,8 +205,19 @@ class Design:
         return design_from_support(data["n"], complex(*data["z0"]), data["nodes"])
 
 
-def _sup_bound(P, nodes):
-    """A certified upper bound sqrt(1 + sum_k |E_k|) on max |P| over [-1, 1].
+def _lobatto_values(P, m):
+    """P at the m + 1 points _lobatto(m), from one DCT-I of its coefficients
+    zero-padded to degree m: P(cos(k pi / m)) = (y_k + c_0) / 2 for the
+    DCT-I y, read in reverse for the ascending order.  Exact for deg P <= m.
+    """
+    padded = np.zeros(m + 1, dtype=complex)
+    padded[: len(P.coeffs)] = P.coeffs
+    return (_dct1(padded)[::-1] + padded[0]) / 2
+
+
+def _sup_bound(P, nodes, v):
+    """A certified upper bound sqrt(1 + sum_k |E_k|) on max |P| over [-1, 1],
+    from the values v of P at the 2n + 1 points _lobatto(2n).
 
     E = 1 - |P|^2 - c (1 - t^2) w^2 with w = prod_k (t - x_k) over the interior
     nodes has Chebyshev coefficients E_k, and any c >= 0 gives |P|^2 <= 1 - E
@@ -209,36 +227,41 @@ def _sup_bound(P, nodes):
     4^(n-1) |P_n|^2 for the Chebyshev coefficient P_n and 0 if deg P < n.
     E then has degree below 2n, so one DCT-I of its values at the 2n + 1
     Chebyshev-Lobatto points gives the E_k exactly (their ascending order
-    flips only the signs of odd E_k).  The values of P there come from one
-    DCT-I of its zero-padded coefficients, read in reverse.  c w^2 is formed
-    in logs, as its factors overflow and underflow apart at large n; a node
-    on a Lobatto point gives 0.
+    flips only the signs of odd E_k).  c w^2 is formed in logs, as its
+    factors overflow and underflow apart at large n, from one (2n + 1) x
+    (n - 1) array of log|t - x_k| made in place; a node on a Lobatto point
+    gives 0.
     """
     n = len(nodes) - 1
     t = _lobatto(2 * n)
     lead = P.coeffs[n] if P.degree == n else 0.0
+    log_d = np.subtract.outer(t, nodes[1:-1])
+    np.abs(log_d, out=log_d)
     with np.errstate(divide="ignore"):
-        log_w = np.log(np.abs(t[:, None] - nodes[1:-1])).sum(axis=1)
+        log_w = np.log(log_d, out=log_d).sum(axis=1)
         log_c = 2.0 * np.log(abs(lead)) + 2 * (n - 1) * np.log(2.0)
     g = (1.0 - t * t) * np.exp(2.0 * log_w + log_c)
-    # P(cos(k pi / 2n)) = (y_k + c_0) / 2 for the DCT-I y of the coefficients
-    padded = np.zeros(2 * n + 1, dtype=complex)
-    padded[: len(P.coeffs)] = P.coeffs
-    v = (_dct1(padded)[::-1] + padded[0]) / 2
     E = _dct1(1.0 - (v.real**2 + v.imag**2) - g) / (2 * n)
-    E[[0, -1]] /= 2
+    E[0] /= 2
+    E[-1] /= 2
     return float(np.sqrt(1.0 + np.abs(E).sum()))
 
 
 def _certificate(P, mu, z0, K):
-    """The Certificate of P on mu, with P evaluated once, at the nodes and z0."""
-    bound = _sup_bound(P, mu.nodes)
-    values = P(np.append(mu.nodes, z0))
-    moduli = np.abs(values[:-1])
+    """The Certificate of P on mu from one set of values of P: those at the
+    2n + 1 points _lobatto(2n), which _sup_bound takes, and of which every
+    other one, at _lobatto(n), gives P at the nodes by _barycentric.  P(z0)
+    alone is evaluated from the coefficients, by ChebPoly.__call__.
+    """
+    x = mu.nodes
+    n = len(x) - 1
+    v = _lobatto_values(P, 2 * n)
+    bound = _sup_bound(P, x, v)
+    moduli = np.abs(_barycentric(x, _lobatto(n), _lobatto_weights(n), v[::2]))
     l2 = float(np.sqrt(np.sum(mu.weights * moduli**2)))
     # in logs, so an overflowing |P(z0)|^2 is never formed; an overflowed
     # K = inf gives a gap of exactly 1, which no certificate passes
-    gap = abs(math.expm1(2.0 * math.log(abs(values[-1])) - math.log(K)))
+    gap = abs(math.expm1(2.0 * math.log(abs(P(z0))) - math.log(K)))
     return Certificate(
         sup_norm=bound,
         l2_mu_norm=l2,

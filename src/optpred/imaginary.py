@@ -61,6 +61,42 @@ def _check_a(a):
     return a
 
 
+def _growth_coeffs(n, a, deg):
+    """The Chebyshev coefficients of Q_{n_j} at a_j, one row per pair of the
+    1-d arrays n (>= 1) and a (finite, nonzero), zero-padded to degree deg:
+    beta T_{|n-2|} - (i/s) T_{n-1} - gamma T_n, for a < 0 with the odd
+    coefficients' signs flipped.  The package's one source of Q_n.
+    """
+    s = np.hypot(a, 1.0)
+    rows = np.arange(len(n))
+    c = np.zeros((len(n), deg + 1), dtype=complex)
+    # gamma = (a + s)/(2s) and beta = (s - a)/(2s) = 1/(4 s^2 gamma), formed
+    # without s - a (cancellation) or a + s (overflow above a ~ 9e307); beta is
+    # divided in steps, so large a underflows it to 0 instead of overflowing
+    gamma = 0.5 * (1.0 + np.abs(a) / s)
+    c[rows, np.abs(n - 2)] = 0.25 / s / s / gamma
+    c[rows, n - 1] -= 1j / s
+    c[rows, n] -= gamma  # at n = 1 this merges into T_1 with beta
+    c[a < 0, 1::2] *= -1
+    return c
+
+
+def _companion_coeffs(n, a, deg):
+    """The Chebyshev coefficients of R_{n_j} at a_j, one row per pair of the
+    1-d arrays n (>= 0) and a (finite, nonzero), zero-padded to degree deg:
+    U_n + (|a|/s - 1) T_n.  U_n in the T basis is 2 T_n + 2 T_{n-2} + ...,
+    its T_0 term counted once, so the entries of the other parity are exact
+    zeros.  The package's one source of R_n.
+    """
+    k = np.arange(deg + 1)
+    c = 2.0 * ((k <= n[:, None]) & ((n[:, None] - k) % 2 == 0))
+    c[:, 0] /= 2
+    rows = np.arange(len(n))
+    # subtracting 1 before adding a/s keeps R_0 = a/s exact
+    c[rows, n] = c[rows, n] - 1.0 + np.abs(a) / np.hypot(a, 1.0)
+    return c
+
+
 def growth_poly(n, a):
     """Q_n for a > 0: beta T_{|n-2|} - (i/s) T_{n-1} - gamma T_n, no other terms.
 
@@ -69,35 +105,14 @@ def growth_poly(n, a):
     """
     _check_degree(n, lowest=1)
     a = _check_a(a)
-    s = np.hypot(a, 1.0)
-    c = np.zeros(n + 1, dtype=complex)
-    # gamma = (a + s)/(2s) and beta = (s - a)/(2s) = 1/(4 s^2 gamma), formed
-    # without s - a (cancellation) or a + s (overflow above a ~ 9e307); beta is
-    # divided in steps, so large a underflows it to 0 instead of overflowing
-    gamma = 0.5 * (1.0 + abs(a) / s)
-    c[abs(n - 2)] = 0.25 / s / s / gamma
-    c[n - 1] -= 1j / s
-    c[n] -= gamma  # at n = 1 this merges into T_1 with beta
-    if a < 0:
-        c[1::2] *= -1
-    return ChebPoly(c)
+    return ChebPoly(_growth_coeffs(np.array([n]), np.array([a]), n)[0])
 
 
 def pell_companion(n, a):
-    """R_n: U_n + (|a|/s - 1) T_n; real coefficients, parity (-1)^n.
-
-    U_n in the T basis is 2 T_n + 2 T_{n-2} + ..., its T_0 term counted once,
-    so the entries of the other parity are exact zeros.
-    """
+    """R_n: U_n + (|a|/s - 1) T_n; real coefficients, parity (-1)^n."""
     _check_degree(n)
-    a = abs(_check_a(a))
-    s = np.hypot(a, 1.0)
-    c = np.zeros(n + 1)
-    c[n % 2 :: 2] = 2.0
-    c[0] /= 2
-    # subtracting 1 before adding a/s keeps R_0 = a/s exact
-    c[n] = c[n] - 1.0 + a / s
-    return ChebPoly(c)
+    a = _check_a(a)
+    return ChebPoly(_companion_coeffs(np.array([n]), np.array([a]), n)[0])
 
 
 def pell_residual(n, a, x):
@@ -105,29 +120,31 @@ def pell_residual(n, a, x):
 
     Either one pair (n, a) with x of any shape, or a batch: equal-length 1-d
     sequences n and a with a 2-d x, row j of x taken at (n[j], a[j]).  The
-    result has the shape of x.  Each pair's Re Q_n, Im Q_n and R_{n-1}
-    (from growth_poly and pell_companion) are zero-padded to degree max(n)
-    as three columns; one chebvander block of x to that degree, contracted
-    with those columns by one broadcast matmul, evaluates every row at once.
+    result has the shape of x.  Each entry meets growth_poly's checks, in
+    order.  Re Q_n, Im Q_n and R_{n-1} of every pair, zero-padded to degree
+    max(n), come from the closed forms as three columns of one block; one
+    chebvander block of x to that degree, contracted with those columns by
+    one broadcast matmul, evaluates every row at once.
     """
     batch = np.ndim(n) > 0 or np.ndim(a) > 0
     if batch and not (np.ndim(n) == np.ndim(a) == 1 and len(n) == len(a)):
         raise ValueError("n and a must be 1-d sequences of equal length")
-    # n is iterated as given, so each entry meets growth_poly's degree check
+    # n is iterated as given, so each entry meets the degree check
     pairs = list(zip(n, a)) if batch else [(n, a)]
     x = np.asarray(x, dtype=float)
     if batch and (x.ndim != 2 or len(x) != len(pairs)):
         raise ValueError(f"x must be 2-d with one row per (n, a) pair, "
                          f"got shape {x.shape} for {len(pairs)} pairs")
-    polys = [(growth_poly(nj, aj).coeffs, pell_companion(nj - 1, aj).coeffs)
-             for nj, aj in pairs]
-    # default: an empty batch evaluates to an empty array
-    deg = max((len(Q) for Q, _ in polys), default=1) - 1
-    c = np.zeros((len(polys), deg + 1, 3))
-    for cj, (Q, R) in zip(c, polys):
-        cj[: len(Q), 0] = Q.real
-        cj[: len(Q), 1] = Q.imag
-        cj[: len(R), 2] = R.real
+    ns, avals = [], []
+    for nj, aj in pairs:
+        _check_degree(nj, lowest=1)
+        ns.append(nj)
+        avals.append(_check_a(aj))
+    ns, avals = np.array(ns, dtype=int), np.array(avals)
+    # an empty batch evaluates to an empty array
+    deg = int(ns.max()) if len(ns) else 0
+    Q = _growth_coeffs(ns, avals, deg)
+    c = np.stack((Q.real, Q.imag, _companion_coeffs(ns - 1, avals, deg)), axis=-1)
     # one pair broadcasts its block c[0] over any shape of x; chebvander
     # reads a 0-d x as shape (1,), which the last reshape undoes
     qr, qi, r = np.moveaxis(cheb.chebvander(x, deg) @ c, -1, 0)

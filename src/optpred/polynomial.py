@@ -4,11 +4,17 @@ The Chebyshev basis is used everywhere; monomial coefficients are far worse
 conditioned on [-1, 1] and are never stored.  This module supplies the
 polynomial arithmetic the rest of the package needs: the values of all
 Lagrange fundamental polynomials of a node set at a point (lagrange_values,
-the package's one Lagrange evaluator) and the Chebyshev coefficients of a
-Lagrange combination whose barycentric weights the caller already holds
-(_interpolant, as design._extremal does with weights from the Lagrange
-moduli), by barycentric values at the Chebyshev-Lobatto points (_lobatto)
-and one DCT-I.  The input checks every other module applies live here too,
+the package's one Lagrange evaluator), the values at a set of points of the
+interpolant of given values, by the second barycentric formula
+(_barycentric, the package's one barycentric evaluator), and the Chebyshev
+coefficients of a Lagrange combination whose barycentric weights the caller
+already holds (_interpolant, as design._extremal does with weights from the
+Lagrange moduli), by _barycentric at the Chebyshev-Lobatto points
+(_lobatto) and one DCT-I.  The certificate (design._certificate) runs the
+DCT-I the other way and carries Lobatto values to the nodes with the same
+_barycentric; ChebPoly.__call__ (numpy's chebval) is left for P(z0).  Each
+O(n^2) pass here fills one real n x n array in place and never upcasts it
+to complex.  The input checks every other module applies live here too,
 one rule per kind of argument: _check_int for degrees, counts, m, seeds and
 replicates, _finite for arrays of reals or complex numbers, _finite_point
 for z0 and as_nodes for node sets.  The sup-norm certificate of a design is
@@ -16,6 +22,7 @@ design._sup_bound.
 """
 
 import cmath
+import functools
 
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
@@ -100,7 +107,7 @@ def as_nodes(nodes):
         raise ValueError("need at least 2 nodes")
     if x[0] < -1.0 or x[-1] > 1.0:
         raise ValueError(f"nodes must lie in [-1, 1], got range [{x[0]}, {x[-1]}]")
-    if np.any(np.diff(x) <= 0):
+    if (x[1:] <= x[:-1]).any():
         raise ValueError("nodes must be strictly increasing")
     return x
 
@@ -128,22 +135,40 @@ def _lagrange_polar(x, z):
     the dtype of z, so a real z gives real ones.  A z on a node x_j gives the
     unit vector e_j for both moduli and phases.
     """
-    d = np.abs(z - x)
+    e = z - x
+    d = np.abs(e)
     if not d.all():
         unit = (d == 0.0).astype(float)
         return unit, unit.astype(np.result_type(z, float))
-    pairs = np.abs(x[:, None] - x)
+    # one n x n array, overwritten in place: |x_i - x_k|, then the ratios
+    pairs = np.subtract.outer(x, x)
+    np.abs(pairs, out=pairs)
     np.fill_diagonal(pairs, d)  # the i = k ratio is d_i / d_i = 1
-    moduli = (d / pairs).prod(axis=1)
-    u = (z - x) / d
+    moduli = np.divide(d, pairs, out=pairs).prod(axis=1)
+    u = e / d
     turn = u.prod()
     return moduli, turn / abs(turn) / u * _node_signs(len(x))
 
 
+@functools.lru_cache(maxsize=2 * MAX_DEGREE + 1)
 def _lobatto(m):
     """cos(k pi / m), k = m, ..., 0, in sine form: exactly symmetric, with an
-    exact 0 for even m where the cosine form leaves 6e-17."""
-    return np.sin(np.pi * np.arange(-m, m + 1, 2) / (2 * m))
+    exact 0 for even m where the cosine form leaves 6e-17.  Cached and
+    read-only: a design of degree n asks for the grids of n and 2n."""
+    t = np.sin(np.pi * np.arange(-m, m + 1, 2) / (2 * m))
+    t.flags.writeable = False
+    return t
+
+
+@functools.lru_cache(maxsize=MAX_DEGREE + 1)
+def _lobatto_weights(n):
+    """Barycentric weights of the n + 1 points _lobatto(n): (-1)^(n - j),
+    halved at both ends (Berrut & Trefethen, SIAM Rev. 46, 2004).
+    Cached and read-only."""
+    w = _node_signs(n + 1)
+    w[[0, -1]] /= 2
+    w.flags.writeable = False
+    return w
 
 
 def _node_signs(count):
@@ -168,23 +193,45 @@ def _dct1(v):
     return np.fft.rfft(even).real
 
 
+def _barycentric(t, x, b, c):
+    """Values at the points t of the polynomial taking the values c at the
+    increasing nodes x, given their barycentric weights b (any common
+    scale), by the second barycentric formula
+
+        p(t) = sum_j b_j c_j / (t - x_j)  /  sum_j b_j / (t - x_j)
+
+    (Berrut & Trefethen, SIAM Rev. 46, 2004), forward stable for t in
+    [-1, 1] on nodes of small Lebesgue constant (Higham, IMA J. Numer. Anal.
+    24, 2004).  A t on a node takes that node's value, found by a binary
+    search, not by comparing every pair.  O(len(t) len(x)) in one real
+    array, overwritten in place; numerator and denominator come from one
+    matrix product with the columns Re c, Im c and 1, so the real matrix is
+    never made complex.  The values are complex.
+    """
+    d = np.subtract.outer(t, x)
+    # the first j with x_j >= t, or the last node for every t above x_{n-1}
+    j = np.searchsorted(x[:-1], t)
+    hit = x[j] == t
+    d[hit, j[hit]] = 1.0
+    np.divide(b, d, out=d)
+    columns = np.ones((len(x), 3))
+    columns[:, 0] = c.real
+    columns[:, 1] = c.imag
+    re, im, den = (d @ columns).T
+    values = (re + 1j * im) / den
+    values[hit] = c[j[hit]]
+    return values
+
+
 def _interpolant(x, b, c):
     """The ChebPoly interpolating c at the nodes x, given barycentric weights
-    b (any common scale): its values at the n + 1 Chebyshev-Lobatto points
-    by the barycentric formula (Berrut & Trefethen, SIAM Rev. 46, 2004),
+    b: its values at the n + 1 Chebyshev-Lobatto points by _barycentric,
     then one DCT-I (in ascending point order, so with the signs of the odd
-    coefficients flipped).  O(n^2), no linear solve.  A Lobatto point that
-    is a node takes that node's value.
+    coefficients flipped).  O(n^2), no linear solve.
     """
     n = len(x) - 1
-    d = _lobatto(n)[:, None] - x
-    on_node = d == 0.0
-    d[on_node] = 1.0
-    r = b / d
-    rows = on_node.any(axis=1)
-    r[rows] = on_node[rows]
-    values = (r @ c) / r.sum(axis=1)
-    coeffs = _dct1(values) / n
-    coeffs[[0, -1]] /= 2
+    coeffs = _dct1(_barycentric(_lobatto(n), x, b, c)) / n
+    coeffs[0] /= 2
+    coeffs[-1] /= 2
     coeffs[1::2] *= -1
     return ChebPoly(coeffs)

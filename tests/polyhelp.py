@@ -4,8 +4,10 @@ against, the dense interpolation solve that the extremal polynomial's
 coefficients are held against, the complex pairwise-ratio product that
 lagrange_values is held against, and the Christoffel-kernel oracles (the
 Gram matrix, K by QR and by the Lagrange route, the normalized kernel
-polynomial and the directional derivative of K), and the 50-digit zeros
-of R_n that companion_zeros is held against.  The QR routes solve against
+polynomial and the directional derivative of K), the 50-digit zeros
+of R_n that companion_zeros is held against, and the 50-digit Clenshaw
+evaluation of a ChebPoly that the certificate's values of P are held
+against.  The QR routes solve against
 the R factor of one QR of the sqrt(w)-weighted chebvander matrix, under the
 rank rule of optpred's least-squares fit."""
 
@@ -191,3 +193,14 @@ def phase_zeros(n, a, guesses):
             assert (k - 1) * mpmath.pi / n < theta < k * mpmath.pi / n
             zeros.append(mpmath.cos(theta))
         return np.array([float(x) for x in zeros])
+
+
+def chebval_50(coeffs, z):
+    """sum_k coeffs[k] T_k(z) at one point z, by Clenshaw's recurrence in
+    50-digit mpmath arithmetic, as a complex number."""
+    with mpmath.workdps(50):
+        z = mpmath.mpmathify(z)
+        b1 = b2 = mpmath.mpc(0)
+        for c in coeffs[:0:-1]:
+            b1, b2 = mpmath.mpc(c) + 2 * z * b1 - b2, b1
+        return complex(mpmath.mpc(coeffs[0]) + z * b1 - b2)

@@ -21,11 +21,12 @@ from optpred import (
 from optpred.design import (
     _log_kernel_bracket,
     _residual_jacobian,
+    _lobatto_values,
     _residual_terms,
     _sup_bound,
 )
 from optpred.imaginary import closed_form_design, growth_gap, growth_value
-from polyhelp import christoffel, kernel_poly, padded, sup_norm_interval
+from polyhelp import chebval_50, christoffel, kernel_poly, padded, sup_norm_interval
 
 NODES3 = np.array([-1.0, 0.0, 1.0])
 
@@ -245,6 +246,32 @@ def test_overflowing_kernel_is_uncertified_without_warning():
     assert not d.certified
 
 
+@pytest.mark.parametrize("n", [8, 64, 192, 256])
+def test_certificate_values_match_50_digit_evaluation(n):
+    # the certificate reads P at the nodes from its Lobatto values, by the
+    # barycentric formula; a 50-digit Clenshaw pass over P's own coefficients
+    # is the oracle, at up to 33 of the nodes (both ends among them), and at
+    # z0, where the certificate evaluates the coefficients in doubles
+    for d in (closed_form_design(n, 0.8), optimize_support(n, 0.5 + 0.5j)):
+        assert d.certified
+        c = d.extremal_poly.coeffs
+        moduli = np.array(d.certificate.on_support_moduli)
+        picked = np.unique(np.linspace(0, n, min(n + 1, 33)).round().astype(int))
+        exact = np.array([abs(chebval_50(c, d.measure.nodes[i])) for i in picked])
+        assert np.abs(moduli[picked] - exact).max() <= 4e-14, n
+        exact_z0 = abs(chebval_50(c, d.z0))
+        assert abs(abs(d.extremal_poly(d.z0)) - exact_z0) <= 4e-15 * exact_z0, n
+
+
+def test_certificate_gap_from_coefficients_at_z0():
+    # P(z0) in the duality gap is chebval at the scalar z0, bit for bit
+    for n, z0 in ((1, 2.0), (8, 0.5 + 0.5j), (64, 1j), (192, -1.5 + 0.2j)):
+        d = optimize_support(n, z0)
+        p_z0 = cheb.chebval(d.z0, d.extremal_poly.coeffs)
+        gap = abs(math.expm1(2.0 * math.log(abs(p_z0)) - math.log(d.K_value)))
+        assert d.certificate.duality_gap == gap, (n, z0)
+
+
 @pytest.mark.parametrize("z0", [2.0, 1j, 0.5 + 0.5j])
 def test_lebesgue_kernel_value_matches_gram_route(z0):
     # design_from_support takes K as the squared Lebesgue function; the Gram
@@ -254,6 +281,10 @@ def test_lebesgue_kernel_value_matches_gram_route(z0):
         assert d.certified
         K = christoffel(d.measure, n, z0)
         assert abs(d.K_value - K) <= 1e-12 * K, (n, d.K_value, K)
+
+
+def _bound(P, x):
+    return _sup_bound(P, x, _lobatto_values(P, 2 * (len(x) - 1)))
 
 
 def test_sup_bound_never_below_exact_sup_norm():
@@ -267,7 +298,7 @@ def test_sup_bound_never_below_exact_sup_norm():
         x = np.concatenate(([-1.0], interior, [1.0]))
         z0 = complex(rng.uniform(-2, 2), rng.choice([-1, 1]) * rng.uniform(0.01, 2))
         P = extremal_signed_poly(x, z0)
-        assert sup_norm_interval(P).value <= _sup_bound(P, x) + 4 * eps, (n, z0)
+        assert sup_norm_interval(P).value <= _bound(P, x) + 4 * eps, (n, z0)
     # near-root supports, where the identity's constant c decides the bound:
     # closed-form (z0 = ai) or Chebyshev (real z0) interior nodes moved by
     # up to 10^U(-12, -2) / n
@@ -282,7 +313,7 @@ def test_sup_bound_never_below_exact_sup_norm():
             x = np.cos(np.pi * np.arange(n, -1, -1) / n)
         x[1:-1] += 10 ** rng.uniform(-12, -2) / n * rng.uniform(-1, 1, n - 1)
         P = extremal_signed_poly(x, z0)
-        assert sup_norm_interval(P).value <= _sup_bound(P, x) + 4 * eps, (n, z0)
+        assert sup_norm_interval(P).value <= _bound(P, x) + 4 * eps, (n, z0)
 
 
 @pytest.mark.parametrize("z0", [0.01j, 0.5 + 0.5j, 1j])
@@ -306,6 +337,25 @@ def test_sup_bound_lobatto_point_on_node():
         assert x[n // 2] == 0.0
         assert d.certified
         assert d.certificate.sup_norm == pytest.approx(1.0, abs=1e-13)
+
+
+def test_certificate_moduli_with_node_on_lobatto_point():
+    # even n at real z0: on a perturbed support whose middle node stays 0,
+    # the Lobatto point 0 of both grids the certificate reads is a node, so
+    # the barycentric pass at the nodes meets an exact hit (as at both ends)
+    rng = np.random.default_rng(71)
+    for n in (2, 4, 8, 16, 64):
+        lobatto = np.sin(np.pi * np.arange(-n, n + 1, 2) / (2 * n))
+        x = lobatto.copy()
+        x[1:-1] += rng.uniform(-0.2, 0.2, n - 1) * np.diff(lobatto)[:-1] / 2
+        x[n // 2] = 0.0
+        for z0 in (2.0, -1.5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                moduli = np.array(design_from_support(n, z0, x).certificate.on_support_moduli)
+            assert abs(moduli[n // 2] - 1.0) <= 1e-15, (n, z0)
+            # elsewhere the pass rounds like any barycentric sum of n + 1 terms
+            assert np.abs(moduli - 1.0).max() <= (1e-15 if n <= 8 else 1e-14), (n, z0)
 
 
 def test_certificate_identities_hold_on_uncertified_supports():

@@ -8,7 +8,7 @@ import scipy.fft
 
 from optpred import ChebPoly, as_nodes, extremal_signed_poly, lagrange_values
 from optpred.imaginary import companion_zeros, growth_poly
-from optpred.polynomial import _dct1
+from optpred.polynomial import _barycentric, _dct1, _lobatto, _lobatto_weights
 from polyhelp import (
     is_zero,
     lagrange_pairwise,
@@ -168,6 +168,39 @@ def test_from_lagrange_combination_lobatto_point_on_node():
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 _assert_matches_solve(x, 0.5 + 0.5j)
+
+
+def test_barycentric_reproduces_polynomial_from_lobatto_values():
+    # a random degree-n polynomial is its own interpolant at the n + 1
+    # Lobatto points; points on a Lobatto point take its value exactly
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 7, 64, 255):
+        c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        x = _lobatto(n)
+        values = cheb.chebval(x, c)
+        t = np.sort(np.concatenate((rng.uniform(-1, 1, 50), x[[0, n // 2, -1]])))
+        got = _barycentric(t, x, _lobatto_weights(n), values)
+        scale = np.abs(c).sum()
+        assert np.abs(got - cheb.chebval(t, c)).max() <= 1e-14 * scale, n
+        for j in (0, n // 2, n):
+            assert got[np.searchsorted(t, x[j])] == values[j], (n, j)
+    # any node set, with the weights 1/prod_k (x_j - x_k)
+    x = np.array([-1.0, -0.3, 0.2, 0.9, 1.0])
+    b = 1.0 / np.array([np.prod(xj - np.delete(x, j)) for j, xj in enumerate(x)])
+    c = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    t = np.array([-1.0, -0.5, 0.2, 0.95])
+    got = _barycentric(t, x, b, cheb.chebval(x, c))
+    assert np.abs(got - cheb.chebval(t, c)).max() <= 1e-14 * np.abs(c).sum()
+    assert got[2] == cheb.chebval(0.2, c)
+
+
+def test_lobatto_grids_are_cached_read_only():
+    for m in (1, 8, 384):
+        assert _lobatto(m) is _lobatto(m)
+        with pytest.raises(ValueError, match="read-only"):
+            _lobatto(m)[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        _lobatto_weights(8)[0] = 0.0
 
 
 def test_dct1_matches_scipy():
