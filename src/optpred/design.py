@@ -10,9 +10,12 @@ first-order conditions, found by a short Levenberg-Marquardt loop (_solve)
 directly in node coordinates.  The conditions are built from the same moduli
 |l_i(z0)| as the weights, so weights, residual and extremal polynomial share
 one Lagrange evaluator: the moduli and unit phases behind
-polynomial.lagrange_values, from one real pairwise pass over the nodes.  Each
-trial point of the loop costs one O(n^2) residual, and each step it takes
-one O(n^3) exact Jacobian.  The extremal polynomial's barycentric
+polynomial.lagrange_values, from one real pairwise pass over the nodes.  The
+residual takes both its moduli and its 1/(x_i - x_k) from one pairwise array
+x_i - x_k, and computes no phases.  Each trial point of the loop costs one
+O(n^2) residual, and each step it takes one O(n^3) exact Jacobian.  The
+nodes of a solved support are checked once, when the design is assembled
+(design_from_support).  The extremal polynomial's barycentric
 weights come from the same moduli, b_i = |l_i(z0)| |z0 - x_i| (-1)^(n - i)
 up to a common factor, so assembling a design makes no second pass.
 
@@ -48,6 +51,7 @@ from .polynomial import (
     _dct1,
     _finite_point,
     _interpolant,
+    _lagrange_moduli,
     _lagrange_polar,
     _lobatto,
     _lobatto_weights,
@@ -57,9 +61,10 @@ from .polynomial import (
 
 _EXTERIOR_IM_TOL = 1e-12
 _CERT_TOL = 1e-8
-# relative step tolerance of the root solve, on the node coordinates: on
-# z0 = ai, n <= 32, a in 1e-3..4, the nodes stop within 1.6e-11 of the closed
-# forms at 1e-12 and 2.2e-12 at 1e-14, where F is at its rounding level
+# absolute step tolerance of the root solve, on the interior node
+# coordinates, which every iterate keeps in (-1, 1): on z0 = ai, n <= 32,
+# a in 1e-3..4, the nodes stop within 1.6e-11 of the closed forms at 1e-12
+# and 2.2e-12 at 1e-14, where F is at its rounding level
 _ROOT_XTOL = 1e-14
 _MAX_ITER = 300
 
@@ -92,21 +97,28 @@ def _log_kernel_bracket(n, z0):
     return upper + 2 * math.log(abs(1 + cmath.exp(-2 * n * eta)) / 2), upper
 
 
-def _signed_lagrange(x, z0):
-    """|l_i(z0)| and sgn(l_i(z0)) = conj(l_i(z0)) / |l_i(z0)| from one
-    evaluation (polynomial._lagrange_polar).
+def _checked_moduli(moduli, z0):
+    """moduli, refused unless all finite and nonzero.
 
-    The signs are the values of P at the nodes.  When z0 is a node every other
-    l_i(z0) is exactly 0, so a zero modulus is how that case is caught.  Far
-    out, overflow is a numeric failure at a valid z0, not an input error.
+    When z0 is a node every other l_i(z0) is exactly 0, so a zero modulus is
+    how that case is caught.  Far out, overflow is a numeric failure at a
+    valid z0, not an input error.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        moduli, phases = _lagrange_polar(x, z0)
     if not np.isfinite(moduli).all():
         raise RuntimeError(f"Lagrange values overflow at z0 = {z0}")
     if not moduli.all():
         raise ValueError(f"z0 = {z0} is a node; the Lagrange signs are undefined")
-    return moduli, np.conj(phases)
+    return moduli
+
+
+def _signed_lagrange(x, z0):
+    """|l_i(z0)| and sgn(l_i(z0)) = conj(l_i(z0)) / |l_i(z0)| from one
+    evaluation (polynomial._lagrange_polar); the signs are the values of P at
+    the nodes.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        moduli, phases = _lagrange_polar(x, z0)
+    return _checked_moduli(moduli, z0), np.conj(phases)
 
 
 def hoel_levine_weights(nodes, z0):
@@ -277,7 +289,9 @@ def design_from_support(n, z0, nodes):
     With Hoel-Levine weights the kernel value is the squared Lebesgue
     function, K = Lambda^2 with Lambda = sum_i |l_i(z0)|, taken from the same
     moduli as the weights.  It is formed in Python floats, so a Lambda^2
-    beyond the largest double reads inf, without a warning.
+    beyond the largest double reads inf, without a warning.  The nodes are
+    checked once, here; the measure built from them and from the checked
+    moduli is not checked again.
     """
     _check_degree(n, lowest=1)
     z0 = require_exterior(z0)
@@ -286,7 +300,7 @@ def design_from_support(n, z0, nodes):
         raise ValueError(f"degree {n} needs {n + 1} nodes, got {len(x)}")
     moduli, P = _extremal(x, z0)
     lebesgue = float(moduli.sum())
-    mu = DiscreteMeasure(x, moduli / lebesgue)
+    mu = DiscreteMeasure._hoel_levine(x, moduli / lebesgue)
     K = lebesgue * lebesgue
     return Design(
         measure=mu, z0=z0, n=n, K_value=K, extremal_poly=P,
@@ -298,7 +312,10 @@ def _residual_terms(interior, z0):
     """(m, e, inv, F) at the interior nodes x_1 < ... < x_{n-1} in O(n^2), or
     None unless -1 < x_1 < ... < x_{n-1} < 1: the moduli m_i = |l_i(z0)|,
     e_i = z0 - x_i, inv_ik = 1/(x_i - x_k) (0 for i = k) and the first-order
-    residual F_j = Re(conj(P(x_j)) P'(x_j)).
+    residual F_j = Re(conj(P(x_j)) P'(x_j)).  One pairwise array x_i - x_k
+    serves both m, through its absolute values (polynomial._lagrange_moduli,
+    as in _lagrange_polar), and inv, formed from it in place; the residual
+    needs no Lagrange phases, so none are computed.
 
     F_j is half the derivative of |P|^2 at x_j, so it vanishes on an optimal
     support, where every interior node is a maximum of |P| on [-1, 1].  It is
@@ -319,15 +336,24 @@ def _residual_terms(interior, z0):
     near the axis.
     """
     x = np.concatenate(([-1.0], interior, [1.0]))
-    if not (np.diff(x) > 0).all():
+    if not (x[1:] > x[:-1]).all():
         return None
-    m, _ = _signed_lagrange(x, z0)
     e = z0 - x
-    inv = 1.0 / (x[:, None] - x + np.eye(len(x)))
-    np.fill_diagonal(inv, 0.0)  # 1/(x_i - x_m), no i = m terms
-    ratio = (m / m[1:-1, None]) * np.real(e / e[1:-1, None])
-    F = ((1.0 + ratio) * inv[1:-1]).sum(axis=1)
-    return m, e, inv, F
+    d = np.abs(e)
+    if not d.all():
+        raise ValueError(f"z0 = {z0} is a node; the Lagrange signs are undefined")
+    inv = np.subtract.outer(x, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = _checked_moduli(_lagrange_moduli(d, np.abs(inv)), z0)
+    step = len(x) + 1
+    inv.flat[::step] = 1.0
+    np.divide(1.0, inv, out=inv)
+    inv.flat[::step] = 0.0  # 1/(x_i - x_m), no i = m terms
+    ratio = np.divide(m, m[1:-1, None])
+    ratio *= (e / e[1:-1, None]).real
+    ratio += 1.0
+    ratio *= inv[1:-1]
+    return m, e, inv, ratio.sum(axis=1)
 
 
 def _residual_jacobian(terms):
@@ -340,16 +366,25 @@ def _residual_jacobian(terms):
     m, e, inv, F = terms
     p = m / m.sum()
     q = 1.0 / e[1:-1]
+    nk = len(q)
     J = inv[:, 1:-1] - q.real  # all nodes i, interior k
-    np.fill_diagonal(J[1:-1], -inv[1:-1].sum(axis=1))
+    J.flat[nk :: nk + 1] = -inv[1:-1].sum(axis=1)  # the diagonal of J[1:-1]
     C = J - p @ J
     # log m_i has Hessian -Re 1/e_k^2 at (k, k), k != i, and for each
     # m != i the Laplacian of the pair (i, m) with weight 1/(x_i - x_m)^2
     pk = p[1:-1]
-    M = (p[:, None] + p) * inv * inv
-    S = np.diag(M[1:-1].sum(axis=1) - (1.0 - pk) * (q * q).real) - M[1:-1, 1:-1]
-    H = S + C.T @ (p[:, None] * C)
-    return -H / pk[:, None] - F[:, None] * C[1:-1]
+    M = np.add.outer(p, p)
+    M *= inv
+    M *= inv
+    # H = S + C^T diag(p) C, from S in place; M is 0 on its diagonal
+    H = -M[1:-1, 1:-1]
+    H.flat[:: nk + 1] = M[1:-1].sum(axis=1) - (1.0 - pk) * (q * q).real
+    H += C.T @ (p[:, None] * C)
+    # then the Jacobian -H/p_k - F_k C_k, in H's array
+    np.negative(H, out=H)
+    H /= pk[:, None]
+    H -= F[:, None] * C[1:-1]
+    return H
 
 
 def _solve(x0, z0):
@@ -360,20 +395,23 @@ def _solve(x0, z0):
     1978).  x + s is taken only if it is ordered and lowers |F|^2; then mu
     follows the gain ratio rho (Nielsen, IMM-REP-1999-05) and one Jacobian is
     built.  A refused trial point costs one O(n^2) residual and raises mu.
-    It stops on F = 0, on a step below _ROOT_XTOL max(1, max|x|) or after
-    _MAX_ITER iterations; why says which.
+    It stops on F = 0, on a step below _ROOT_XTOL (absolute, as every
+    iterate lies in (-1, 1)) or after _MAX_ITER iterations; why says which.
     """
     terms = _residual_terms(x0, z0)
     x, F, D, mu, nu = x0, terms[3], 0.0, 1e-6, 2.0
+    step = len(x0) + 1  # the stride of a diagonal
     for k in range(_MAX_ITER):
         if terms is not None:  # a new iterate and its one Jacobian
             J = _residual_jacobian(terms)
             A, g, f = J.T @ J, J.T @ F, F @ F
-            D, terms = np.maximum(D, np.diag(A)), None
+            D, terms = np.maximum(D, A.diagonal()), None
         if f == 0.0:
             return x, F, f"F = 0 after {k} iterations"
-        s = np.linalg.solve(A + np.diag(mu * D), -g)
-        if np.abs(s).max() <= _ROOT_XTOL * max(1.0, np.abs(x).max()):
+        damped = A.copy()
+        damped.flat[::step] += mu * D
+        s = np.linalg.solve(damped, -g)
+        if np.abs(s).max() <= _ROOT_XTOL:
             return x, F, f"step below tolerance after {k} iterations"
         y = x + s
         trial = _residual_terms(y, z0)

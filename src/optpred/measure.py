@@ -43,6 +43,19 @@ class DiscreteMeasure:
         object.__setattr__(self, "nodes", x)
         object.__setattr__(self, "weights", w)
 
+    @classmethod
+    def _hoel_levine(cls, nodes, weights):
+        """The measure on nodes that as_nodes has passed, with the weights
+        m / sum(m) of finite, nonzero moduli m: those are finite and sum to 1
+        by construction, so only their sign is checked again (a sum of
+        moduli that overflows, or a ratio that underflows, gives a 0)."""
+        if not weights.all():
+            raise ValueError("weights must be strictly positive")
+        mu = object.__new__(cls)
+        object.__setattr__(mu, "nodes", nodes)
+        object.__setattr__(mu, "weights", weights)
+        return mu
+
     def to_json(self):
         return {"nodes": self.nodes.tolist(), "weights": self.weights.tolist()}
 

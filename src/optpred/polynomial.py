@@ -140,14 +140,23 @@ def _lagrange_polar(x, z):
     if not d.all():
         unit = (d == 0.0).astype(float)
         return unit, unit.astype(np.result_type(z, float))
-    # one n x n array, overwritten in place: |x_i - x_k|, then the ratios
     pairs = np.subtract.outer(x, x)
-    np.abs(pairs, out=pairs)
-    np.fill_diagonal(pairs, d)  # the i = k ratio is d_i / d_i = 1
-    moduli = np.divide(d, pairs, out=pairs).prod(axis=1)
+    moduli = _lagrange_moduli(d, np.abs(pairs, out=pairs))
     u = e / d
     turn = u.prod()
     return moduli, turn / abs(turn) / u * _node_signs(len(x))
+
+
+def _lagrange_moduli(d, pairs):
+    """m_i = prod_{k != i} d_k / |x_i - x_k| from d = |z - x| != 0 and the
+    n x n array pairs of |x_i - x_k|, which it overwrites: d goes on the
+    diagonal, so the i = k ratio is d_i / d_i = 1, and the ratios replace
+    the differences in place.  Shared by _lagrange_polar and the root-solve
+    residual (design._residual_terms), which takes its pairs from the same
+    x_i - x_k as its 1/(x_i - x_k).
+    """
+    pairs.flat[:: len(d) + 1] = d
+    return np.divide(d, pairs, out=pairs).prod(axis=1)
 
 
 @functools.lru_cache(maxsize=2 * MAX_DEGREE + 1)
@@ -203,23 +212,27 @@ def _barycentric(t, x, b, c):
     (Berrut & Trefethen, SIAM Rev. 46, 2004), forward stable for t in
     [-1, 1] on nodes of small Lebesgue constant (Higham, IMA J. Numer. Anal.
     24, 2004).  A t on a node takes that node's value, found by a binary
-    search, not by comparing every pair.  O(len(t) len(x)) in one real
-    array, overwritten in place; numerator and denominator come from one
-    matrix product with the columns Re c, Im c and 1, so the real matrix is
-    never made complex.  The values are complex.
+    search, not by comparing every pair; with no such t no entry is
+    indexed.  O(len(t) len(x)) in one real array, overwritten in place;
+    numerator and denominator come from one matrix product with the columns
+    Re c, Im c and 1, so the real matrix is never made complex.  The values
+    are complex.
     """
     d = np.subtract.outer(t, x)
     # the first j with x_j >= t, or the last node for every t above x_{n-1}
     j = np.searchsorted(x[:-1], t)
     hit = x[j] == t
-    d[hit, j[hit]] = 1.0
+    exact = hit.any()
+    if exact:
+        d[hit, j[hit]] = 1.0
     np.divide(b, d, out=d)
     columns = np.ones((len(x), 3))
     columns[:, 0] = c.real
     columns[:, 1] = c.imag
     re, im, den = (d @ columns).T
     values = (re + 1j * im) / den
-    values[hit] = c[j[hit]]
+    if exact:
+        values[hit] = c[j[hit]]
     return values
 
 

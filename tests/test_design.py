@@ -26,6 +26,7 @@ from optpred.design import (
     _sup_bound,
 )
 from optpred.imaginary import closed_form_design, growth_gap, growth_value
+from optpred.polynomial import _lagrange_polar, _lobatto
 from polyhelp import chebval_50, christoffel, kernel_poly, padded, sup_norm_interval
 
 NODES3 = np.array([-1.0, 0.0, 1.0])
@@ -472,6 +473,54 @@ def test_first_order_residual_matches_extremal_poly():
 def test_residual_terms_refuse_unordered_nodes():
     for interior in ([0.5, -0.5], [0.0, 0.0], [-1.0, 0.5], [0.5, 1.5]):
         assert _residual_terms(np.array(interior), 0.5 + 0.5j) is None
+
+
+def _band_points(rng, count):
+    """count (n, z0) draws with n in 2..64 from each of the real, axis and
+    complex bands, all away from the interval, so that every design
+    certifies."""
+    for _ in range(count):
+        n = int(rng.integers(2, 65))
+        yield n, complex(rng.choice([-1, 1]) * rng.uniform(1.1, 3.0), 0.0)
+        n = int(rng.integers(2, 65))
+        yield n, complex(0.0, rng.choice([-1, 1]) * rng.uniform(0.05, 2.0))
+        n = int(rng.integers(2, 65))
+        yield n, complex(rng.uniform(-2, 2), rng.choice([-1, 1]) * rng.uniform(0.1, 1.0))
+
+
+def test_residual_moduli_are_the_lagrange_moduli():
+    # the residual's moduli come from its own pairwise pass through the same
+    # polynomial._lagrange_moduli as _lagrange_polar's: equal bit for bit,
+    # at the Lobatto start and at the solved nodes
+    for n, z0 in _band_points(np.random.default_rng(25), 6):
+        for x in (_lobatto(n), optimize_support(n, z0).measure.nodes):
+            m = _residual_terms(x[1:-1], z0)[0]
+            assert np.array_equal(m, _lagrange_polar(x, z0)[0])
+
+
+def test_optimize_support_is_assembled_by_design_from_support():
+    # the solved support assembles exactly as a user's given support does,
+    # and the measure built without a second node check is a valid one
+    for n, z0 in _band_points(np.random.default_rng(26), 4):
+        d = optimize_support(n, z0)
+        assert d.certified
+        e = design_from_support(n, z0, d.measure.nodes)
+        assert np.array_equal(d.measure.nodes, e.measure.nodes)
+        assert np.array_equal(d.measure.weights, e.measure.weights)
+        assert d.K_value == e.K_value
+        assert np.array_equal(d.extremal_poly.coeffs, e.extremal_poly.coeffs)
+        assert d.certificate == e.certificate
+        DiscreteMeasure(d.measure.nodes, d.measure.weights)
+
+
+def test_residual_terms_overflow_is_typed_without_warning():
+    # at n = 64 the moduli overflow at z0 = 1e8: a RuntimeError, and no
+    # RuntimeWarning from the pairwise pass gets out of its errstate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z0 in (1e8, complex(1e8, 0.0), 1e8j):
+            with pytest.raises(RuntimeError, match="Lagrange values overflow"):
+                _residual_terms(_lobatto(64)[1:-1], z0)
 
 
 def test_jacobian_built_at_start_and_per_accepted_step(monkeypatch):
