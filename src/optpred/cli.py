@@ -11,6 +11,7 @@ disagreed with the formula).
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -206,6 +207,9 @@ class _Parser(argparse.ArgumentParser):
             return super()._parse_optional(arg_string)
 
 
+# built once per process: parse_args puts each call's values, defaults
+# included, in a new Namespace and leaves the parser as it was
+@functools.cache
 def build_parser():
     parser = _Parser(
         prog="optpred",
@@ -244,9 +248,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags; the contract reserves 2 for numeric
         # failures, so remap usage errors to 1 (and keep --help at 0)

@@ -27,12 +27,12 @@ support, optimal or not.  So the sup-norm alone decides: if it is 1 on
 [-1, 1], every design nu has ||P||_{L2(nu)} <= 1 and so a kernel value of
 at least |P(z0)|^2 = K.  The other numbers recorded in a Certificate catch
 numerical faults, such as an overflowed K.  The sup-norm is bounded from
-above by a Pell-type identity (_sup_bound), with no root finding and no grid.
-The certificate evaluates P once on one grid: one DCT-I of its coefficients
-gives its values at the 2n + 1 Chebyshev-Lobatto points, which the bound
-reads, and every other one of them, at the n + 1 Lobatto points, gives |P|
-on the support through polynomial._barycentric, the evaluator _interpolant
-uses.  P(z0) alone is taken from the coefficients.
+above by a Pell-type identity (_sup_bound), with no root finding, on the
+2n + 1 Chebyshev-Lobatto points _lobatto(2n).  Assembly makes one
+barycentric pass there (_extremal): P's values give its coefficients, and
+the denominators the identity's term, with no logarithms.  The certificate
+reads P on the same grid from the stored coefficients, by one DCT-I, and
+every other value gives |P| on the support; P(z0) alone is taken from them.
 """
 
 import cmath
@@ -50,7 +50,6 @@ from .polynomial import (
     _check_degree,
     _dct1,
     _finite_point,
-    _interpolant,
     _lagrange_moduli,
     _lagrange_polar,
     _lobatto,
@@ -128,14 +127,32 @@ def hoel_levine_weights(nodes, z0):
 
 
 def _extremal(x, z0):
-    """The moduli m_i = |l_i(z0)| and P = sum_i sgn(l_i(z0)) l_i from one
-    evaluation: l_i(z0) = l(z0) b_i / (z0 - x_i) for the node polynomial l,
-    so P's barycentric weights are b_i = m_i |z0 - x_i| (-1)^(n - i) up to a
-    common factor, taken with m scaled by its largest so that none overflows.
+    """(m, P, g): m_i = |l_i(z0)|, P = sum_i s_i l_i with s_i = sgn(l_i(z0)),
+    and _sup_bound's term g = c (1 - t^2) w^2 at t = _lobatto(2n), from one
+    barycentric pass over t.  For the node polynomial l = (t^2 - 1) w,
+    l_i(z0) = l(z0) beta_i / (z0 - x_i) with its barycentric weights beta_i,
+    so P's are b_i = m_i |z0 - x_i| (-1)^(n - i) = kappa beta_i, kappa > 0,
+    with m scaled by its largest so that none overflows.  P's values at every
+    other t, _lobatto(n) bit for bit, give its coefficients by one DCT-I (odd
+    signs flipped, as the points ascend).  The denominators are den =
+    kappa / l(t), and lead P = sum_i s_i beta_i, so with c = |lead P|^2
+
+        g = |sum_i b_i s_i|^2 / ((1 - t^2) den^2):
+
+    kappa cancels and every factor is O(n), so no logs are needed and none
+    overflows; g is 0 where t is a node (den = inf), both ends included.
     """
     moduli, signs = _signed_lagrange(x, z0)
     b = moduli / moduli.max() * np.abs(z0 - x) * _node_signs(len(x))
-    return moduli, _interpolant(x, b, signs)
+    t = _lobatto(2 * len(x) - 2)
+    values, den = _barycentric(t, x, b, signs)
+    coeffs = _dct1(values[::2]) / (len(x) - 1)
+    coeffs[[0, -1]] /= 2
+    coeffs[1::2] *= -1
+    g = np.zeros_like(t)
+    # (1 - t)(1 + t): next to the ends, 1 - t * t errs by eps / (1 - t^2)
+    g[1:-1] = (abs(b @ signs) / den[1:-1]) ** 2 / ((1 - t[1:-1]) * (1 + t[1:-1]))
+    return moduli, ChebPoly(coeffs), g
 
 
 def extremal_signed_poly(nodes, z0):
@@ -227,49 +244,37 @@ def _lobatto_values(P, m):
     return (_dct1(padded)[::-1] + padded[0]) / 2
 
 
-def _sup_bound(P, nodes, v):
+def _sup_bound(v, g):
     """A certified upper bound sqrt(1 + sum_k |E_k|) on max |P| over [-1, 1],
-    from the values v of P at the 2n + 1 points _lobatto(2n).
+    from the values v of P and g of c (1 - t^2) w^2 (_extremal) at the
+    2n + 1 points t = _lobatto(2n).
 
     E = 1 - |P|^2 - c (1 - t^2) w^2 with w = prod_k (t - x_k) over the interior
     nodes has Chebyshev coefficients E_k, and any c >= 0 gives |P|^2 <= 1 - E
     <= 1 + sum_k |E_k| on [-1, 1].  On a root of the first-order conditions
     E = 0 with the constant of the paper's Pell identity |Q_n|^2 - (x^2 - 1)
-    R_{n-1}^2 = 1, carried to every exterior z0: c = |lead P|^2, which is
-    4^(n-1) |P_n|^2 for the Chebyshev coefficient P_n and 0 if deg P < n.
+    R_{n-1}^2 = 1, carried to every exterior z0: c = |lead P|^2 for P's
+    leading monomial coefficient (4^(n-1) |P_n|^2 for the Chebyshev P_n).
     E then has degree below 2n, so one DCT-I of its values at the 2n + 1
     Chebyshev-Lobatto points gives the E_k exactly (their ascending order
-    flips only the signs of odd E_k).  c w^2 is formed in logs, as its
-    factors overflow and underflow apart at large n, from one (2n + 1) x
-    (n - 1) array of log|t - x_k| made in place; a node on a Lobatto point
-    gives 0.
+    flips only the signs of odd E_k).
     """
-    n = len(nodes) - 1
-    t = _lobatto(2 * n)
-    lead = P.coeffs[n] if P.degree == n else 0.0
-    log_d = np.subtract.outer(t, nodes[1:-1])
-    np.abs(log_d, out=log_d)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(log_d, out=log_d).sum(axis=1)
-        log_c = 2.0 * np.log(abs(lead)) + 2 * (n - 1) * np.log(2.0)
-    g = (1.0 - t * t) * np.exp(2.0 * log_w + log_c)
-    E = _dct1(1.0 - (v.real**2 + v.imag**2) - g) / (2 * n)
+    E = _dct1(1.0 - (v.real**2 + v.imag**2) - g) / (len(v) - 1)
     E[0] /= 2
     E[-1] /= 2
     return float(np.sqrt(1.0 + np.abs(E).sum()))
 
 
-def _certificate(P, mu, z0, K):
-    """The Certificate of P on mu from one set of values of P: those at the
-    2n + 1 points _lobatto(2n), which _sup_bound takes, and of which every
-    other one, at _lobatto(n), gives P at the nodes by _barycentric.  P(z0)
-    alone is evaluated from the coefficients, by ChebPoly.__call__.
+def _certificate(P, mu, z0, K, g):
+    """The Certificate of P on mu from its values at _lobatto(2n), which
+    _sup_bound takes with _extremal's g, and of which every other one gives
+    P at the nodes by _barycentric.  P(z0) alone is taken by chebval.
     """
     x = mu.nodes
     n = len(x) - 1
     v = _lobatto_values(P, 2 * n)
-    bound = _sup_bound(P, x, v)
-    moduli = np.abs(_barycentric(x, _lobatto(n), _lobatto_weights(n), v[::2]))
+    bound = _sup_bound(v, g)
+    moduli = np.abs(_barycentric(x, _lobatto(n), _lobatto_weights(n), v[::2])[0])
     l2 = float(np.sqrt(np.sum(mu.weights * moduli**2)))
     # in logs, so an overflowing |P(z0)|^2 is never formed; an overflowed
     # K = inf gives a gap of exactly 1, which no certificate passes
@@ -298,13 +303,13 @@ def design_from_support(n, z0, nodes):
     x = as_nodes(nodes)
     if len(x) != n + 1:
         raise ValueError(f"degree {n} needs {n + 1} nodes, got {len(x)}")
-    moduli, P = _extremal(x, z0)
+    moduli, P, g = _extremal(x, z0)
     lebesgue = float(moduli.sum())
     mu = DiscreteMeasure._hoel_levine(x, moduli / lebesgue)
     K = lebesgue * lebesgue
     return Design(
         measure=mu, z0=z0, n=n, K_value=K, extremal_poly=P,
-        certificate=_certificate(P, mu, z0, K),
+        certificate=_certificate(P, mu, z0, K, g),
     )
 
 

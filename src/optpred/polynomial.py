@@ -4,16 +4,15 @@ The Chebyshev basis is used everywhere; monomial coefficients are far worse
 conditioned on [-1, 1] and are never stored.  This module supplies the
 polynomial arithmetic the rest of the package needs: the values of all
 Lagrange fundamental polynomials of a node set at a point (lagrange_values,
-the package's one Lagrange evaluator), the values at a set of points of the
-interpolant of given values, by the second barycentric formula
-(_barycentric, the package's one barycentric evaluator), and the Chebyshev
-coefficients of a Lagrange combination whose barycentric weights the caller
-already holds (_interpolant, as design._extremal does with weights from the
-Lagrange moduli), by _barycentric at the Chebyshev-Lobatto points
-(_lobatto) and one DCT-I.  The certificate (design._certificate) runs the
-DCT-I the other way and carries Lobatto values to the nodes with the same
+the package's one Lagrange evaluator), and the values and denominators of
+the second barycentric formula at a set of points (_barycentric, the
+package's one barycentric evaluator), with the Chebyshev-Lobatto grids
+(_lobatto) and the DCT-I between values and coefficients.  design._extremal
+runs one _barycentric pass on the 2n-grid _lobatto(2n) for P's coefficients
+and the certificate's Pell term; the certificate (design._certificate) runs
+the DCT-I back and carries Lobatto values to the nodes with the same
 _barycentric; ChebPoly.__call__ (numpy's chebval) is left for P(z0).  Each
-O(n^2) pass here fills one real n x n array in place and never upcasts it
+O(n^2) pass here fills one real array in place and never upcasts it
 to complex.  The input checks every other module applies live here too,
 one rule per kind of argument: _check_int for degrees, counts, m, seeds and
 replicates, _finite for arrays of reals or complex numbers, _finite_point
@@ -203,18 +202,19 @@ def _dct1(v):
 
 
 def _barycentric(t, x, b, c):
-    """Values at the points t of the polynomial taking the values c at the
-    increasing nodes x, given their barycentric weights b (any common
-    scale), by the second barycentric formula
+    """(p(t), den(t)) at the points t for the polynomial p taking the values
+    c at the increasing nodes x, given their barycentric weights b (any
+    common scale), by the second barycentric formula
 
-        p(t) = sum_j b_j c_j / (t - x_j)  /  sum_j b_j / (t - x_j)
+        p(t) = sum_j b_j c_j / (t - x_j)  /  den(t),  den(t) = sum_j b_j / (t - x_j)
 
     (Berrut & Trefethen, SIAM Rev. 46, 2004), forward stable for t in
     [-1, 1] on nodes of small Lebesgue constant (Higham, IMA J. Numer. Anal.
-    24, 2004).  A t on a node takes that node's value, found by a binary
-    search, not by comparing every pair; with no such t no entry is
+    24, 2004); den is 1/l(t) for the node polynomial l, up to the scale of
+    b.  A t on a node takes that node's value and den = inf, found by a
+    binary search, not by comparing every pair; with no such t no entry is
     indexed.  O(len(t) len(x)) in one real array, overwritten in place;
-    numerator and denominator come from one matrix product with the columns
+    numerators and denominator come from one matrix product with the columns
     Re c, Im c and 1, so the real matrix is never made complex.  The values
     are complex.
     """
@@ -233,18 +233,5 @@ def _barycentric(t, x, b, c):
     values = (re + 1j * im) / den
     if exact:
         values[hit] = c[j[hit]]
-    return values
-
-
-def _interpolant(x, b, c):
-    """The ChebPoly interpolating c at the nodes x, given barycentric weights
-    b: its values at the n + 1 Chebyshev-Lobatto points by _barycentric,
-    then one DCT-I (in ascending point order, so with the signs of the odd
-    coefficients flipped).  O(n^2), no linear solve.
-    """
-    n = len(x) - 1
-    coeffs = _dct1(_barycentric(_lobatto(n), x, b, c)) / n
-    coeffs[0] /= 2
-    coeffs[-1] /= 2
-    coeffs[1::2] *= -1
-    return ChebPoly(coeffs)
+        den[hit] = np.inf
+    return values, den

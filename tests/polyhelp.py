@@ -5,9 +5,11 @@ coefficients are held against, the complex pairwise-ratio product that
 lagrange_values is held against, and the Christoffel-kernel oracles (the
 Gram matrix, K by QR and by the Lagrange route, the normalized kernel
 polynomial and the directional derivative of K), the 50-digit zeros
-of R_n that companion_zeros is held against, and the 50-digit Clenshaw
+of R_n that companion_zeros is held against, the 50-digit Clenshaw
 evaluation of a ChebPoly that the certificate's values of P are held
-against.  The QR routes solve against
+against, and the certificate's Pell term c (1 - t^2) w^2 formed in logs,
+which the barycentric route of design._extremal is held against.  The QR
+routes solve against
 the R factor of one QR of the sqrt(w)-weighted chebvander matrix, under the
 rank rule of optpred's least-squares fit."""
 
@@ -19,7 +21,7 @@ import numpy.polynomial.chebyshev as cheb
 from scipy.linalg import solve_triangular
 
 from optpred import ChebPoly, lagrange_values
-from optpred.polynomial import _check_degree, _finite_point
+from optpred.polynomial import _check_degree, _finite_point, _lobatto
 from optpred.regression import _full_rank
 
 _NEAR_TOL = 1e-9
@@ -204,3 +206,20 @@ def chebval_50(coeffs, z):
         for c in coeffs[:0:-1]:
             b1, b2 = mpmath.mpc(c) + 2 * z * b1 - b2, b1
         return complex(mpmath.mpc(coeffs[0]) + z * b1 - b2)
+
+
+def pell_term_logs(P, nodes):
+    """c (1 - t^2) w^2 at the 2n + 1 points t = _lobatto(2n), for
+    w = prod_k (t - x_k) over the interior nodes and c = 4^(n-1) |P_n|^2
+    from P's Chebyshev coefficient P_n (0 if deg P < n), formed in logs, as
+    the factors overflow and underflow apart at large n; a node on a point
+    t gives 0.  1 - t^2 is taken as (1 - t)(1 + t), accurate to rounding at
+    the float t also next to the ends, where 1 - t t is not."""
+    x = np.asarray(nodes, dtype=float)
+    n = len(x) - 1
+    t = _lobatto(2 * n)
+    lead = P.coeffs[n] if P.degree == n else 0.0
+    with np.errstate(divide="ignore"):
+        log_w = np.log(np.abs(np.subtract.outer(t, x[1:-1]))).sum(axis=1)
+        log_c = 2.0 * np.log(abs(lead)) + 2 * (n - 1) * np.log(2.0)
+    return (1.0 - t) * (1.0 + t) * np.exp(2.0 * log_w + log_c)

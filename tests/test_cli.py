@@ -105,6 +105,16 @@ def test_design_csv_stdout_matches_file(tmp_path, capsysbinary):
     assert capsysbinary.readouterr().out == out.read_bytes()
 
 
+def test_back_to_back_calls_keep_defaults(capsys):
+    # main reuses one parser; a flag given in one call must not become the
+    # next call's default
+    args = ["design", "--n", "2", "--z0", "2", "0"]
+    assert main([*args, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("x,re,im,abs")
+    assert main(args) == 0
+    assert _strip_timestamp(capsys.readouterr().out)["n"] == 2
+
+
 def test_growth_values(tmp_path, capsys):
     out = tmp_path / "growth.json"
     assert main(["growth", "--n", "2", "--a", "1", "--out", str(out)]) == 0

@@ -19,6 +19,7 @@ from optpred import (
     require_exterior,
 )
 from optpred.design import (
+    _extremal,
     _log_kernel_bracket,
     _residual_jacobian,
     _lobatto_values,
@@ -27,7 +28,14 @@ from optpred.design import (
 )
 from optpred.imaginary import closed_form_design, growth_gap, growth_value
 from optpred.polynomial import _lagrange_polar, _lobatto
-from polyhelp import chebval_50, christoffel, kernel_poly, padded, sup_norm_interval
+from polyhelp import (
+    chebval_50,
+    christoffel,
+    kernel_poly,
+    padded,
+    pell_term_logs,
+    sup_norm_interval,
+)
 
 NODES3 = np.array([-1.0, 0.0, 1.0])
 
@@ -284,8 +292,11 @@ def test_lebesgue_kernel_value_matches_gram_route(z0):
         assert abs(d.K_value - K) <= 1e-12 * K, (n, d.K_value, K)
 
 
-def _bound(P, x):
-    return _sup_bound(P, x, _lobatto_values(P, 2 * (len(x) - 1)))
+def _bound(x, z0):
+    """(P, the certificate's bound on max |P|) for the extremal polynomial P
+    of the support x at z0, from the Pell term of the same assembly pass."""
+    _, P, g = _extremal(x, z0)
+    return P, _sup_bound(_lobatto_values(P, 2 * (len(x) - 1)), g)
 
 
 def test_sup_bound_never_below_exact_sup_norm():
@@ -298,8 +309,8 @@ def test_sup_bound_never_below_exact_sup_norm():
         interior = -np.cos(np.pi * (k + rng.uniform(-0.3, 0.3, n - 1)) / n)
         x = np.concatenate(([-1.0], interior, [1.0]))
         z0 = complex(rng.uniform(-2, 2), rng.choice([-1, 1]) * rng.uniform(0.01, 2))
-        P = extremal_signed_poly(x, z0)
-        assert sup_norm_interval(P).value <= _bound(P, x) + 4 * eps, (n, z0)
+        P, bound = _bound(x, z0)
+        assert sup_norm_interval(P).value <= bound + 4 * eps, (n, z0)
     # near-root supports, where the identity's constant c decides the bound:
     # closed-form (z0 = ai) or Chebyshev (real z0) interior nodes moved by
     # up to 10^U(-12, -2) / n
@@ -313,8 +324,8 @@ def test_sup_bound_never_below_exact_sup_norm():
             z0 = complex(rng.choice([-1, 1]) * rng.uniform(1.01, 3.0), 0.0)
             x = np.cos(np.pi * np.arange(n, -1, -1) / n)
         x[1:-1] += 10 ** rng.uniform(-12, -2) / n * rng.uniform(-1, 1, n - 1)
-        P = extremal_signed_poly(x, z0)
-        assert sup_norm_interval(P).value <= _bound(P, x) + 4 * eps, (n, z0)
+        P, bound = _bound(x, z0)
+        assert sup_norm_interval(P).value <= bound + 4 * eps, (n, z0)
 
 
 @pytest.mark.parametrize("z0", [0.01j, 0.5 + 0.5j, 1j])
@@ -338,6 +349,35 @@ def test_sup_bound_lobatto_point_on_node():
         assert x[n // 2] == 0.0
         assert d.certified
         assert d.certificate.sup_norm == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 8, 64, 256, 512])
+def test_pell_term_matches_log_domain_oracle(n):
+    # _extremal's c (1 - t^2) w^2 from the barycentric denominators against
+    # the same term in logs, on the closed-form support at ai, the Chebyshev
+    # extrema at real z0 (every even point of the 2n-grid a node), a
+    # perturbed support and one with a node on an odd point of the 2n-grid;
+    # the term is exactly 0 on every grid point that is a node
+    rng = np.random.default_rng(n)
+    lobatto, t = _lobatto(n), _lobatto(2 * n)
+    perturbed = lobatto.copy()
+    perturbed[1:-1] += rng.uniform(-0.2, 0.2, n - 1) * np.diff(lobatto)[:-1] / 2
+    on_grid = perturbed.copy()
+    on_grid[n // 2] = t[2 * (n // 2) + 1]
+    supports = [
+        (closed_form_design(n, 0.5).measure.nodes, 0.5j),
+        (lobatto, 1.5),
+        (perturbed, 0.5 + 0.5j),
+        (on_grid, 0.5 + 0.5j),
+    ]
+    for x, z0 in supports:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, P, g = _extremal(x, z0)
+        oracle = pell_term_logs(P, x)
+        assert np.abs(g - oracle).max() <= 1e-12 * oracle.max(), (n, z0)
+        assert (g[np.isin(t, x)] == 0.0).all(), (n, z0)
+    assert np.isin(t, on_grid).sum() == 3
 
 
 def test_certificate_moduli_with_node_on_lobatto_point():

@@ -179,7 +179,7 @@ def test_barycentric_reproduces_polynomial_from_lobatto_values():
         x = _lobatto(n)
         values = cheb.chebval(x, c)
         t = np.sort(np.concatenate((rng.uniform(-1, 1, 50), x[[0, n // 2, -1]])))
-        got = _barycentric(t, x, _lobatto_weights(n), values)
+        got, _ = _barycentric(t, x, _lobatto_weights(n), values)
         scale = np.abs(c).sum()
         assert np.abs(got - cheb.chebval(t, c)).max() <= 1e-14 * scale, n
         for j in (0, n // 2, n):
@@ -189,9 +189,14 @@ def test_barycentric_reproduces_polynomial_from_lobatto_values():
     b = 1.0 / np.array([np.prod(xj - np.delete(x, j)) for j, xj in enumerate(x)])
     c = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     t = np.array([-1.0, -0.5, 0.2, 0.95])
-    got = _barycentric(t, x, b, cheb.chebval(x, c))
+    got, den = _barycentric(t, x, b, cheb.chebval(x, c))
     assert np.abs(got - cheb.chebval(t, c)).max() <= 1e-14 * np.abs(c).sum()
     assert got[2] == cheb.chebval(0.2, c)
+    # with these weights the denominators are 1/l(t) for the node polynomial
+    # l, and infinite on a node
+    ell = np.prod(np.subtract.outer(t, x), axis=1)
+    assert np.allclose(den[[1, 3]] * ell[[1, 3]], 1.0, rtol=1e-14, atol=0.0)
+    assert den[0] == den[2] == np.inf
 
 
 def test_lobatto_grids_are_cached_read_only():
