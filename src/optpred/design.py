@@ -32,7 +32,9 @@ above by a Pell-type identity (_sup_bound), with no root finding, on the
 barycentric pass there (_extremal): P's values give its coefficients, and
 the denominators the identity's term, with no logarithms.  The certificate
 reads P on the same grid from the stored coefficients, by one DCT-I, and
-every other value gives |P| on the support; P(z0) alone is taken from them.
+every other value gives |P| on the support, by the barycentric formula
+contracted from the even rows of that pass's array, with no pairwise pass
+of its own; P(z0) alone is taken from the coefficients.
 """
 
 import cmath
@@ -48,8 +50,10 @@ from .polynomial import (
     ChebPoly,
     _barycentric,
     _check_degree,
+    _contract,
     _dct1,
     _finite_point,
+    _hits,
     _lagrange_moduli,
     _lagrange_polar,
     _lobatto,
@@ -127,15 +131,17 @@ def hoel_levine_weights(nodes, z0):
 
 
 def _extremal(x, z0):
-    """(m, P, g): m_i = |l_i(z0)|, P = sum_i s_i l_i with s_i = sgn(l_i(z0)),
-    and _sup_bound's term g = c (1 - t^2) w^2 at t = _lobatto(2n), from one
-    barycentric pass over t.  For the node polynomial l = (t^2 - 1) w,
-    l_i(z0) = l(z0) beta_i / (z0 - x_i) with its barycentric weights beta_i,
-    so P's are b_i = m_i |z0 - x_i| (-1)^(n - i) = kappa beta_i, kappa > 0,
-    with m scaled by its largest so that none overflows.  P's values at every
-    other t, _lobatto(n) bit for bit, give its coefficients by one DCT-I (odd
-    signs flipped, as the points ascend).  The denominators are den =
-    kappa / l(t), and lead P = sum_i s_i beta_i, so with c = |lead P|^2
+    """(m, P, g, d): m_i = |l_i(z0)|, P = sum_i s_i l_i with s_i =
+    sgn(l_i(z0)), _sup_bound's term g = c (1 - t^2) w^2 at t = _lobatto(2n)
+    and the array d_ji = b_i / (t_j - x_i) that _certificate contracts
+    again, all from one barycentric pass over t.  For the node polynomial
+    l = (t^2 - 1) w, l_i(z0) = l(z0) beta_i / (z0 - x_i) with its
+    barycentric weights beta_i, so P's are b_i = m_i |z0 - x_i| (-1)^(n - i)
+    = kappa beta_i, kappa > 0, with m scaled by its largest so that none
+    overflows.  P's values at every other t, _lobatto(n) bit for bit, give
+    its coefficients by one DCT-I (odd signs flipped, as the points ascend).
+    The denominators are den = kappa / l(t), and lead P = sum_i s_i beta_i,
+    so with c = |lead P|^2
 
         g = |sum_i b_i s_i|^2 / ((1 - t^2) den^2):
 
@@ -145,14 +151,14 @@ def _extremal(x, z0):
     moduli, signs = _signed_lagrange(x, z0)
     b = moduli / moduli.max() * np.abs(z0 - x) * _node_signs(len(x))
     t = _lobatto(2 * len(x) - 2)
-    values, den = _barycentric(t, x, b, signs)
+    values, den, d = _barycentric(t, x, b, signs)
     coeffs = _dct1(values[::2]) / (len(x) - 1)
     coeffs[[0, -1]] /= 2
     coeffs[1::2] *= -1
     g = np.zeros_like(t)
     # (1 - t)(1 + t): next to the ends, 1 - t * t errs by eps / (1 - t^2)
     g[1:-1] = (abs(b @ signs) / den[1:-1]) ** 2 / ((1 - t[1:-1]) * (1 + t[1:-1]))
-    return moduli, ChebPoly(coeffs), g
+    return moduli, ChebPoly(coeffs), g, d
 
 
 def extremal_signed_poly(nodes, z0):
@@ -265,16 +271,24 @@ def _sup_bound(v, g):
     return float(np.sqrt(1.0 + np.abs(E).sum()))
 
 
-def _certificate(P, mu, z0, K, g):
-    """The Certificate of P on mu from its values at _lobatto(2n), which
-    _sup_bound takes with _extremal's g, and of which every other one gives
-    P at the nodes by _barycentric.  P(z0) alone is taken by chebval.
+def _certificate(P, mu, z0, K, g, d):
+    """The Certificate of P on mu from its values v at t = _lobatto(2n),
+    which _sup_bound takes with _extremal's g, and from _extremal's array
+    d_ji = b_i / (t_j - x_i).  Every other v gives P at the nodes by the
+    barycentric formula on t_{2j} = _lobatto(n), with weights w_j
+    (_lobatto_weights): P(x_i) = sum_j w_j v_2j / (x_i - t_2j) / sum_j w_j /
+    (x_i - t_2j), in which 1/(x_i - t_2j) = -d_2j,i / b_i and -1/b_i
+    cancels.  So the even rows of d, contracted down their columns
+    (polynomial._contract), carry v to the nodes with no pairwise pass of
+    their own; a node on a point t_2j, as both ends are, takes v_2j.  P(z0)
+    alone is taken by chebval.
     """
     x = mu.nodes
     n = len(x) - 1
     v = _lobatto_values(P, 2 * n)
     bound = _sup_bound(v, g)
-    moduli = np.abs(_barycentric(x, _lobatto(n), _lobatto_weights(n), v[::2])[0])
+    on_grid = _hits(x, _lobatto(n))
+    moduli = np.abs(_contract(d[::2].T, v[::2], on_grid, _lobatto_weights(n))[0])
     l2 = float(np.sqrt(np.sum(mu.weights * moduli**2)))
     # in logs, so an overflowing |P(z0)|^2 is never formed; an overflowed
     # K = inf gives a gap of exactly 1, which no certificate passes
@@ -303,13 +317,13 @@ def design_from_support(n, z0, nodes):
     x = as_nodes(nodes)
     if len(x) != n + 1:
         raise ValueError(f"degree {n} needs {n + 1} nodes, got {len(x)}")
-    moduli, P, g = _extremal(x, z0)
+    moduli, P, g, d = _extremal(x, z0)
     lebesgue = float(moduli.sum())
     mu = DiscreteMeasure._hoel_levine(x, moduli / lebesgue)
     K = lebesgue * lebesgue
     return Design(
         measure=mu, z0=z0, n=n, K_value=K, extremal_poly=P,
-        certificate=_certificate(P, mu, z0, K, g),
+        certificate=_certificate(P, mu, z0, K, g, d),
     )
 
 

@@ -9,15 +9,17 @@ the second barycentric formula at a set of points (_barycentric, the
 package's one barycentric evaluator), with the Chebyshev-Lobatto grids
 (_lobatto) and the DCT-I between values and coefficients.  design._extremal
 runs one _barycentric pass on the 2n-grid _lobatto(2n) for P's coefficients
-and the certificate's Pell term; the certificate (design._certificate) runs
-the DCT-I back and carries Lobatto values to the nodes with the same
-_barycentric; ChebPoly.__call__ (numpy's chebval) is left for P(z0).  Each
-O(n^2) pass here fills one real array in place and never upcasts it
-to complex.  The input checks every other module applies live here too,
-one rule per kind of argument: _check_int for degrees, counts, m, seeds and
-replicates, _finite for arrays of reals or complex numbers, _finite_point
-for z0 and as_nodes for node sets.  The sup-norm certificate of a design is
-design._sup_bound.
+and the certificate's Pell term, and keeps the pass's array b_j / (t - x_j);
+the certificate (design._certificate) runs the DCT-I back and carries
+Lobatto values to the nodes by contracting that array's even rows down
+their columns, through the same _contract that forms _barycentric's own
+sums, with no second pairwise pass; ChebPoly.__call__ (numpy's chebval) is
+left for P(z0).  Each O(n^2) pass here fills one real array in place and
+never upcasts it to complex.  The input checks every other module applies
+live here too, one rule per kind of argument: _check_int for degrees,
+counts, m, seeds and replicates, _finite for arrays of reals or complex
+numbers, _finite_point for z0 and as_nodes for node sets.  The sup-norm
+certificate of a design is design._sup_bound.
 """
 
 import cmath
@@ -148,14 +150,18 @@ def _lagrange_polar(x, z):
 
 def _lagrange_moduli(d, pairs):
     """m_i = prod_{k != i} d_k / |x_i - x_k| from d = |z - x| != 0 and the
-    n x n array pairs of |x_i - x_k|, which it overwrites: d goes on the
-    diagonal, so the i = k ratio is d_i / d_i = 1, and the ratios replace
-    the differences in place.  Shared by _lagrange_polar and the root-solve
-    residual (design._residual_terms), which takes its pairs from the same
-    x_i - x_k as its 1/(x_i - x_k).
+    symmetric n x n array pairs of |x_i - x_k|, which it overwrites: d goes
+    on the diagonal, so the i = k ratio is d_i / d_i = 1, and the ratios
+    d_k / |x_k - x_i| replace the differences in place.  As pairs is
+    symmetric, m_i is the product down column i, taken in the order k = 0,
+    ..., n as along a row, but reduced across contiguous rows, which runs
+    several times faster than along each row.  Shared by _lagrange_polar
+    and the root-solve residual (design._residual_terms), which takes its
+    pairs from the same x_i - x_k as its 1/(x_i - x_k); both pass
+    np.abs(np.subtract.outer(x, x)).
     """
     pairs.flat[:: len(d) + 1] = d
-    return np.divide(d, pairs, out=pairs).prod(axis=1)
+    return np.divide(d[:, None], pairs, out=pairs).prod(axis=0)
 
 
 @functools.lru_cache(maxsize=2 * MAX_DEGREE + 1)
@@ -202,36 +208,52 @@ def _dct1(v):
 
 
 def _barycentric(t, x, b, c):
-    """(p(t), den(t)) at the points t for the polynomial p taking the values
-    c at the increasing nodes x, given their barycentric weights b (any
-    common scale), by the second barycentric formula
+    """(p(t), den(t), d) at the points t for the polynomial p taking the
+    values c at the increasing nodes x, given their barycentric weights b
+    (any common scale), by the second barycentric formula
 
         p(t) = sum_j b_j c_j / (t - x_j)  /  den(t),  den(t) = sum_j b_j / (t - x_j)
 
     (Berrut & Trefethen, SIAM Rev. 46, 2004), forward stable for t in
     [-1, 1] on nodes of small Lebesgue constant (Higham, IMA J. Numer. Anal.
     24, 2004); den is 1/l(t) for the node polynomial l, up to the scale of
-    b.  A t on a node takes that node's value and den = inf, found by a
-    binary search, not by comparing every pair; with no such t no entry is
-    indexed.  O(len(t) len(x)) in one real array, overwritten in place;
-    numerators and denominator come from one matrix product with the columns
-    Re c, Im c and 1, so the real matrix is never made complex.  The values
-    are complex.
+    b.  A t on a node takes that node's value and den = inf.  O(len(t)
+    len(x)) in one real array d, overwritten in place with d_ij = b_j / (t_i
+    - x_j) (b_j where t_i = x_j) and handed back, so that a second set of
+    sums over the same differences (design._certificate's) needs no second
+    pass; both are taken by _contract.  The values are complex.
     """
     d = np.subtract.outer(t, x)
-    # the first j with x_j >= t, or the last node for every t above x_{n-1}
-    j = np.searchsorted(x[:-1], t)
-    hit = x[j] == t
-    exact = hit.any()
-    if exact:
-        d[hit, j[hit]] = 1.0
+    hits = _hits(t, x)
+    d[hits] = 1.0
     np.divide(b, d, out=d)
-    columns = np.ones((len(x), 3))
+    return (*_contract(d, c, hits), d)
+
+
+def _hits(t, x):
+    """(i, j): the indices of every t_i that is a node x_j of the increasing
+    x, found by a binary search, not by comparing every pair."""
+    j = np.searchsorted(x[:-1], t)
+    i = np.flatnonzero(x[j] == t)
+    return i, j[i]
+
+
+def _contract(d, c, hits, w=None):
+    """The barycentric ratios p_i = sum_k w_k c_k d_ik / den_i and den_i =
+    sum_k w_k d_ik over the columns k of d, for complex c and weights w (1
+    if None); a row i of the hits (_hits) takes c_j and den_i = inf.
+    Numerators and denominator come from one matrix product with the
+    columns w Re c, w Im c and w, so the real matrix d is never made
+    complex.
+    """
+    columns = np.ones((len(c), 3))
     columns[:, 0] = c.real
     columns[:, 1] = c.imag
+    if w is not None:
+        columns *= w[:, None]
     re, im, den = (d @ columns).T
     values = (re + 1j * im) / den
-    if exact:
-        values[hit] = c[j[hit]]
-        den[hit] = np.inf
+    i, j = hits
+    values[i] = c[j]
+    den[i] = np.inf
     return values, den

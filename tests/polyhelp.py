@@ -7,8 +7,12 @@ Gram matrix, K by QR and by the Lagrange route, the normalized kernel
 polynomial and the directional derivative of K), the 50-digit zeros
 of R_n that companion_zeros is held against, the 50-digit Clenshaw
 evaluation of a ChebPoly that the certificate's values of P are held
-against, and the certificate's Pell term c (1 - t^2) w^2 formed in logs,
-which the barycentric route of design._extremal is held against.  The QR
+against, the certificate's Pell term c (1 - t^2) w^2 formed in logs,
+which the barycentric route of design._extremal is held against, the
+certificate's |P| at the nodes by a barycentric pass of its own, which the
+contraction of _extremal's array is held against, and the Lagrange moduli
+as products along rows, which polynomial._lagrange_moduli's products down
+columns are held against.  The QR
 routes solve against
 the R factor of one QR of the sqrt(w)-weighted chebvander matrix, under the
 rank rule of optpred's least-squares fit."""
@@ -21,7 +25,14 @@ import numpy.polynomial.chebyshev as cheb
 from scipy.linalg import solve_triangular
 
 from optpred import ChebPoly, lagrange_values
-from optpred.polynomial import _check_degree, _finite_point, _lobatto
+from optpred.design import _lobatto_values
+from optpred.polynomial import (
+    _barycentric,
+    _check_degree,
+    _finite_point,
+    _lobatto,
+    _lobatto_weights,
+)
 from optpred.regression import _full_rank
 
 _NEAR_TOL = 1e-9
@@ -223,3 +234,23 @@ def pell_term_logs(P, nodes):
         log_w = np.log(np.abs(np.subtract.outer(t, x[1:-1]))).sum(axis=1)
         log_c = 2.0 * np.log(abs(lead)) + 2 * (n - 1) * np.log(2.0)
     return (1.0 - t) * (1.0 + t) * np.exp(2.0 * log_w + log_c)
+
+
+def on_support_moduli_pass(P, nodes):
+    """|P| at the nodes from P's values v at _lobatto(2n) (from its stored
+    coefficients), by a barycentric pass of its own from every other one,
+    at the n + 1 points _lobatto(n), to the nodes: a pairwise array x_i -
+    t_j of its own, not the contraction of _extremal's."""
+    x = np.asarray(nodes, dtype=float)
+    n = len(x) - 1
+    v = _lobatto_values(P, 2 * n)
+    return np.abs(_barycentric(x, _lobatto(n), _lobatto_weights(n), v[::2])[0])
+
+
+def lagrange_moduli_rows(d, pairs):
+    """m_i = prod_{k != i} d_k / |x_i - x_k| as the product along row i of
+    the ratio array, from d = |z - x| and the array pairs of |x_i - x_k|,
+    which it leaves as it is; d on the diagonal gives the i = k ratio 1."""
+    ratios = np.array(pairs, dtype=float)
+    ratios.flat[:: len(d) + 1] = d
+    return np.divide(d, ratios, out=ratios).prod(axis=1)

@@ -32,6 +32,7 @@ from polyhelp import (
     chebval_50,
     christoffel,
     kernel_poly,
+    on_support_moduli_pass,
     padded,
     pell_term_logs,
     sup_norm_interval,
@@ -295,7 +296,7 @@ def test_lebesgue_kernel_value_matches_gram_route(z0):
 def _bound(x, z0):
     """(P, the certificate's bound on max |P|) for the extremal polynomial P
     of the support x at z0, from the Pell term of the same assembly pass."""
-    _, P, g = _extremal(x, z0)
+    _, P, g, _ = _extremal(x, z0)
     return P, _sup_bound(_lobatto_values(P, 2 * (len(x) - 1)), g)
 
 
@@ -373,7 +374,7 @@ def test_pell_term_matches_log_domain_oracle(n):
     for x, z0 in supports:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, P, g = _extremal(x, z0)
+            _, P, g, _ = _extremal(x, z0)
         oracle = pell_term_logs(P, x)
         assert np.abs(g - oracle).max() <= 1e-12 * oracle.max(), (n, z0)
         assert (g[np.isin(t, x)] == 0.0).all(), (n, z0)
@@ -397,6 +398,35 @@ def test_certificate_moduli_with_node_on_lobatto_point():
             assert abs(moduli[n // 2] - 1.0) <= 1e-15, (n, z0)
             # elsewhere the pass rounds like any barycentric sum of n + 1 terms
             assert np.abs(moduli - 1.0).max() <= (1e-15 if n <= 8 else 1e-14), (n, z0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64, 192, 512])
+def test_on_support_moduli_match_separate_pass(n):
+    # the certificate's |P| at the nodes, contracted from the even rows of
+    # _extremal's array, against a barycentric pass of its own from the n + 1
+    # Lobatto points to the nodes (polyhelp), on the closed-form support at
+    # ai, the Chebyshev extrema at real z0 (every node on an even point of
+    # the 2n-grid), a perturbed support and ones with a node on an even and
+    # on an odd point of the 2n-grid; the ends take |v_0| and |v_2n| exactly
+    rng = np.random.default_rng(n + 1)
+    lobatto, t = _lobatto(n), _lobatto(2 * n)
+    supports = [(closed_form_design(n, 0.5).measure.nodes, 0.5j), (lobatto, 1.5)]
+    if n > 1:
+        perturbed = lobatto.copy()
+        perturbed[1:-1] += rng.uniform(-0.2, 0.2, n - 1) * np.diff(lobatto)[:-1] / 2
+        even, odd = perturbed.copy(), perturbed.copy()
+        even[n // 2] = t[2 * (n // 2)]
+        odd[n // 2] = t[2 * (n // 2) + 1]
+        supports += [(perturbed, 0.5 + 0.5j), (even, 0.5 + 0.5j), (odd, -1.5 + 0.2j)]
+        assert np.isin(t[::2], even).sum() == 3 and np.isin(t[1::2], odd).sum() == 1
+    for x, z0 in supports:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = design_from_support(n, z0, x)
+        moduli = np.array(d.certificate.on_support_moduli)
+        assert np.abs(moduli - on_support_moduli_pass(d.extremal_poly, x)).max() <= 1e-14, (n, z0)
+        v = np.abs(_lobatto_values(d.extremal_poly, 2 * n))
+        assert moduli[0] == v[0] and moduli[-1] == v[-1], (n, z0)
 
 
 def test_certificate_identities_hold_on_uncertified_supports():

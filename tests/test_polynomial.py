@@ -8,9 +8,16 @@ import scipy.fft
 
 from optpred import ChebPoly, as_nodes, extremal_signed_poly, lagrange_values
 from optpred.imaginary import companion_zeros, growth_poly
-from optpred.polynomial import _barycentric, _dct1, _lobatto, _lobatto_weights
+from optpred.polynomial import (
+    _barycentric,
+    _dct1,
+    _lagrange_moduli,
+    _lobatto,
+    _lobatto_weights,
+)
 from polyhelp import (
     is_zero,
+    lagrange_moduli_rows,
     lagrange_pairwise,
     lagrange_to_cheb_solve,
     padded,
@@ -111,6 +118,33 @@ def test_lagrange_values_matches_pairwise_oracle(n):
             assert err.max() <= 1e-12, (n, z0, err.max())
 
 
+def test_lagrange_moduli_down_columns_are_the_row_products():
+    # _lagrange_moduli takes its products down the columns of the symmetric
+    # ratio array; along the rows (polyhelp) each m_i multiplies the same
+    # ratios in the same order, so the two agree bit for bit: on seeded
+    # supports up to n = 512, at z0 next to a node, in the plane and so far
+    # out that the products overflow to inf
+    rng = np.random.default_rng(73)
+    for n in (1, 2, 3, 8, 33, 64, 191, 256, 512):
+        lobatto = _lobatto(n)
+        perturbed = lobatto.copy()
+        perturbed[1:-1] += rng.uniform(-0.2, 0.2, n - 1) * np.diff(lobatto)[:-1] / 2
+        uniform = np.concatenate(([-1.0], np.sort(rng.uniform(-1, 1, n - 1)), [1.0]))
+        for x in (lobatto, perturbed, uniform):
+            k = int(rng.integers(0, n + 1))
+            for z0 in (x[k] + 1e-9j, x[k] + rng.uniform(1e-12, 1e-6),
+                       complex(rng.uniform(-2, 2), rng.uniform(0.01, 2)),
+                       1e8, 1e30 * (1 + 1j)):
+                d = np.abs(z0 - x)
+                pairs = np.abs(np.subtract.outer(x, x))
+                with np.errstate(over="ignore"):
+                    want = lagrange_moduli_rows(d, pairs)
+                    got = _lagrange_moduli(d, pairs)
+                assert np.array_equal(got, want), (n, z0)
+                if z0 == 1e30 * (1 + 1j) and n >= 64:
+                    assert np.isinf(got).any(), n
+
+
 def test_lagrange_values_on_node_and_real_point():
     x = _perturbed_chebyshev(np.random.default_rng(11), 16)
     for j in (0, 7, 16):
@@ -179,7 +213,7 @@ def test_barycentric_reproduces_polynomial_from_lobatto_values():
         x = _lobatto(n)
         values = cheb.chebval(x, c)
         t = np.sort(np.concatenate((rng.uniform(-1, 1, 50), x[[0, n // 2, -1]])))
-        got, _ = _barycentric(t, x, _lobatto_weights(n), values)
+        got = _barycentric(t, x, _lobatto_weights(n), values)[0]
         scale = np.abs(c).sum()
         assert np.abs(got - cheb.chebval(t, c)).max() <= 1e-14 * scale, n
         for j in (0, n // 2, n):
@@ -189,7 +223,7 @@ def test_barycentric_reproduces_polynomial_from_lobatto_values():
     b = 1.0 / np.array([np.prod(xj - np.delete(x, j)) for j, xj in enumerate(x)])
     c = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     t = np.array([-1.0, -0.5, 0.2, 0.95])
-    got, den = _barycentric(t, x, b, cheb.chebval(x, c))
+    got, den, d = _barycentric(t, x, b, cheb.chebval(x, c))
     assert np.abs(got - cheb.chebval(t, c)).max() <= 1e-14 * np.abs(c).sum()
     assert got[2] == cheb.chebval(0.2, c)
     # with these weights the denominators are 1/l(t) for the node polynomial
@@ -197,6 +231,8 @@ def test_barycentric_reproduces_polynomial_from_lobatto_values():
     ell = np.prod(np.subtract.outer(t, x), axis=1)
     assert np.allclose(den[[1, 3]] * ell[[1, 3]], 1.0, rtol=1e-14, atol=0.0)
     assert den[0] == den[2] == np.inf
+    # the array handed back holds b_j / (t - x_j) off the nodes
+    assert np.array_equal(d[[1, 3]], b / np.subtract.outer(t[[1, 3]], x))
 
 
 def test_lobatto_grids_are_cached_read_only():
