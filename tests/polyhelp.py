@@ -12,10 +12,9 @@ which the barycentric route of design._extremal is held against, the
 certificate's |P| at the nodes by a barycentric pass of its own, which the
 contraction of _extremal's array is held against, and the Lagrange moduli
 as products along rows, which polynomial._lagrange_moduli's products down
-columns are held against.  The QR
-routes solve against
-the R factor of one QR of the sqrt(w)-weighted chebvander matrix, under the
-rank rule of optpred's least-squares fit."""
+columns are held against.  The QR routes solve against the R factor of one
+QR of the sqrt(w)-weighted chebvander matrix, under the rank rule of
+optpred's least-squares fit."""
 
 from dataclasses import dataclass
 

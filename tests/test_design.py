@@ -384,7 +384,7 @@ def test_pell_term_matches_log_domain_oracle(n):
 def test_certificate_moduli_with_node_on_lobatto_point():
     # even n at real z0: on a perturbed support whose middle node stays 0,
     # the Lobatto point 0 of both grids the certificate reads is a node, so
-    # the barycentric pass at the nodes meets an exact hit (as at both ends)
+    # the contraction at the nodes meets an exact hit (as at both ends)
     rng = np.random.default_rng(71)
     for n in (2, 4, 8, 16, 64):
         lobatto = np.sin(np.pi * np.arange(-n, n + 1, 2) / (2 * n))
@@ -396,7 +396,7 @@ def test_certificate_moduli_with_node_on_lobatto_point():
                 warnings.simplefilter("error")
                 moduli = np.array(design_from_support(n, z0, x).certificate.on_support_moduli)
             assert abs(moduli[n // 2] - 1.0) <= 1e-15, (n, z0)
-            # elsewhere the pass rounds like any barycentric sum of n + 1 terms
+            # elsewhere it rounds like any barycentric sum of n + 1 terms
             assert np.abs(moduli - 1.0).max() <= (1e-15 if n <= 8 else 1e-14), (n, z0)
 
 
