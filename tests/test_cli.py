@@ -1,12 +1,14 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import optpred.cli
 from optpred import DiscreteMeasure, RegressionPlan
-from optpred.cli import main
-from optpred.design import Design
+from optpred.cli import _emit_json, main
+from optpred.design import Design, design_from_support, optimize_support
 
 NODES3 = np.array([-1.0, 0.0, 1.0])
 
@@ -190,6 +192,101 @@ def test_verify_all(capsys):
     out = capsys.readouterr().out
     for name in ("pell", "equivalence", "duality"):
         assert f"{name}: PASS" in out
+
+
+def test_verify_pell_line_is_seeded(capsys):
+    lines = []
+    for _ in range(2):
+        assert main(["verify", "--suite", "pell", "--seed", "3"]) == 0
+        lines.append(capsys.readouterr().out)
+    assert lines[0] == lines[1]
+    assert lines[0].startswith("pell: PASS (worst residual ")
+    assert lines[0].endswith(" over 10000 samples)\n")
+
+
+@pytest.mark.parametrize("suite", ["equivalence", "duality"])
+def test_verify_single_suite(suite, capsys):
+    assert main(["verify", "--suite", suite]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"{suite}: PASS (") and out.count("\n") == 1
+
+
+def _counting_solver(monkeypatch):
+    calls = []
+
+    def solve(n, z0):
+        calls.append((n, z0))
+        return optimize_support(n, z0)
+
+    monkeypatch.setattr(optpred.cli, "optimize_support", solve)
+    return calls
+
+
+@pytest.mark.parametrize("suite, solves", [("all", 9), ("equivalence", 5),
+                                           ("duality", 5)])
+def test_verify_solves_each_point_once_per_run(suite, solves, monkeypatch,
+                                               capsys):
+    # equivalence and duality both solve (3, i); a run solves it once, and
+    # the next run solves everything again
+    calls = _counting_solver(monkeypatch)
+    assert main(["verify", "--suite", suite]) == 0
+    assert len(calls) == solves == len(set(calls))
+    assert main(["verify", "--suite", suite]) == 0
+    assert len(calls) == 2 * solves
+    capsys.readouterr()
+
+
+def _verify_with(solver, suite, monkeypatch, capsys):
+    monkeypatch.setattr(optpred.cli, "optimize_support", solver)
+    code = main(["verify", "--suite", suite])
+    return code, capsys.readouterr().out
+
+
+def test_verify_equivalence_fails_on_a_moved_node(monkeypatch, capsys):
+    def moved(n, z0):
+        x = optimize_support(n, z0).measure.nodes.copy()
+        x[1] += 1e-3
+        return design_from_support(n, z0, x)
+
+    code, out = _verify_with(moved, "equivalence", monkeypatch, capsys)
+    assert code == 2
+    assert out.startswith("equivalence: FAIL (worst node deviation 1.000e-03)")
+
+
+def test_verify_duality_fails_on_an_uncertified_design(monkeypatch, capsys):
+    def uncertified(n, z0):
+        d = optimize_support(n, z0)
+        cert = dataclasses.replace(d.certificate, duality_gap=1.0)
+        return dataclasses.replace(d, certificate=cert)
+
+    code, out = _verify_with(uncertified, "duality", monkeypatch, capsys)
+    assert code == 2
+    assert out.startswith("duality: FAIL (worst duality gap 1.000e+00")
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_design_overflowed_K_is_null(capsys):
+    # K = inf at n = 200, z0 = 4i: the design is uncertified (exit 2) and
+    # its K_value is written as null, not as Infinity
+    with pytest.warns(UserWarning, match="failed certification"):
+        assert main(["design", "--n", "200", "--z0", "0", "4"]) == 2
+    data = _strict_json(capsys.readouterr().out)
+    assert data["K_value"] is None
+    assert data["certificate"]["certified"] is False
+
+
+def test_emit_json_writes_nonfinite_values_as_null(capsys):
+    _emit_json({"a": [1.5, float("nan")], "b": {"c": -float("inf")}, "d": 2},
+               None)
+    data = _strict_json(capsys.readouterr().out)
+    assert data["a"] == [1.5, None] and data["b"] == {"c": None}
+    assert data["d"] == 2
 
 
 def test_verify_rejects_negative_seed(capsys):
