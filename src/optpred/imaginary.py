@@ -203,18 +203,23 @@ def companion_zeros(n, a):
     return np.concatenate((-x[::-1], np.zeros(n % 2), x))
 
 
+def closed_form_support(n, a):
+    """Support of the optimal design at z0 = ai, in increasing order:
+    {-1} union zeros(R_{n-1}(|a|)) union {+1}, the same for a and -a since
+    the zeros are symmetric."""
+    _check_degree(n, lowest=1)
+    return np.concatenate(([-1.0], companion_zeros(n - 1, a), [1.0]))
+
+
 def closed_form_design(n, a):
     """The optimal design at z0 = ai without any optimizer run.
 
-    Support is {-1} union zeros(R_{n-1}(|a|)) union {+1}, the same for a and
-    -a since the zeros are symmetric.  Weights, kernel value, extremal
+    Support is closed_form_support(n, a).  Weights, kernel value, extremal
     polynomial and certificate are assembled the same way the numerical route
     assembles them, so the two routes stay comparable.
     """
-    _check_degree(n, lowest=1)
-    a = _check_a(a)
-    nodes = np.concatenate(([-1.0], companion_zeros(n - 1, a), [1.0]))
-    return design_from_support(n, 1j * a, nodes)
+    nodes = closed_form_support(n, a)
+    return design_from_support(n, 1j * _check_a(a), nodes)
 
 
 def growth_value(n, a):

@@ -334,6 +334,17 @@ def test_closed_form_design_degree_three():
                                0.45508986056222733, atol=1e-12)
 
 
+def test_closed_form_support_is_the_designs_support():
+    for n, a in [(1, 0.5), (2, -1.0), (3, 1.0), (8, 4.0)]:
+        x = imaginary.closed_form_support(n, a)
+        assert x[0] == -1.0 and x[-1] == 1.0 and (np.diff(x) > 0).all()
+        np.testing.assert_array_equal(x, closed_form_design(n, a).measure.nodes)
+    with pytest.raises(ValueError):
+        imaginary.closed_form_support(0, 1.0)
+    with pytest.raises(ValueError):
+        imaginary.closed_form_support(3, 0.0)
+
+
 @pytest.mark.parametrize("a", [0.25, 1.0, 4.0])
 def test_closed_form_design_kernel_value(a):
     s = np.sqrt(a * a + 1.0)

@@ -7,7 +7,7 @@ import pytest
 import scipy.fft
 
 from optpred import ChebPoly, as_nodes, extremal_signed_poly, lagrange_values
-from optpred.imaginary import companion_zeros, growth_poly
+from optpred.imaginary import closed_form_support, growth_poly
 from optpred.polynomial import (
     _barycentric,
     _dct1,
@@ -110,7 +110,7 @@ def test_lagrange_values_matches_pairwise_oracle(n):
     # each l_i(z0) to 1e-12 of its own modulus, near the interval and away
     rng = np.random.default_rng(n)
     for im in np.geomspace(1e-9, 3.0, 6):
-        closed = np.concatenate(([-1.0], companion_zeros(n - 1, im), [1.0]))
+        closed = closed_form_support(n, im)
         for x, z0 in ((closed, 1j * im),
                       (_perturbed_chebyshev(rng, n), complex(rng.uniform(-2, 2), -im))):
             oracle = lagrange_pairwise(x, z0)
@@ -174,7 +174,7 @@ def _assert_matches_solve(nodes, z0):
 @pytest.mark.parametrize("n", [8, 64, 192, 512])
 def test_from_lagrange_combination_matches_solve_on_closed_form_supports(n):
     for a in (0.5, 1.0):
-        x = np.concatenate(([-1.0], companion_zeros(n - 1, a), [1.0]))
+        x = closed_form_support(n, a)
         _assert_matches_solve(x, 1j * a)
 
 
