@@ -28,7 +28,7 @@ from .imaginary import (
     growth_value,
     pell_residual,
 )
-from .polynomial import _check_int
+from .polynomial import _check_int, _lobatto
 from .regression import (
     _BATCH,
     RankDeficiencyError,
@@ -133,20 +133,15 @@ def _suite_pell(seed, _solve):
 
 
 def _suite_equivalence(_seed, solve):
-    """Optimizer against the available exact node sets, certificate demanded."""
+    """Optimizer against the available exact node sets, certificate demanded:
+    the closed-form support on the imaginary axis, the Chebyshev extrema
+    _lobatto(n) on the real line."""
     worst = 0.0
     ok = True
-    for n, a in [(2, 1.0), (3, 1.0), (4, 0.25)]:
-        found = solve(n, 1j * a)
-        oracle = closed_form_support(n, a)
-        dev = float(np.abs(found.measure.nodes - oracle).max())
-        worst = max(worst, dev)
-        ok = ok and found.certified and dev <= 1e-6
-    for n, z0 in [(3, 1.5), (4, 2.0)]:
+    for n, z0 in [(2, 1j), (3, 1j), (4, 0.25j), (3, 1.5), (4, 2.0)]:
         found = solve(n, z0)
-        dev = float(
-            np.abs(found.measure.nodes - np.cos(np.pi * np.arange(n, -1, -1) / n)).max()
-        )
+        oracle = closed_form_support(n, z0.imag) if z0.imag else _lobatto(n)
+        dev = float(np.abs(found.measure.nodes - oracle).max())
         worst = max(worst, dev)
         ok = ok and found.certified and dev <= 1e-6
     return ok, f"worst node deviation {worst:.3e}"
@@ -276,7 +271,9 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RankDeficiencyError, RuntimeError) as exc:
+    except (RankDeficiencyError, RuntimeError, UserWarning) as exc:
+        # under python -W error an uncertified design's UserWarning is raised;
+        # it is a numeric failure all the same
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
 

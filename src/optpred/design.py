@@ -334,7 +334,9 @@ def _residual_terms(interior, z0):
     residual F_j = Re(conj(P(x_j)) P'(x_j)).  One pairwise array x_i - x_k
     serves both m, through its absolute values (polynomial._lagrange_moduli,
     as in _lagrange_polar), and inv, formed from it in place; the residual
-    needs no Lagrange phases, so none are computed.
+    needs no Lagrange phases, so none are computed.  Its one caller, _solve,
+    has z0 from require_exterior and the nodes are real and in [-1, 1], so no
+    z0 - x_i is 0 and z0 needs no check against them here.
 
     F_j is half the derivative of |P|^2 at x_j, so it vanishes on an optimal
     support, where every interior node is a maximum of |P| on [-1, 1].  It is
@@ -358,12 +360,9 @@ def _residual_terms(interior, z0):
     if not (x[1:] > x[:-1]).all():
         return None
     e = z0 - x
-    d = np.abs(e)
-    if not d.all():
-        raise ValueError(f"z0 = {z0} is a node; the Lagrange signs are undefined")
     inv = np.subtract.outer(x, x)
     with np.errstate(over="ignore", invalid="ignore"):
-        m = _checked_moduli(_lagrange_moduli(d, np.abs(inv)), z0)
+        m = _checked_moduli(_lagrange_moduli(np.abs(e), np.abs(inv)), z0)
     step = len(x) + 1
     inv.flat[::step] = 1.0
     np.divide(1.0, inv, out=inv)
@@ -450,15 +449,13 @@ def optimize_support(n, z0):
     Endpoints are pinned at -1 and +1.  The n-1 interior nodes solve the
     first-order conditions F_j = 0 (_residual_terms) by _solve, with the
     exact Jacobian, from the Chebyshev extreme points in their exactly
-    symmetric sine form; every iterate keeps the nodes ordered.  An
+    symmetric sine form; every iterate keeps the nodes ordered.  At n = 1
+    there are none, and _solve stops at once on the empty F = 0.  An
     uncertified result comes back with a warning: its certificate carries the
     evidence, and the warning adds the residual and why the solve stopped.
     """
     _check_degree(n, lowest=1)
     z0 = require_exterior(z0)
-    if n == 1:
-        return design_from_support(1, z0, [-1.0, 1.0])
-
     x, F, why = _solve(_lobatto(n)[1:-1], z0)
     design = design_from_support(n, z0, np.concatenate(([-1.0], x, [1.0])))
     if not design.certified:
@@ -470,7 +467,7 @@ def optimize_support(n, z0):
             f"optimize_support(n={n}, z0={z0}): design failed certification "
             f"(max_violation={design.certificate.max_violation:.3e}, "
             f"duality_gap={design.certificate.duality_gap:.3e}, "
-            f"residual={np.abs(F).max():.3e}; solver: {why}); {verdict}: "
-            f"log K = {log_K:.6g}, 2n log|phi(z0)| = {upper:.6g}"
+            f"residual={np.abs(F).max(initial=0.0):.3e}; solver: {why}); "
+            f"{verdict}: log K = {log_K:.6g}, 2n log|phi(z0)| = {upper:.6g}"
         )
     return design

@@ -153,7 +153,7 @@ def pell_residual(n, a, x):
 
 def companion_zeros(n, a):
     """All n zeros of R_n in increasing order, from the phase equation of the
-    module docstring, by a vectorized safeguarded Newton iteration.
+    module docstring, by a vectorized Newton iteration.
 
     The equation is solved in psi = pi/2 - theta, so that x = sin psi keeps
     its relative accuracy near 0, and for x > 0 alone: R_n has parity
@@ -162,15 +162,17 @@ def companion_zeros(n, a):
 
         g(psi) = n (psi - b) - atan2(r cos psi, sin psi),  b = (j - 1) pi/(2n),
 
-    the only one in its bracket (b, b + pi/(2n)).  g is increasing and
-    concave there (r <= 1), so a Newton step from right of the root lands in
-    [b, root], and from there the iterates rise to it.  Every start is
-    right of its root: j pi/(2(n + 1)) is the root itself at r = 1, and for
-    j = 1 the start is at most sqrt(r/n), which bounds the root from above
-    (there tan psi tan(n psi) = r, and tan psi tan(n psi) >= n psi^2) and
-    approaches it as r -> 0.  The signs of g shrink each bracket, a Newton
-    step that leaves it is replaced by bisection, and _ZERO_ITERATIONS caps
-    the loop, so it always ends.  O(n) per iteration and no matrix.
+    the only one in its bracket (b, b + pi/(2n)).  There g' = n + r/rho^2
+    >= n, g is concave (r <= 1) and atan2(r cos psi, sin psi) > 0, so
+    g(psi) < n (psi - b) and a Newton step from any start in the bracket
+    lands in (b, root]; by concavity the iterates then rise to the root and
+    never pass it (the monotone case of Newton's method; Ostrowski, Solution
+    of Equations and Systems of Equations, 1960).  The start j pi/(2(n + 1))
+    lies in the bracket and is the root itself at r = 1; for j = 1 it is
+    capped at sqrt(r/n), which bounds the root from above (there tan psi
+    tan(n psi) = r, and tan psi tan(n psi) >= n psi^2) and approaches it as
+    r -> 0.  _ZERO_ITERATIONS caps the loop, so it always ends.  O(n) per
+    iteration and no matrix.
     """
     _check_degree(n)
     a = abs(_check_a(a))
@@ -179,7 +181,6 @@ def companion_zeros(n, a):
     r = a / np.hypot(a, 1.0)
     j = np.arange(1 + n % 2, n, 2)
     base = (j - 1) * (np.pi / (2 * n))
-    lo, hi = base, base + np.pi / (2 * n)
     psi = j * (np.pi / (2 * (n + 1)))
     if n % 2 == 0:
         # sqrt(r) first: r / n underflows to 0 for a subnormal a
@@ -188,13 +189,7 @@ def companion_zeros(n, a):
         sin_psi, r_cos_psi = np.sin(psi), r * np.cos(psi)
         rho = np.hypot(r_cos_psi, sin_psi)
         g = n * (psi - base) - np.arctan2(r_cos_psi, sin_psi)
-        below = g < 0
-        lo = np.where(below, psi, lo)
-        hi = np.where(below, hi, psi)
         new = psi - g / (n + r / rho / rho)
-        out = (new < lo) | (new > hi)
-        if out.any():
-            new[out] = 0.5 * (lo[out] + hi[out])
         done = abs(new - psi) <= 4e-16 * new
         psi = new
         if done.all():

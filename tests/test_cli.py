@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -268,6 +269,18 @@ def test_design_overflowed_K_is_null(capsys):
     data = _strict_json(capsys.readouterr().out)
     assert data["K_value"] is None
     assert data["certificate"]["certified"] is False
+
+
+def test_uncertified_design_under_warnings_as_errors_is_numeric_failure(capsys):
+    # python -W error raises the solver's UserWarning before anything is
+    # written; it is reported as a numeric failure, not a traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["design", "--n", "200", "--z0", "0", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numeric failure: optimize_support(n=200")
+    assert "failed certification" in captured.err
 
 
 def test_emit_json_writes_nonfinite_values_as_null(capsys):

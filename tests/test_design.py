@@ -642,9 +642,24 @@ def test_optimize_support_rejects_interior_point():
 
 
 def test_optimize_support_degree_one():
-    d = optimize_support(1, 2 + 1j)
-    np.testing.assert_array_equal(d.measure.nodes, [-1.0, 1.0])
-    assert d.certified
+    # the solve on no interior nodes returns the endpoints' design as it is,
+    # certificate included
+    for z0 in (2 + 1j, 2.0, 1j, 0.5 + 0.5j):
+        d = optimize_support(1, z0)
+        np.testing.assert_array_equal(d.measure.nodes, [-1.0, 1.0])
+        assert d.to_json() == design_from_support(1, z0, [-1.0, 1.0]).to_json()
+        assert d.certified
+
+
+def test_optimize_support_degree_one_warns_when_uncertified():
+    # K = z0^2 overflows to inf at z0 = 1e200: uncertified, and it warns
+    # like every other degree, with the empty residual read as 0
+    with pytest.warns(UserWarning, match="failed certification") as record:
+        d = optimize_support(1, 1e200)
+    assert not d.certified and d.K_value == math.inf
+    assert "residual=0.000e+00; solver: F = 0 after 0 iterations" in str(
+        record[0].message
+    )
 
 
 def test_optimize_support_deterministic():

@@ -13,6 +13,7 @@ from optpred import (
     pell_residual,
 )
 from optpred import imaginary
+from optpred.polynomial import _lobatto
 from polyhelp import padded, phase_zeros
 
 
@@ -244,8 +245,8 @@ def test_companion_zeros_match_phase_equation(a):
 
 
 def test_companion_zeros_converge_far_below_the_cap(monkeypatch):
-    # the safeguarded Newton loop ends within _ZERO_ITERATIONS by construction;
-    # a cap of 6 gives the same zeros, so no (n, a) here comes near it
+    # the Newton loop ends within _ZERO_ITERATIONS by construction; a cap of 6
+    # gives the same zeros, so no (n, a) here comes near it
     rng = np.random.default_rng(23)
     cases = [(n, a) for n in (*range(1, 34), 64, 127, 191, 256, 511, 512)
              for a in (5e-324, 1e-300, 1e-12, 1e-3, 0.5, 1.0, 1e3, 1.7e308,
@@ -256,6 +257,17 @@ def test_companion_zeros_converge_far_below_the_cap(monkeypatch):
         assert np.array_equal(companion_zeros(n, a), zeros), (n, a)
         assert len(zeros) == n and np.all(np.diff(zeros) > 0)
         assert -1.0 < zeros[0] and zeros[-1] < 1.0
+        # each zero stays in its bracket, strictly between two neighbouring
+        # points of _lobatto(n); as a -> 0 it tends to the point nearer 0,
+        # and from about a = 1e-9 down it may round onto it or an ulp past
+        # it, so there the bracket holds within eps
+        lobatto = _lobatto(n)
+        if a >= 1e-6:
+            assert np.all(lobatto[:-1] < zeros) and np.all(zeros < lobatto[1:]), (n, a)
+        else:
+            eps = np.finfo(float).eps
+            assert np.all(lobatto[:-1] - eps <= zeros), (n, a)
+            assert np.all(zeros <= lobatto[1:] + eps), (n, a)
 
 
 def _zero_limits(n):
