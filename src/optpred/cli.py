@@ -1,12 +1,15 @@
 """Command-line surface: design search, closed-form growth data, verification
 suites, and the Monte Carlo variance simulator.
 
-Exit codes are part of the contract so CI can consume the tool directly:
-0 = certified / all checks passed, 1 = input error (including a growth
-value beyond the largest double), 2 = numeric failure
-(optimizer converged but certificate failed, a verify suite failed, a
-simulated plan's fit was refused or overflowed, or the simulated variance
-disagreed with the formula).
+Exit codes are part of the contract so CI can consume the tool directly,
+one code for each kind of failure: 0 = certified / all checks passed,
+1 = unusable input (a bad flag or value, an unreadable plan file, an
+unwritable --out), 2 = a valid input whose numbers fail (an uncertified
+design, a failed verify suite, a value beyond the largest double, a
+simulated plan's refused fit, or a simulated variance that disagrees with
+the formula).  Neither ends in a traceback: stderr gets one line,
+"error: ..." or "numeric failure: ...", or argparse's usage for a bad
+flag, or an uncertified design's UserWarning.
 """
 
 import argparse
@@ -52,8 +55,11 @@ def _timestamp():
 def _emit(text, out):
     if out:
         # newline="" writes the text as it is, CSV line ends included
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):

@@ -90,10 +90,11 @@ def _log_kernel_bracket(n, z0):
     sqrt(z + 1), the branch with |phi| > 1.
 
     T_n has sup-norm 1 on [-1, 1], and every p of degree n has |p(z0)| <=
-    sup|p| |phi(z0)|^n (Bernstein-Walsh).  Every support has K >= the optimum,
-    so K above the upper end proves a design suboptimal.  Both ends are logs
-    and cannot overflow: with eta = acosh(z0), Re eta = log|phi(z0)| and
-    T_n(z0) = cosh(n eta) = e^(n eta) (1 + e^(-2n eta)) / 2.
+    sup|p| |phi(z0)|^n (Bernstein-Walsh).  The optimal K is the extremal
+    growth max |p(z0)|^2 over sup|p| <= 1, so these are the two ends of an
+    uncertified design's efficiency bracket (optimize_support).  Both ends
+    are logs and cannot overflow: with eta = acosh(z0), Re eta =
+    log|phi(z0)| and T_n(z0) = cosh(n eta) = e^(n eta) (1 + e^(-2n eta)) / 2.
     """
     eta = cmath.acosh(z0)
     upper = 2 * n * eta.real
@@ -452,22 +453,34 @@ def optimize_support(n, z0):
     symmetric sine form; every iterate keeps the nodes ordered.  At n = 1
     there are none, and _solve stops at once on the empty F = 0.  An
     uncertified result comes back with a warning: its certificate carries the
-    evidence, and the warning adds the residual and why the solve stopped.
+    evidence, and the warning adds the residual, why the solve stopped and a
+    proven bracket on the design's efficiency K_opt/K.
+
+    The optimal K_opt is max |p(z0)|^2 / sup|p|^2 over p of degree n, so the
+    constant 1, T_n and the design's own P, with |P(z0)|^2 >= K (1 - gap) and
+    sup|P| <= sup_norm, each bound it from below, and Bernstein-Walsh,
+    K_opt <= |phi(z0)|^(2n), from above; every support has K >= K_opt, so 1
+    caps both ends.  The ends are formed in logs.  An overflowed K = inf is
+    taken as the largest double in the upper end, and leaves no lower end
+    but 0: its gap is 1, so P bounds nothing.
     """
     _check_degree(n, lowest=1)
     z0 = require_exterior(z0)
     x, F, why = _solve(_lobatto(n)[1:-1], z0)
     design = design_from_support(n, z0, np.concatenate(([-1.0], x, [1.0])))
     if not design.certified:
-        # an overflowed K = inf is at least the largest double
+        cert = design.certificate
+        log_T, log_phi = _log_kernel_bracket(n, z0)
         log_K = math.log(min(design.K_value, sys.float_info.max))
-        upper = _log_kernel_bracket(n, z0)[1]
-        verdict = "provably suboptimal" if log_K > upper else "undecided"
+        lo = max(0.0, log_T) - log_K if math.isfinite(design.K_value) else -math.inf
+        if cert.duality_gap < 1:
+            lo = max(lo, math.log1p(-cert.duality_gap) - 2 * math.log(cert.sup_norm))
+        hi = min(0.0, log_phi - log_K)
         warnings.warn(
             f"optimize_support(n={n}, z0={z0}): design failed certification "
-            f"(max_violation={design.certificate.max_violation:.3e}, "
-            f"duality_gap={design.certificate.duality_gap:.3e}, "
+            f"(max_violation={cert.max_violation:.3e}, "
+            f"duality_gap={cert.duality_gap:.3e}, "
             f"residual={np.abs(F).max(initial=0.0):.3e}; solver: {why}); "
-            f"{verdict}: log K = {log_K:.6g}, 2n log|phi(z0)| = {upper:.6g}"
+            f"efficiency K_opt/K in [{math.exp(lo):.9g}, {math.exp(hi):.9g}]"
         )
     return design

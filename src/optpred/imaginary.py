@@ -222,14 +222,16 @@ def growth_value(n, a):
 
         sqrt(a^2 + 1) * (|a| + sqrt(a^2 + 1))^(n-1),
 
-    attained by Q_n (up to phase).  Raises ValueError where that exceeds the
-    largest double (from n = 340 on at a = 4); the test is made in logs,
-    log(|a| + s) = asinh(|a|), so it runs before anything can overflow."""
+    attained by Q_n (up to phase).  Raises RuntimeError where that exceeds
+    the largest double (from n = 340 on at a = 4), as the package's other
+    overflows do: n and a are valid, the number is not representable.  The
+    test is made in logs, log(|a| + s) = asinh(|a|), so it runs before
+    anything can overflow."""
     _check_degree(n, lowest=1)
     a = abs(_check_a(a))
     s = np.hypot(a, 1.0)
     if math.log(s) + (n - 1) * math.asinh(a) > _LOG_MAX:
-        raise ValueError(
+        raise RuntimeError(
             f"growth value at n = {n}, |a| = {a} exceeds the largest double"
         )
     if n == 1:
@@ -245,8 +247,8 @@ def growth_gap(n, a):
     |T_n(ai)| = g^(n-2) (1 - (-1)^n g^(2-2n)) / 2 with log g = asinh|a|, and
     rhs = (s - |a|) |T_{n-1}(ai)| = |T_{n-1}(ai)| / (s + |a|) from chebvander.
     g = s (1 + |a|/s) is never formed: it overflows above |a| ~ 9e307.
-    growth_value comes first: it checks n and a, and its range check covers
-    |T_{n-1}(ai)| <= growth_value too.
+    growth_value comes first: it checks n and a, and its range check, with
+    its RuntimeError, covers |T_{n-1}(ai)| <= growth_value too.
     """
     growth_value(n, a)
     a = abs(float(a))

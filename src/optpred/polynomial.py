@@ -31,7 +31,7 @@ import numpy.polynomial.chebyshev as cheb
 # A cap on work (the root-solve Jacobian is a dense O(n^3) step; assembling a
 # design from its support is O(n^2)), not a range guarantee: K overflows far
 # earlier once |z0| >~ 2, closed_form_design(192, 4.0) already returns
-# K = inf, and growth_value(n, 4.0) raises from n = 340 on.
+# K = inf, and growth_value(n, 4.0) raises RuntimeError from n = 340 on.
 MAX_DEGREE = 512
 
 

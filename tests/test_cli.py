@@ -79,11 +79,6 @@ def test_design_rejects_interior_point(capsys):
     assert "exterior" in capsys.readouterr().err
 
 
-def test_design_rejects_nonfinite_point(capsys):
-    assert main(["design", "--n", "3", "--z0", "nan", "0"]) == 1
-    assert "error:" in capsys.readouterr().err
-
-
 def test_design_csv_samples(tmp_path):
     out = tmp_path / "poly.csv"
     code = main(["design", "--n", "2", "--z0", "0", "1", "--format", "csv",
@@ -142,11 +137,13 @@ def test_growth_negative_a_reflects_coefficients(tmp_path):
         assert q[1] == pytest.approx(sign * p[1], abs=1e-15)
 
 
-def test_growth_overflow_is_input_error(tmp_path, capsys):
-    assert main(["growth", "--n", "512", "--a", "4"]) == 1
+def test_growth_overflow_is_numeric_failure(tmp_path, capsys):
+    # valid n and a whose growth value is beyond the largest double, like
+    # every other overflow
+    assert main(["growth", "--n", "512", "--a", "4"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error:") and "n = 512" in captured.err
+    assert captured.err.startswith("numeric failure:") and "n = 512" in captured.err
     # the sampled polynomial has |Q_n| <= 1, so its csv is still written
     out = tmp_path / "q.csv"
     argv = ["growth", "--n", "512", "--a", "4", "--format", "csv", "--out", str(out)]
@@ -342,15 +339,6 @@ def test_simulate_malformed_plan(tmp_path, capsys):
                  "--z0", "2", "0"]) == 1
 
 
-def test_simulate_rejects_nonfinite_point(tmp_path, capsys):
-    plan_file = tmp_path / "plan.json"
-    _write_plan(plan_file, DiscreteMeasure(NODES3, np.array([1, 1, 1]) / 3))
-    code = main(["simulate", "--plan", str(plan_file), "--z0", "nan", "0",
-                 "--replicates", "1000"])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
-
-
 def test_simulate_rejects_negative_seed(tmp_path, capsys):
     plan_file = tmp_path / "plan.json"
     _write_plan(plan_file, DiscreteMeasure(NODES3, np.array([1, 1, 1]) / 3))
@@ -419,3 +407,57 @@ def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# README's exit-code examples, and an --out that cannot be written for every
+# command and format that writes one: one exit code and one stderr line per
+# kind of failure, never a traceback.  {dir} is a directory holding plan.json,
+# a valid plan, and fractional.json, one with counts 75.9; {dir}/missing does
+# not exist.  The suite's warning filter raises an uncertified design's
+# UserWarning, as python -W error does.
+_CONTRACT = {
+    "design-on-interval": ("design --n 2 --z0 0.5 0", 1, "error:"),
+    "design-nan-z0": ("design --n 3 --z0 nan 0", 1, "error:"),
+    "growth-zero-a": ("growth --n 1 --a 0", 1, "error:"),
+    "verify-negative-seed": ("verify --suite pell --seed -1", 1, "error:"),
+    "simulate-missing-plan": ("simulate --plan {dir}/missing/plan.json --z0 2 0",
+                              1, "error: cannot read plan file"),
+    "simulate-fractional-counts": ("simulate --plan {dir}/fractional.json --z0 2 0",
+                                   1, "error:"),
+    "simulate-nan-z0": ("simulate --plan {dir}/plan.json --z0 nan 0", 1, "error:"),
+    "design-out-missing": ("design --n 4 --z0 2 0 --out {dir}/missing/d.json",
+                           1, "error: cannot write"),
+    "design-out-dir": ("design --n 4 --z0 2 0 --out {dir}", 1, "error: cannot write"),
+    "growth-out-missing": ("growth --n 3 --a 1 --out {dir}/missing/g.json",
+                           1, "error: cannot write"),
+    "growth-out-dir": ("growth --n 3 --a 1 --out {dir}", 1, "error: cannot write"),
+    "growth-csv-out-missing": ("growth --n 3 --a 1 --format csv --out "
+                               "{dir}/missing/g.csv", 1, "error: cannot write"),
+    "growth-csv-out-dir": ("growth --n 3 --a 1 --format csv --out {dir}",
+                           1, "error: cannot write"),
+    "simulate-out-missing": ("simulate --plan {dir}/plan.json --z0 2 0 "
+                             "--replicates 1000 --out {dir}/missing/s.json",
+                             1, "error: cannot write"),
+    "simulate-out-dir": ("simulate --plan {dir}/plan.json --z0 2 0 "
+                         "--replicates 1000 --out {dir}", 1, "error: cannot write"),
+    "design-uncertified": ("design --n 1 --z0 1e200 0", 2, "numeric failure:"),
+    "design-lagrange-overflow": ("design --n 64 --z0 1e8 0", 2, "numeric failure:"),
+    "simulate-variance-overflow": ("simulate --plan {dir}/plan.json --z0 1e200 0 "
+                                   "--replicates 1000", 2, "numeric failure:"),
+    "growth-overflow": ("growth --n 340 --a 4", 2, "numeric failure:"),
+}
+
+
+@pytest.mark.parametrize("case", list(_CONTRACT))
+def test_exit_contract(case, tmp_path, capsys):
+    command, code, prefix = _CONTRACT[case]
+    mu = DiscreteMeasure(NODES3, np.array([1, 2, 1]) / 4)
+    _write_plan(tmp_path / "plan.json", mu)
+    plan = json.loads((tmp_path / "plan.json").read_text())
+    plan["counts"] = [75.9, 150.9, 75.9]
+    (tmp_path / "fractional.json").write_text(json.dumps(plan))
+    argv = [arg.format(dir=tmp_path) for arg in command.split()]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -654,12 +655,11 @@ def test_optimize_support_degree_one():
 def test_optimize_support_degree_one_warns_when_uncertified():
     # K = z0^2 overflows to inf at z0 = 1e200: uncertified, and it warns
     # like every other degree, with the empty residual read as 0
-    with pytest.warns(UserWarning, match="failed certification") as record:
-        d = optimize_support(1, 1e200)
-    assert not d.certified and d.K_value == math.inf
-    assert "residual=0.000e+00; solver: F = 0 after 0 iterations" in str(
-        record[0].message
-    )
+    d, message = _uncertified(1, 1e200)
+    assert d.K_value == math.inf
+    assert "residual=0.000e+00; solver: F = 0 after 0 iterations" in message
+    # an overflowed K leaves no lower end but 0
+    assert _efficiency_bracket(message) == (0, 1)
 
 
 def test_optimize_support_deterministic():
@@ -672,15 +672,30 @@ def test_optimize_support_deterministic():
 def test_optimize_support_warns_when_uncertified(monkeypatch):
     # below zero, so that no certificate passes whatever the rounding
     monkeypatch.setattr("optpred.design._CERT_TOL", -1.0)
-    with pytest.warns(UserWarning, match="failed certification") as record:
-        d = optimize_support(4, 2j)
-    assert not d.certified
+    d, message = _uncertified(4, 2j)
     assert len(d.measure.nodes) == 5
-    message = str(record[0].message)
     for field in ("max_violation", "duality_gap", "residual", "solver:"):
         assert field in message
-    # the design is optimal, so K is below the Bernstein-Walsh end
-    assert "undecided" in message and "provably suboptimal" not in message
+    # the design is optimal, and P's sup bound and gap say so to rounding
+    lo, hi = _efficiency_bracket(message)
+    assert lo >= 1 - 1e-12 and hi == 1
+
+
+def _efficiency_bracket(message):
+    """(lo, hi) from the end of an uncertified design's warning."""
+    match = re.search(r"\); efficiency K_opt/K in \[(\S+), (\S+)\]$", message)
+    assert match, message
+    assert "undecided" not in message and "suboptimal" not in message
+    lo, hi = float(match[1]), float(match[2])
+    assert 0 <= lo <= hi <= 1
+    return lo, hi
+
+
+def _uncertified(n, z0):
+    with pytest.warns(UserWarning, match="failed certification") as record:
+        d = optimize_support(n, z0)
+    assert not d.certified
+    return d, str(record[0].message)
 
 
 def test_uncertified_warning_reads_verdict(monkeypatch):
@@ -691,16 +706,32 @@ def test_uncertified_warning_reads_verdict(monkeypatch):
         return x0, _residual_terms(x0, z0)[3], "kept at the start"
 
     monkeypatch.setattr("optpred.design._solve", start)
-    cases = (((6, 0.6094764463519509 + 1.6898451743904647e-07j), "provably suboptimal"),
-             ((12, 0.5 + 0.5j), "undecided"))
-    for (n, z0), verdict in cases:
-        with pytest.warns(UserWarning, match="failed certification") as record:
-            d = optimize_support(n, z0)
-        assert not d.certified
-        assert "solver: kept at the start); " in str(record[0].message)
-        assert f"); {verdict}: log K = " in str(record[0].message)
-        log_K = math.log(d.K_value)
-        assert (log_K > _log_kernel_bracket(n, z0)[1]) == (verdict != "undecided")
+    cases = (((6, 0.6094764463519509 + 1.6898451743904647e-07j), True),
+             ((12, 0.5 + 0.5j), False))
+    for (n, z0), suboptimal in cases:
+        d, message = _uncertified(n, z0)
+        assert "solver: kept at the start); " in message
+        hi = _efficiency_bracket(message)[1]
+        assert (hi < 1) == suboptimal
+        upper = _log_kernel_bracket(n, z0)[1]
+        assert hi == pytest.approx(min(1, math.exp(upper - math.log(d.K_value))),
+                                   rel=1e-8)
+
+
+def test_uncertified_solves_state_their_efficiency():
+    # misses of the solve, each within a few percent of the optimum: the
+    # first is the one whose K exceeds the Bernstein-Walsh end, the second
+    # has the lowest lower end of a 524-point sweep, and on the axis the
+    # exact efficiency is growth_value^2 / K
+    hi = _efficiency_bracket(
+        _uncertified(34, 0.8025031837578223 - 0.00020382230356402663j)[1])[1]
+    assert hi < 1
+    lo = _efficiency_bracket(
+        _uncertified(48, -0.07478856367822528 - 0.0010338578074663084j)[1])[0]
+    assert lo >= 0.9
+    d, message = _uncertified(13, 1e-9j)
+    lo, hi = _efficiency_bracket(message)
+    assert lo - 1e-12 <= growth_value(13, 1e-9) ** 2 / d.K_value <= hi + 1e-12
 
 
 def test_log_kernel_bracket_matches_axis_closed_forms():
