@@ -3,6 +3,7 @@
 from .design import (
     Certificate,
     Design,
+    DiscreteMeasure,
     design_from_support,
     extremal_signed_poly,
     hoel_levine_weights,
@@ -18,7 +19,6 @@ from .imaginary import (
     pell_companion,
     pell_residual,
 )
-from .measure import DiscreteMeasure
 from .polynomial import ChebPoly, as_nodes, lagrange_values
 from .regression import (
     RankDeficiencyError,

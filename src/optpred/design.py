@@ -35,6 +35,16 @@ reads P on the same grid from the stored coefficients, by one DCT-I, and
 every other value gives |P| on the support, by the barycentric formula
 contracted from the even rows of that pass's array, with no pairwise pass
 of its own; P(z0) alone is taken from the coefficients.
+
+A design's measure is a DiscreteMeasure, sum_k w_k delta(x_k) with distinct
+nodes and positive weights that sum to 1.  Its kernel value K(z0) =
+t(z0)^H G^{-1} t(z0), with t = (T_0, ..., T_n) and G the Gram matrix of
+that basis in L^2(mu), is the largest |p(z0)|^2 over polynomials of degree
+<= n with L^2(mu) norm 1, and sigma^2/m * K(z0) is the variance of the
+least-squares predictor at z0.  No function forms K from G: here K is
+Lambda^2, the Monte Carlo check reads it off its own fit (regression), and
+the Gram-matrix routes are test oracles.  The moduli |l_i(z0)| behind the
+weights, K and P are checked once, on their sum Lambda (_checked_moduli).
 """
 
 import cmath
@@ -45,13 +55,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import DiscreteMeasure
 from .polynomial import (
     ChebPoly,
     _barycentric,
     _check_degree,
     _contract,
     _dct1,
+    _finite,
     _finite_point,
     _hits,
     _lagrange_moduli,
@@ -70,6 +80,48 @@ _CERT_TOL = 1e-8
 # and 2.2e-12 at 1e-14, where F is at its rounding level
 _ROOT_XTOL = 1e-14
 _MAX_ITER = 300
+_WEIGHT_SUM_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class DiscreteMeasure:
+    """Probability measure sum_k weights[k] * delta(nodes[k]) on [-1, 1]."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        x = as_nodes(self.nodes)
+        w = _finite("weights", self.weights)
+        if w.shape != x.shape:
+            raise ValueError(f"{len(x)} nodes but {len(w)} weights")
+        if np.any(w <= 0):
+            raise ValueError("weights must be strictly positive")
+        if abs(w.sum() - 1.0) > _WEIGHT_SUM_TOL:
+            raise ValueError(f"weights sum to {w.sum()!r}, expected 1")
+        object.__setattr__(self, "nodes", x)
+        object.__setattr__(self, "weights", w)
+
+    @classmethod
+    def _hoel_levine(cls, nodes, weights):
+        """The measure on nodes that as_nodes has passed, with the weights
+        m / Lambda of nonzero moduli m whose sum Lambda is finite
+        (_checked_moduli): those are finite and sum to 1 by construction, so
+        only their sign is checked again, against a ratio m_i / Lambda that
+        underflows to 0."""
+        if not weights.all():
+            raise ValueError("weights must be strictly positive")
+        mu = object.__new__(cls)
+        object.__setattr__(mu, "nodes", nodes)
+        object.__setattr__(mu, "weights", weights)
+        return mu
+
+    def to_json(self):
+        return {"nodes": self.nodes.tolist(), "weights": self.weights.tolist()}
+
+    @classmethod
+    def from_json(cls, data):
+        return cls(data["nodes"], data["weights"])
 
 
 def require_exterior(z0):
@@ -102,40 +154,45 @@ def _log_kernel_bracket(n, z0):
 
 
 def _checked_moduli(moduli, z0):
-    """moduli, refused unless all finite and nonzero.
+    """The Lebesgue sum Lambda = sum_i moduli_i, refused unless it is finite
+    and no modulus is zero.  Called inside the caller's np.errstate, so an
+    overflow leaks no warning.
 
-    When z0 is a node every other l_i(z0) is exactly 0, so a zero modulus is
-    how that case is caught.  Far out, overflow is a numeric failure at a
-    valid z0, not an input error.
+    The moduli are nonnegative, so Lambda is finite exactly when every
+    modulus is and their sum does not overflow; far out, either is a numeric
+    failure at a valid z0, not an input error.  When z0 is a node every
+    other l_i(z0) is exactly 0, so a zero modulus is how that case is caught.
     """
-    if not np.isfinite(moduli).all():
+    lebesgue = float(moduli.sum())
+    if not math.isfinite(lebesgue):
         raise RuntimeError(f"Lagrange values overflow at z0 = {z0}")
     if not moduli.all():
         raise ValueError(f"z0 = {z0} is a node; the Lagrange signs are undefined")
-    return moduli
+    return lebesgue
 
 
 def _signed_lagrange(x, z0):
-    """|l_i(z0)| and sgn(l_i(z0)) = conj(l_i(z0)) / |l_i(z0)| from one
-    evaluation (polynomial._lagrange_polar); the signs are the values of P at
-    the nodes.
+    """|l_i(z0)|, their checked sum Lambda and sgn(l_i(z0)) = conj(l_i(z0)) /
+    |l_i(z0)| from one evaluation (polynomial._lagrange_polar); the signs are
+    the values of P at the nodes.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         moduli, phases = _lagrange_polar(x, z0)
-    return _checked_moduli(moduli, z0), np.conj(phases)
+        lebesgue = _checked_moduli(moduli, z0)
+    return moduli, lebesgue, np.conj(phases)
 
 
 def hoel_levine_weights(nodes, z0):
     """Weights proportional to |l_i(z0)|; optimal among weightings of nodes."""
-    moduli, _ = _signed_lagrange(as_nodes(nodes), _finite_point(z0))
-    return moduli / moduli.sum()
+    moduli, lebesgue, _ = _signed_lagrange(as_nodes(nodes), _finite_point(z0))
+    return moduli / lebesgue
 
 
 def _extremal(x, z0):
-    """(m, P, g, d): m_i = |l_i(z0)|, P = sum_i s_i l_i with s_i =
-    sgn(l_i(z0)), _sup_bound's term g = c (1 - t^2) w^2 at t = _lobatto(2n)
-    and the array d_ji = b_i / (t_j - x_i) that _certificate contracts
-    again, all from one barycentric pass over t.  For the node polynomial
+    """(m, Lambda, P, g, d): m_i = |l_i(z0)|, Lambda = sum_i m_i, P =
+    sum_i s_i l_i with s_i = sgn(l_i(z0)), _sup_bound's term g = c (1 - t^2)
+    w^2 at t = _lobatto(2n) and the array d_ji = b_i / (t_j - x_i) that
+    _certificate contracts again, all from one barycentric pass over t.  For the node polynomial
     l = (t^2 - 1) w, l_i(z0) = l(z0) beta_i / (z0 - x_i) with its
     barycentric weights beta_i, so P's are b_i = m_i |z0 - x_i| (-1)^(n - i)
     = kappa beta_i, kappa > 0, with m scaled by its largest so that none
@@ -149,7 +206,7 @@ def _extremal(x, z0):
     kappa cancels and every factor is O(n), so no logs are needed and none
     overflows; g is 0 where t is a node (den = inf), both ends included.
     """
-    moduli, signs = _signed_lagrange(x, z0)
+    moduli, lebesgue, signs = _signed_lagrange(x, z0)
     b = moduli / moduli.max() * np.abs(z0 - x) * _node_signs(len(x))
     t = _lobatto(2 * len(x) - 2)
     values, den, d = _barycentric(t, x, b, signs)
@@ -159,7 +216,7 @@ def _extremal(x, z0):
     g = np.zeros_like(t)
     # (1 - t)(1 + t): next to the ends, 1 - t * t errs by eps / (1 - t^2)
     g[1:-1] = (abs(b @ signs) / den[1:-1]) ** 2 / ((1 - t[1:-1]) * (1 + t[1:-1]))
-    return moduli, ChebPoly(coeffs), g, d
+    return moduli, lebesgue, ChebPoly(coeffs), g, d
 
 
 def extremal_signed_poly(nodes, z0):
@@ -168,7 +225,7 @@ def extremal_signed_poly(nodes, z0):
     The conjugation makes P(z0) = sum |l_i(z0)| real and positive.  On an
     optimal support this is the polynomial of extremal growth at z0.
     """
-    return _extremal(as_nodes(nodes), _finite_point(z0))[1]
+    return _extremal(as_nodes(nodes), _finite_point(z0))[2]
 
 
 @dataclass(frozen=True)
@@ -307,19 +364,18 @@ def design_from_support(n, z0, nodes):
     kernel value, signed extremal polynomial, certificate, in O(n^2).
 
     With Hoel-Levine weights the kernel value is the squared Lebesgue
-    function, K = Lambda^2 with Lambda = sum_i |l_i(z0)|, taken from the same
-    moduli as the weights.  It is formed in Python floats, so a Lambda^2
-    beyond the largest double reads inf, without a warning.  The nodes are
-    checked once, here; the measure built from them and from the checked
-    moduli is not checked again.
+    function, K = Lambda^2 with Lambda = sum_i |l_i(z0)|, the sum of the
+    weights' moduli that _checked_moduli has found finite.  It is squared in
+    Python floats, so a Lambda^2 beyond the largest double reads inf, without
+    a warning.  The nodes are checked once, here; the measure built from them
+    and the checked moduli is not checked again.
     """
     _check_degree(n, lowest=1)
     z0 = require_exterior(z0)
     x = as_nodes(nodes)
     if len(x) != n + 1:
         raise ValueError(f"degree {n} needs {n + 1} nodes, got {len(x)}")
-    moduli, P, g, d = _extremal(x, z0)
-    lebesgue = float(moduli.sum())
+    moduli, lebesgue, P, g, d = _extremal(x, z0)
     mu = DiscreteMeasure._hoel_levine(x, moduli / lebesgue)
     K = lebesgue * lebesgue
     return Design(
@@ -329,10 +385,11 @@ def design_from_support(n, z0, nodes):
 
 
 def _residual_terms(interior, z0):
-    """(m, e, inv, F) at the interior nodes x_1 < ... < x_{n-1} in O(n^2), or
-    None unless -1 < x_1 < ... < x_{n-1} < 1: the moduli m_i = |l_i(z0)|,
-    e_i = z0 - x_i, inv_ik = 1/(x_i - x_k) (0 for i = k) and the first-order
-    residual F_j = Re(conj(P(x_j)) P'(x_j)).  One pairwise array x_i - x_k
+    """(m, Lambda, e, inv, F) at the interior nodes x_1 < ... < x_{n-1} in
+    O(n^2), or None unless -1 < x_1 < ... < x_{n-1} < 1: the moduli m_i =
+    |l_i(z0)| and their checked sum Lambda (_checked_moduli), e_i = z0 - x_i,
+    inv_ik = 1/(x_i - x_k) (0 for i = k) and the first-order residual F_j =
+    Re(conj(P(x_j)) P'(x_j)).  One pairwise array x_i - x_k
     serves both m, through its absolute values (polynomial._lagrange_moduli,
     as in _lagrange_polar), and inv, formed from it in place; the residual
     needs no Lagrange phases, so none are computed.  Its one caller, _solve,
@@ -363,7 +420,8 @@ def _residual_terms(interior, z0):
     e = z0 - x
     inv = np.subtract.outer(x, x)
     with np.errstate(over="ignore", invalid="ignore"):
-        m = _checked_moduli(_lagrange_moduli(np.abs(e), np.abs(inv)), z0)
+        m = _lagrange_moduli(np.abs(e), np.abs(inv))
+        lebesgue = _checked_moduli(m, z0)
     step = len(x) + 1
     inv.flat[::step] = 1.0
     np.divide(1.0, inv, out=inv)
@@ -372,18 +430,19 @@ def _residual_terms(interior, z0):
     ratio *= (e / e[1:-1, None]).real
     ratio += 1.0
     ratio *= inv[1:-1]
-    return m, e, inv, ratio.sum(axis=1)
+    return m, lebesgue, e, inv, ratio.sum(axis=1)
 
 
 def _residual_jacobian(terms):
-    """The exact Jacobian of F from the (m, e, inv, F) of _residual_terms.
+    """The exact Jacobian of F from the (m, Lambda, e, inv, F) of
+    _residual_terms.
 
     With C = J - 1 g^T, the Hessian of log Lambda is H = S + C^T diag(p) C,
     S = sum_i p_i (Hessian of log m_i), and since dp_k/dx_l = p_k C_kl the
     Jacobian of F = -g/p is -diag(1/p) H - diag(F) C; C^T diag(p) C is O(n^3).
     """
-    m, e, inv, F = terms
-    p = m / m.sum()
+    m, lebesgue, e, inv, F = terms
+    p = m / lebesgue
     q = 1.0 / e[1:-1]
     nk = len(q)
     J = inv[:, 1:-1] - q.real  # all nodes i, interior k
@@ -418,7 +477,7 @@ def _solve(x0, z0):
     iterate lies in (-1, 1)) or after _MAX_ITER iterations; why says which.
     """
     terms = _residual_terms(x0, z0)
-    x, F, D, mu, nu = x0, terms[3], 0.0, 1e-6, 2.0
+    x, F, D, mu, nu = x0, terms[4], 0.0, 1e-6, 2.0
     step = len(x0) + 1  # the stride of a diagonal
     for k in range(_MAX_ITER):
         if terms is not None:  # a new iterate and its one Jacobian
@@ -434,11 +493,11 @@ def _solve(x0, z0):
             return x, F, f"step below tolerance after {k} iterations"
         y = x + s
         trial = _residual_terms(y, z0)
-        f_new = np.inf if trial is None else trial[3] @ trial[3]
+        f_new = np.inf if trial is None else trial[4] @ trial[4]
         if f_new < f:
             rho = (f - f_new) / 2 / (-s @ g - s @ A @ s / 2)
             mu *= max(1 / 3, 1 - (2 * rho - 1) ** 3)
-            x, F, terms, nu = y, trial[3], trial, 2.0
+            x, F, terms, nu = y, trial[4], trial, 2.0
         else:
             mu, nu = mu * nu, 2 * nu
     return x, F, f"no convergence in {_MAX_ITER} iterations"

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
 
-from .measure import DiscreteMeasure
+from .design import DiscreteMeasure
 from .polynomial import _check_degree, _check_int, _finite, _finite_point
 
 _MIN_PIVOT = 1e-13

@@ -4,11 +4,11 @@ against, the dense interpolation solve that the extremal polynomial's
 coefficients are held against, the complex pairwise-ratio product that
 lagrange_values is held against, and the Christoffel-kernel oracles (the
 Gram matrix, K by QR and by the Lagrange route, the normalized kernel
-polynomial and the directional derivative of K), the 50-digit zeros
-of R_n that companion_zeros is held against, the 50-digit Clenshaw
-evaluation of a ChebPoly that the certificate's values of P are held
-against, the certificate's Pell term c (1 - t^2) w^2 formed in logs,
-which the barycentric route of design._extremal is held against, the
+polynomial, the directional derivative of K and its finite difference by a
+solve), the 50-digit zeros of R_n that companion_zeros is held against, the
+50-digit Clenshaw evaluation of a ChebPoly that the certificate's values
+of P are held against, the certificate's Pell term c (1 - t^2) w^2 formed
+in logs, which the barycentric route of design._extremal is held against, the
 certificate's |P| at the nodes by a barycentric pass of its own, which the
 contraction of _extremal's array is held against, and the Lagrange moduli
 as products along rows, which polynomial._lagrange_moduli's products down
@@ -176,6 +176,22 @@ def directional_derivative(mu0, a, n, z0):
     R, u = _kernel_basis(mu0, n, z0)
     v = solve_triangular(R, cheb.chebvander(a, n)[0], trans="T")
     return float(np.vdot(u, u).real - abs(np.vdot(u, v)) ** 2)
+
+
+def fd_kernel_derivative(mu, a, n, z0, t=1e-6):
+    """The central finite difference of K(z0) along mu_t = (1-t) mu + t
+    delta_a, by a linear solve on the mixed Gram matrix: an oracle for
+    directional_derivative that shares none of its QR route."""
+    V = cheb.chebvander(mu.nodes, n)
+    G0 = (V.T * mu.weights) @ V
+    phi_a = cheb.chebvander(a, n)[0]
+    t0 = cheb.chebvander(z0, n)[0]
+
+    def K(tt):
+        Gt = (1 - tt) * G0 + tt * np.outer(phi_a, phi_a)
+        return np.vdot(t0, np.linalg.solve(Gt, t0)).real
+
+    return (K(t) - K(-t)) / (2 * t)
 
 
 def phase_zeros(n, a, guesses):

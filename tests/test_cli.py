@@ -442,6 +442,7 @@ _CONTRACT = {
                          "--replicates 1000 --out {dir}", 1, "error: cannot write"),
     "design-uncertified": ("design --n 1 --z0 1e200 0", 2, "numeric failure:"),
     "design-lagrange-overflow": ("design --n 64 --z0 1e8 0", 2, "numeric failure:"),
+    "design-lebesgue-overflow": ("design --n 2 --z0 1e154 0", 2, "numeric failure:"),
     "simulate-variance-overflow": ("simulate --plan {dir}/plan.json --z0 1e200 0 "
                                    "--replicates 1000", 2, "numeric failure:"),
     "growth-overflow": ("growth --n 340 --a 4", 2, "numeric failure:"),

@@ -297,7 +297,7 @@ def test_lebesgue_kernel_value_matches_gram_route(z0):
 def _bound(x, z0):
     """(P, the certificate's bound on max |P|) for the extremal polynomial P
     of the support x at z0, from the Pell term of the same assembly pass."""
-    _, P, g, _ = _extremal(x, z0)
+    _, _, P, g, _ = _extremal(x, z0)
     return P, _sup_bound(_lobatto_values(P, 2 * (len(x) - 1)), g)
 
 
@@ -375,7 +375,7 @@ def test_pell_term_matches_log_domain_oracle(n):
     for x, z0 in supports:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, P, g, _ = _extremal(x, z0)
+            _, _, P, g, _ = _extremal(x, z0)
         oracle = pell_term_logs(P, x)
         assert np.abs(g - oracle).max() <= 1e-12 * oracle.max(), (n, z0)
         assert (g[np.isin(t, x)] == 0.0).all(), (n, z0)
@@ -532,11 +532,11 @@ def test_first_order_residual_matches_extremal_poly():
         dP = cheb.chebval(interior, cheb.chebder(P.coeffs))
         expected = np.real(np.conj(P(interior)) * dP)
         terms = _residual_terms(interior, z0)
-        F, J = terms[3], _residual_jacobian(terms)
+        F, J = terms[4], _residual_jacobian(terms)
         assert np.abs(F - expected).max() <= 1e-10 * max(1.0, np.abs(F).max())
         steps = h * np.eye(n - 1)
-        central = np.array([_residual_terms(interior + d, z0)[3]
-                            - _residual_terms(interior - d, z0)[3]
+        central = np.array([_residual_terms(interior + d, z0)[4]
+                            - _residual_terms(interior - d, z0)[4]
                             for d in steps]).T / (2 * h)
         assert np.abs(J - central).max() <= 1e-7 * np.abs(central).max()
 
@@ -585,13 +585,27 @@ def test_optimize_support_is_assembled_by_design_from_support():
 
 
 def test_residual_terms_overflow_is_typed_without_warning():
-    # at n = 64 the moduli overflow at z0 = 1e8: a RuntimeError, and no
-    # RuntimeWarning from the pairwise pass gets out of its errstate
+    # at n = 64 the moduli overflow at z0 = 1e8, and at n = 200, z0 = 17.92
+    # each is finite but their sum Lambda is not: a RuntimeError, and no
+    # RuntimeWarning from the pairwise pass or the sum gets out of its errstate
+    cases = [(_lobatto(64)[1:-1], z0) for z0 in (1e8, complex(1e8, 0.0), 1e8j)]
+    cases.append((_lobatto(200)[1:-1], 17.92))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for z0 in (1e8, complex(1e8, 0.0), 1e8j):
+        for interior, z0 in cases:
             with pytest.raises(RuntimeError, match="Lagrange values overflow"):
-                _residual_terms(_lobatto(64)[1:-1], z0)
+                _residual_terms(interior, z0)
+
+
+def test_lebesgue_sum_overflow_is_typed_without_warning():
+    # at z0 = 1e154 the moduli of {-1, 0, 1} are finite, about 1e308 each,
+    # but their sum Lambda is not: a RuntimeError, not zero weights
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (lambda: design_from_support(2, 1e154, NODES3),
+                  lambda: hoel_levine_weights(NODES3, 1e154)):
+            with pytest.raises(RuntimeError, match="Lagrange values overflow"):
+                f()
 
 
 def test_jacobian_built_at_start_and_per_accepted_step(monkeypatch):
@@ -614,9 +628,9 @@ def test_jacobian_built_at_start_and_per_accepted_step(monkeypatch):
     assert optimize_support(7, 0.125 - 0.015625j).certified
     accepted, best = [], math.inf
     for t in evaluated:
-        if t is not None and t[3] @ t[3] < best:
+        if t is not None and t[4] @ t[4] < best:
             accepted.append(t)
-            best = t[3] @ t[3]
+            best = t[4] @ t[4]
     assert len(built) == len(accepted) < len(evaluated)
     assert all(a is b for a, b in zip(built, accepted))
 
@@ -703,7 +717,7 @@ def test_uncertified_warning_reads_verdict(monkeypatch):
     # first point (log K 1.03 above 2n log|phi(z0)| = 2.6e-6) and merely
     # uncertified at the second (log K 11.94 below 12.74)
     def start(x0, z0):
-        return x0, _residual_terms(x0, z0)[3], "kept at the start"
+        return x0, _residual_terms(x0, z0)[4], "kept at the start"
 
     monkeypatch.setattr("optpred.design._solve", start)
     cases = (((6, 0.6094764463519509 + 1.6898451743904647e-07j), True),

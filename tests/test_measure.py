@@ -1,5 +1,4 @@
 import numpy as np
-import numpy.polynomial.chebyshev as cheb
 import pytest
 
 from optpred import ChebPoly, DiscreteMeasure, RankDeficiencyError
@@ -8,6 +7,7 @@ from polyhelp import (
     christoffel,
     christoffel_lagrange,
     directional_derivative,
+    fd_kernel_derivative,
     gram,
     kernel_poly,
 )
@@ -198,20 +198,6 @@ def test_kernel_poly_maximality():
         assert abs(q(z0)) / mass <= target * (1 + 1e-12)
 
 
-def _fd_kernel_derivative(mu, a, n, z0, t=1e-6):
-    """Independent finite-difference oracle on the mixed Gram matrix."""
-    V = cheb.chebvander(mu.nodes, n)
-    G0 = (V.T * mu.weights) @ V
-    phi_a = cheb.chebvander(a, n)[0]
-    t0 = cheb.chebvander(z0, n)[0]
-
-    def K(tt):
-        Gt = (1 - tt) * G0 + tt * np.outer(phi_a, phi_a)
-        return np.vdot(t0, np.linalg.solve(Gt, t0)).real
-
-    return (K(t) - K(-t)) / (2 * t)
-
-
 def test_directional_derivative_matches_finite_differences():
     rng = np.random.default_rng(41)
     for _ in range(50):
@@ -220,13 +206,13 @@ def test_directional_derivative_matches_finite_differences():
         z0 = 2.0 if rng.random() < 0.5 else 1j
         a = rng.uniform(-1, 1)
         formula = directional_derivative(mu, a, n, z0)
-        fd = _fd_kernel_derivative(mu, a, n, z0)
+        fd = fd_kernel_derivative(mu, a, n, z0)
         assert formula == pytest.approx(fd, rel=1e-5)
 
 
 def test_directional_derivative_uniform_example():
     formula = directional_derivative(UNIFORM3, 0.5, 2, 2.0)
-    fd = _fd_kernel_derivative(UNIFORM3, 0.5, 2, 2.0)
+    fd = fd_kernel_derivative(UNIFORM3, 0.5, 2, 2.0)
     assert formula == pytest.approx(fd, rel=1e-5)
 
 
