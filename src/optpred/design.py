@@ -14,10 +14,13 @@ polynomial.lagrange_values, from one real pairwise pass over the nodes.  The
 residual takes both its moduli and its 1/(x_i - x_k) from one pairwise array
 x_i - x_k, and computes no phases.  Each trial point of the loop costs one
 O(n^2) residual, and each step it takes one O(n^3) exact Jacobian.  The
-nodes of a solved support are checked once, when the design is assembled
-(design_from_support).  The extremal polynomial's barycentric
-weights come from the same moduli, b_i = |l_i(z0)| |z0 - x_i| (-1)^(n - i)
-up to a common factor, so assembling a design makes no second pass.
+nodes of a solved support are checked once, inside the solve: its residual
+refuses any support not strictly ordered inside (-1, 1) and checks the
+moduli's sum, and the design is assembled (_assemble) from the moduli, sum
+and z0 - x of the residual at the returned nodes, with no second pass over
+them.  The extremal polynomial's barycentric weights come from the same
+moduli, b_i = |l_i(z0)| |z0 - x_i| (-1)^(n - i) up to a common factor, so
+assembling a design makes no second Lagrange pass.
 
 Optimality of a candidate design is not taken on faith: the signed Lagrange
 combination P = sum_i sgn(l_i(z0)) l_i (complex sign conventions such that
@@ -33,8 +36,9 @@ barycentric pass there (_extremal): P's values give its coefficients, and
 the denominators the identity's term, with no logarithms.  The certificate
 reads P on the same grid from the stored coefficients, by one DCT-I, and
 every other value gives |P| on the support, by the barycentric formula
-contracted from the even rows of that pass's array, with no pairwise pass
-of its own; P(z0) alone is taken from the coefficients.
+contracted from the even rows of that pass's array and hits, with no
+pairwise pass or grid search of its own; P(z0) alone is taken from the
+coefficients.
 
 A design's measure is a DiscreteMeasure, sum_k w_k delta(x_k) with distinct
 nodes and positive weights that sum to 1.  Its kernel value K(z0) =
@@ -63,12 +67,13 @@ from .polynomial import (
     _dct1,
     _finite,
     _finite_point,
-    _hits,
     _lagrange_moduli,
+    _lagrange_phases,
     _lagrange_polar,
     _lobatto,
     _lobatto_weights,
     _node_signs,
+    _pairwise_moduli,
     as_nodes,
 )
 
@@ -171,52 +176,62 @@ def _checked_moduli(moduli, z0):
     return lebesgue
 
 
-def _signed_lagrange(x, z0):
-    """|l_i(z0)|, their checked sum Lambda and sgn(l_i(z0)) = conj(l_i(z0)) /
-    |l_i(z0)| from one evaluation (polynomial._lagrange_polar); the signs are
-    the values of P at the nodes.
+def _lagrange_sum(x, z0):
+    """|l_i(z0)| and their checked sum Lambda from one evaluation
+    (polynomial._lagrange_polar), which gives the unit vector at a z0 on a
+    node, so that _checked_moduli refuses it as one.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        moduli, phases = _lagrange_polar(x, z0)
-        lebesgue = _checked_moduli(moduli, z0)
-    return moduli, lebesgue, np.conj(phases)
+        moduli = _lagrange_polar(x, z0)[0]
+        return moduli, _checked_moduli(moduli, z0)
 
 
 def hoel_levine_weights(nodes, z0):
     """Weights proportional to |l_i(z0)|; optimal among weightings of nodes."""
-    moduli, lebesgue, _ = _signed_lagrange(as_nodes(nodes), _finite_point(z0))
+    moduli, lebesgue = _lagrange_sum(as_nodes(nodes), _finite_point(z0))
     return moduli / lebesgue
 
 
-def _extremal(x, z0):
-    """(m, Lambda, P, g, d): m_i = |l_i(z0)|, Lambda = sum_i m_i, P =
-    sum_i s_i l_i with s_i = sgn(l_i(z0)), _sup_bound's term g = c (1 - t^2)
-    w^2 at t = _lobatto(2n) and the array d_ji = b_i / (t_j - x_i) that
-    _certificate contracts again, all from one barycentric pass over t.  For the node polynomial
-    l = (t^2 - 1) w, l_i(z0) = l(z0) beta_i / (z0 - x_i) with its
-    barycentric weights beta_i, so P's are b_i = m_i |z0 - x_i| (-1)^(n - i)
-    = kappa beta_i, kappa > 0, with m scaled by its largest so that none
-    overflows.  P's values at every other t, _lobatto(n) bit for bit, give
-    its coefficients by one DCT-I (odd signs flipped, as the points ascend).
-    The denominators are den = kappa / l(t), and lead P = sum_i s_i beta_i,
-    so with c = |lead P|^2
+def _extremal(x, z0, moduli, e, d):
+    """(P, g, arr, hits) from the moduli m_i = |l_i(z0)|, e = z0 - x and
+    d = |e|, with the signs s_i = sgn(l_i(z0)) = conj(l_i(z0)) / m_i, the
+    values of P at the nodes, from e and d (polynomial._lagrange_phases):
+    P = sum_i s_i l_i, _sup_bound's term g = c (1 - t^2) w^2 at t =
+    _lobatto(2n), and the array arr_ji = b_i / (t_j - x_i) and its hits t_j
+    = x_i that _certificate contracts again, all from one barycentric pass
+    over t.  For the node polynomial l = (t^2 - 1) w, l_i(z0) = l(z0) beta_i
+    / (z0 - x_i) with its barycentric weights beta_i, so P's are b_i = m_i
+    d_i (-1)^(n - i) = kappa beta_i, kappa > 0, with m scaled by its largest
+    so that none overflows.  P's values at every other t, _lobatto(n) bit
+    for bit, give its coefficients by one DCT-I (odd signs flipped, as the
+    points ascend).  The denominators are den = kappa / l(t), and lead P =
+    sum_i s_i beta_i, so with c = |lead P|^2
 
         g = |sum_i b_i s_i|^2 / ((1 - t^2) den^2):
 
     kappa cancels and every factor is O(n), so no logs are needed and none
     overflows; g is 0 where t is a node (den = inf), both ends included.
+    On nodes crowded at one end the denominators can still cancel to 0 at
+    a t off the support; P or g is then not finite, a numeric failure of a
+    valid support, raised as RuntimeError with no warning.
     """
-    moduli, lebesgue, signs = _signed_lagrange(x, z0)
-    b = moduli / moduli.max() * np.abs(z0 - x) * _node_signs(len(x))
+    signs = np.conj(_lagrange_phases(e, d))
+    b = moduli / moduli.max() * d * _node_signs(len(x))
     t = _lobatto(2 * len(x) - 2)
-    values, den, d = _barycentric(t, x, b, signs)
-    coeffs = _dct1(values[::2]) / (len(x) - 1)
-    coeffs[[0, -1]] /= 2
-    coeffs[1::2] *= -1
     g = np.zeros_like(t)
-    # (1 - t)(1 + t): next to the ends, 1 - t * t errs by eps / (1 - t^2)
-    g[1:-1] = (abs(b @ signs) / den[1:-1]) ** 2 / ((1 - t[1:-1]) * (1 + t[1:-1]))
-    return moduli, lebesgue, ChebPoly(coeffs), g, d
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        values, den, arr, hits = _barycentric(t, x, b, signs)
+        coeffs = _dct1(values[::2]) / (len(x) - 1)
+        coeffs[[0, -1]] /= 2
+        coeffs[1::2] *= -1
+        # (1 - t)(1 + t): next to the ends, 1 - t * t errs by eps / (1 - t^2)
+        g[1:-1] = (abs(b @ signs) / den[1:-1]) ** 2 / ((1 - t[1:-1]) * (1 + t[1:-1]))
+    if math.isfinite(g.max()):  # g >= 0: its max is finite when every g is
+        try:
+            return ChebPoly(coeffs), g, arr, hits
+        except ValueError:  # ChebPoly refuses coefficients that are not finite
+            pass
+    raise RuntimeError(f"barycentric sums cancel on this support at z0 = {z0}")
 
 
 def extremal_signed_poly(nodes, z0):
@@ -225,7 +240,9 @@ def extremal_signed_poly(nodes, z0):
     The conjugation makes P(z0) = sum |l_i(z0)| real and positive.  On an
     optimal support this is the polynomial of extremal growth at z0.
     """
-    return _extremal(as_nodes(nodes), _finite_point(z0))[2]
+    x, z0 = as_nodes(nodes), _finite_point(z0)
+    e = z0 - x
+    return _extremal(x, z0, _lagrange_sum(x, z0)[0], e, np.abs(e))[0]
 
 
 @dataclass(frozen=True)
@@ -326,28 +343,31 @@ def _sup_bound(v, g):
     E = _dct1(1.0 - (v.real**2 + v.imag**2) - g) / (len(v) - 1)
     E[0] /= 2
     E[-1] /= 2
-    return float(np.sqrt(1.0 + np.abs(E).sum()))
+    return math.sqrt(1.0 + np.abs(E).sum())
 
 
-def _certificate(P, mu, z0, K, g, d):
+def _certificate(P, mu, z0, K, g, d, hits):
     """The Certificate of P on mu from its values v at t = _lobatto(2n),
     which _sup_bound takes with _extremal's g, and from _extremal's array
-    d_ji = b_i / (t_j - x_i).  Every other v gives P at the nodes by the
-    barycentric formula on t_{2j} = _lobatto(n), with weights w_j
-    (_lobatto_weights): P(x_i) = sum_j w_j v_2j / (x_i - t_2j) / sum_j w_j /
-    (x_i - t_2j), in which 1/(x_i - t_2j) = -d_2j,i / b_i and -1/b_i
-    cancels.  So the even rows of d, contracted down their columns
+    d_ji = b_i / (t_j - x_i) and its hits t_j = x_i.  Every other v gives P
+    at the nodes by the barycentric formula on t_{2j} = _lobatto(n), with
+    weights w_j (_lobatto_weights): P(x_i) = sum_j w_j v_2j / (x_i - t_2j) /
+    sum_j w_j / (x_i - t_2j), in which 1/(x_i - t_2j) = -d_2j,i / b_i and
+    -1/b_i cancels.  So the even rows of d, contracted down their columns
     (polynomial._contract), carry v to the nodes with no pairwise pass of
-    their own; a node on a point t_2j, as both ends are, takes v_2j.  P(z0)
-    alone is taken by chebval.
+    their own; a node on a point t_2j, as both ends are, takes v_2j, and
+    those nodes are the hits on even rows, as _lobatto(2n)[::2] is
+    _lobatto(n) bit for bit.  P(z0) alone is taken by chebval.
     """
     x = mu.nodes
     n = len(x) - 1
     v = _lobatto_values(P, 2 * n)
     bound = _sup_bound(v, g)
-    on_grid = _hits(x, _lobatto(n))
+    row, node = hits
+    even = row % 2 == 0
+    on_grid = (node[even], row[even] // 2)
     moduli = np.abs(_contract(d[::2].T, v[::2], on_grid, _lobatto_weights(n))[0])
-    l2 = float(np.sqrt(np.sum(mu.weights * moduli**2)))
+    l2 = math.sqrt((mu.weights * moduli**2).sum())
     # in logs, so an overflowing |P(z0)|^2 is never formed; an overflowed
     # K = inf gives a gap of exactly 1, which no certificate passes
     gap = abs(math.expm1(2.0 * math.log(abs(P(z0))) - math.log(K)))
@@ -359,42 +379,62 @@ def _certificate(P, mu, z0, K, g, d):
     )
 
 
+def _assemble(z0, x, moduli, lebesgue, e, d):
+    """The Design on the checked nodes x from the moduli |l_i(z0)|, their
+    checked sum Lambda (_checked_moduli), e = z0 - x and d = |e|, all from
+    the pass that formed the moduli, by one barycentric pass (_extremal).
+    The one assembly step of design_from_support and optimize_support; of
+    its inputs it checks only the weights' sign again
+    (DiscreteMeasure._hoel_levine).
+
+    With Hoel-Levine weights the kernel value is the squared Lebesgue
+    function, K = Lambda^2.  It is squared in Python floats, so a Lambda^2
+    beyond the largest double reads inf, without a warning.
+    """
+    P, g, arr, hits = _extremal(x, z0, moduli, e, d)
+    mu = DiscreteMeasure._hoel_levine(x, moduli / lebesgue)
+    K = lebesgue * lebesgue
+    return Design(
+        measure=mu, z0=z0, n=len(x) - 1, K_value=K, extremal_poly=P,
+        certificate=_certificate(P, mu, z0, K, g, arr, hits),
+    )
+
+
 def design_from_support(n, z0, nodes):
     """Assemble the full Design for a given support: Hoel-Levine weights,
     kernel value, signed extremal polynomial, certificate, in O(n^2).
 
-    With Hoel-Levine weights the kernel value is the squared Lebesgue
-    function, K = Lambda^2 with Lambda = sum_i |l_i(z0)|, the sum of the
-    weights' moduli that _checked_moduli has found finite.  It is squared in
-    Python floats, so a Lambda^2 beyond the largest double reads inf, without
-    a warning.  The nodes are checked once, here; the measure built from them
-    and the checked moduli is not checked again.
+    The degree, z0 and nodes are checked here, and the moduli |l_i(z0)| come
+    from one pairwise pass (polynomial._pairwise_moduli, as in
+    _lagrange_polar) with their sum Lambda checked by _checked_moduli; z0 is
+    exterior, so no z0 - x_i is 0.  _assemble then builds the design from
+    them and checks none of it again.
     """
     _check_degree(n, lowest=1)
     z0 = require_exterior(z0)
     x = as_nodes(nodes)
     if len(x) != n + 1:
         raise ValueError(f"degree {n} needs {n + 1} nodes, got {len(x)}")
-    moduli, lebesgue, P, g, d = _extremal(x, z0)
-    mu = DiscreteMeasure._hoel_levine(x, moduli / lebesgue)
-    K = lebesgue * lebesgue
-    return Design(
-        measure=mu, z0=z0, n=n, K_value=K, extremal_poly=P,
-        certificate=_certificate(P, mu, z0, K, g, d),
-    )
+    e = z0 - x
+    d = np.abs(e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        moduli = _pairwise_moduli(x, d)
+        lebesgue = _checked_moduli(moduli, z0)
+    return _assemble(z0, x, moduli, lebesgue, e, d)
 
 
 def _residual_terms(interior, z0):
-    """(m, Lambda, e, inv, F) at the interior nodes x_1 < ... < x_{n-1} in
-    O(n^2), or None unless -1 < x_1 < ... < x_{n-1} < 1: the moduli m_i =
-    |l_i(z0)| and their checked sum Lambda (_checked_moduli), e_i = z0 - x_i,
-    inv_ik = 1/(x_i - x_k) (0 for i = k) and the first-order residual F_j =
-    Re(conj(P(x_j)) P'(x_j)).  One pairwise array x_i - x_k
+    """(x, m, Lambda, e, d, inv, F) at the interior nodes x_1 < ... < x_{n-1}
+    in O(n^2), or None unless -1 < x_1 < ... < x_{n-1} < 1: the support x =
+    [-1, x_1, ..., x_{n-1}, 1], the moduli m_i = |l_i(z0)| and their checked
+    sum Lambda (_checked_moduli), e_i = z0 - x_i, d = |e|, inv_ik = 1/(x_i - x_k) (0 for i = k) and the first-order
+    residual F_j = Re(conj(P(x_j)) P'(x_j)).  One pairwise array x_i - x_k
     serves both m, through its absolute values (polynomial._lagrange_moduli,
     as in _lagrange_polar), and inv, formed from it in place; the residual
     needs no Lagrange phases, so none are computed.  Its one caller, _solve,
     has z0 from require_exterior and the nodes are real and in [-1, 1], so no
-    z0 - x_i is 0 and z0 needs no check against them here.
+    z0 - x_i is 0 and z0 needs no check against them here.  The terms at the
+    solved nodes are the ones their design is assembled from.
 
     F_j is half the derivative of |P|^2 at x_j, so it vanishes on an optimal
     support, where every interior node is a maximum of |P| on [-1, 1].  It is
@@ -418,9 +458,10 @@ def _residual_terms(interior, z0):
     if not (x[1:] > x[:-1]).all():
         return None
     e = z0 - x
+    d = np.abs(e)
     inv = np.subtract.outer(x, x)
     with np.errstate(over="ignore", invalid="ignore"):
-        m = _lagrange_moduli(np.abs(e), np.abs(inv))
+        m = _lagrange_moduli(d, np.abs(inv))
         lebesgue = _checked_moduli(m, z0)
     step = len(x) + 1
     inv.flat[::step] = 1.0
@@ -430,18 +471,18 @@ def _residual_terms(interior, z0):
     ratio *= (e / e[1:-1, None]).real
     ratio += 1.0
     ratio *= inv[1:-1]
-    return m, lebesgue, e, inv, ratio.sum(axis=1)
+    return x, m, lebesgue, e, d, inv, ratio.sum(axis=1)
 
 
 def _residual_jacobian(terms):
-    """The exact Jacobian of F from the (m, Lambda, e, inv, F) of
+    """The exact Jacobian of F from the (x, m, Lambda, e, d, inv, F) of
     _residual_terms.
 
     With C = J - 1 g^T, the Hessian of log Lambda is H = S + C^T diag(p) C,
     S = sum_i p_i (Hessian of log m_i), and since dp_k/dx_l = p_k C_kl the
     Jacobian of F = -g/p is -diag(1/p) H - diag(F) C; C^T diag(p) C is O(n^3).
     """
-    m, lebesgue, e, inv, F = terms
+    _, m, lebesgue, e, _, inv, F = terms
     p = m / lebesgue
     q = 1.0 / e[1:-1]
     nk = len(q)
@@ -466,7 +507,11 @@ def _residual_jacobian(terms):
 
 
 def _solve(x0, z0):
-    """(x, F, why): Levenberg-Marquardt on F = 0 from the ordered start x0.
+    """(terms, why): Levenberg-Marquardt on F = 0 from the ordered interior
+    start x0, with terms the _residual_terms (x, m, Lambda, e, d, inv, F) of
+    the support it returns: the start if it stops at iteration 0, else the
+    last point it accepted, also when it refuses trial points or stops at
+    the cap.
 
     Each iteration solves (A + mu D) s = -g, with A = J^T J, g = J^T F and
     D the running largest diag(A) (Marquardt's scaling; More, LNM 630,
@@ -477,30 +522,31 @@ def _solve(x0, z0):
     iterate lies in (-1, 1)) or after _MAX_ITER iterations; why says which.
     """
     terms = _residual_terms(x0, z0)
-    x, F, D, mu, nu = x0, terms[4], 0.0, 1e-6, 2.0
+    x, fresh, D, mu, nu = x0, True, 0.0, 1e-6, 2.0
     step = len(x0) + 1  # the stride of a diagonal
     for k in range(_MAX_ITER):
-        if terms is not None:  # a new iterate and its one Jacobian
+        if fresh:  # a new iterate and its one Jacobian
+            F = terms[6]
             J = _residual_jacobian(terms)
             A, g, f = J.T @ J, J.T @ F, F @ F
-            D, terms = np.maximum(D, A.diagonal()), None
+            D, fresh = np.maximum(D, A.diagonal()), False
         if f == 0.0:
-            return x, F, f"F = 0 after {k} iterations"
+            return terms, f"F = 0 after {k} iterations"
         damped = A.copy()
         damped.flat[::step] += mu * D
         s = np.linalg.solve(damped, -g)
         if np.abs(s).max() <= _ROOT_XTOL:
-            return x, F, f"step below tolerance after {k} iterations"
+            return terms, f"step below tolerance after {k} iterations"
         y = x + s
         trial = _residual_terms(y, z0)
-        f_new = np.inf if trial is None else trial[4] @ trial[4]
+        f_new = np.inf if trial is None else trial[6] @ trial[6]
         if f_new < f:
             rho = (f - f_new) / 2 / (-s @ g - s @ A @ s / 2)
             mu *= max(1 / 3, 1 - (2 * rho - 1) ** 3)
-            x, F, terms, nu = y, trial[4], trial, 2.0
+            x, terms, fresh, nu = y, trial, True, 2.0
         else:
             mu, nu = mu * nu, 2 * nu
-    return x, F, f"no convergence in {_MAX_ITER} iterations"
+    return terms, f"no convergence in {_MAX_ITER} iterations"
 
 
 def optimize_support(n, z0):
@@ -510,10 +556,14 @@ def optimize_support(n, z0):
     first-order conditions F_j = 0 (_residual_terms) by _solve, with the
     exact Jacobian, from the Chebyshev extreme points in their exactly
     symmetric sine form; every iterate keeps the nodes ordered.  At n = 1
-    there are none, and _solve stops at once on the empty F = 0.  An
-    uncertified result comes back with a warning: its certificate carries the
-    evidence, and the warning adds the residual, why the solve stopped and a
-    proven bracket on the design's efficiency K_opt/K.
+    there are none, and _solve stops at once on the empty F = 0.  The design
+    is assembled (_assemble) from the terms of the solve's last residual, at
+    exactly the returned nodes: its strict order test on [-1, x_1, ...,
+    x_{n-1}, 1] implies every as_nodes check and its moduli passed
+    _checked_moduli, so neither runs again.  An uncertified result comes
+    back with a warning: its certificate carries the evidence, and the
+    warning adds the residual, why the solve stopped and a proven bracket on
+    the design's efficiency K_opt/K.
 
     The optimal K_opt is max |p(z0)|^2 / sup|p|^2 over p of degree n, so the
     constant 1, T_n and the design's own P, with |P(z0)|^2 >= K (1 - gap) and
@@ -525,8 +575,8 @@ def optimize_support(n, z0):
     """
     _check_degree(n, lowest=1)
     z0 = require_exterior(z0)
-    x, F, why = _solve(_lobatto(n)[1:-1], z0)
-    design = design_from_support(n, z0, np.concatenate(([-1.0], x, [1.0])))
+    (x, moduli, lebesgue, e, d, _, F), why = _solve(_lobatto(n)[1:-1], z0)
+    design = _assemble(z0, x, moduli, lebesgue, e, d)
     if not design.certified:
         cert = design.certificate
         log_T, log_phi = _log_kernel_bracket(n, z0)

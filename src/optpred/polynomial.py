@@ -9,17 +9,17 @@ the second barycentric formula at a set of points (_barycentric, the
 package's one barycentric evaluator), with the Chebyshev-Lobatto grids
 (_lobatto) and the DCT-I between values and coefficients.  design._extremal
 runs one _barycentric pass on the 2n-grid _lobatto(2n) for P's coefficients
-and the certificate's Pell term, and keeps the pass's array b_j / (t - x_j);
-the certificate (design._certificate) runs the DCT-I back and carries
-Lobatto values to the nodes by contracting that array's even rows down
-their columns, through the same _contract that forms _barycentric's own
-sums, with no second pairwise pass; ChebPoly.__call__ (numpy's chebval) is
-left for P(z0).  Each O(n^2) pass here fills one real array in place and
-never upcasts it to complex.  The input checks every other module applies
-live here too, one rule per kind of argument: _check_int for degrees,
-counts, m, seeds and replicates, _finite for arrays of reals or complex
-numbers, _finite_point for z0 and as_nodes for node sets.  The sup-norm
-certificate of a design is design._sup_bound.
+and the certificate's Pell term, and keeps the pass's array b_j / (t - x_j)
+and its hits; the certificate (design._certificate) runs the DCT-I back and
+carries Lobatto values to the nodes by contracting that array's even rows
+down their columns, through the same _contract that forms _barycentric's
+own sums, with no second pairwise pass or search; ChebPoly.__call__
+(numpy's chebval) is left for P(z0).  Each O(n^2) pass here fills one real
+array in place and never upcasts it to complex.  The input checks every
+other module applies live here too, one rule per kind of argument:
+_check_int for degrees, counts, m, seeds and replicates, _finite for arrays
+of reals or complex numbers, _finite_point for z0 and as_nodes for node
+sets.  The sup-norm certificate of a design is design._sup_bound.
 """
 
 import cmath
@@ -131,21 +131,40 @@ def _lagrange_polar(x, z):
     rather than a ratio of two products, which would over- and underflow
     apart.  With unit u = (z - x) / |z - x|, the phase of prod_{k != i}
     (z - x_k) is prod_k u_k / u_i, and prod_{k != i} (x_i - x_k) has the sign
-    (-1)^(n - i) (_node_signs); the modified Lagrange form behind this is
-    backward stable (Higham, IMA J. Numer. Anal. 24, 2004).  The phases carry
-    the dtype of z, so a real z gives real ones.  A z on a node x_j gives the
-    unit vector e_j for both moduli and phases.
+    (-1)^(n - i) (_node_signs), both taken by _lagrange_phases; the modified
+    Lagrange form behind this is backward stable (Higham, IMA J. Numer.
+    Anal. 24, 2004).  The phases carry the dtype of z, so a real z gives
+    real ones.  A z on a node x_j gives the unit vector e_j for both moduli
+    and phases.
     """
     e = z - x
     d = np.abs(e)
     if not d.all():
         unit = (d == 0.0).astype(float)
         return unit, unit.astype(np.result_type(z, float))
+    return _pairwise_moduli(x, d), _lagrange_phases(e, d)
+
+
+def _pairwise_moduli(x, d):
+    """_lagrange_moduli over an array of |x_i - x_k| of its own, formed in
+    place and freed on return, before the caller's next O(n^2) array: held
+    through a design's assembly, it cost design_from_support about 8% at
+    n = 192 (numpy 2.4, one BLAS thread, 2-core host).  Shared by
+    _lagrange_polar and design.design_from_support.
+    """
     pairs = np.subtract.outer(x, x)
-    moduli = _lagrange_moduli(d, np.abs(pairs, out=pairs))
+    return _lagrange_moduli(d, np.abs(pairs, out=pairs))
+
+
+def _lagrange_phases(e, d):
+    """l_i(z) / |l_i(z)| from e = z - x and d = |e| != 0, in O(n): with unit
+    u = e / d, prod_k u_k / u_i times the sign (-1)^(n - i) of prod_{k != i}
+    (x_i - x_k).  Shared by _lagrange_polar and design._extremal, which
+    takes e and d from the pass that formed the moduli.
+    """
     u = e / d
     turn = u.prod()
-    return moduli, turn / abs(turn) / u * _node_signs(len(x))
+    return turn / abs(turn) / u * _node_signs(len(e))
 
 
 def _lagrange_moduli(d, pairs):
@@ -155,7 +174,7 @@ def _lagrange_moduli(d, pairs):
     d_k / |x_k - x_i| replace the differences in place.  As pairs is
     symmetric, m_i is the product down column i, taken in the order k = 0,
     ..., n as along a row, but reduced across contiguous rows, which runs
-    several times faster than along each row.  Shared by _lagrange_polar
+    several times faster than along each row.  Shared by _pairwise_moduli
     and the root-solve residual (design._residual_terms), which takes its
     pairs from the same x_i - x_k as its 1/(x_i - x_k); both pass
     np.abs(np.subtract.outer(x, x)).
@@ -179,17 +198,20 @@ def _lobatto_weights(n):
     """Barycentric weights of the n + 1 points _lobatto(n): (-1)^(n - j),
     halved at both ends (Berrut & Trefethen, SIAM Rev. 46, 2004).
     Cached and read-only."""
-    w = _node_signs(n + 1)
+    w = _node_signs(n + 1).copy()
     w[[0, -1]] /= 2
     w.flags.writeable = False
     return w
 
 
+@functools.lru_cache(maxsize=MAX_DEGREE + 1)
 def _node_signs(count):
     """(-1)^(n - i), i = 0, ..., n: the sign of prod_{k != i} (x_i - x_k), as
-    x_i lies below n - i nodes, and so of the barycentric weight b_i."""
+    x_i lies below n - i nodes, and so of the barycentric weight b_i.
+    Cached and read-only."""
     signs = np.ones(count)
     signs[-2::-2] = -1.0
+    signs.flags.writeable = False
     return signs
 
 
@@ -208,7 +230,7 @@ def _dct1(v):
 
 
 def _barycentric(t, x, b, c):
-    """(p(t), den(t), d) at the points t for the polynomial p taking the
+    """(p(t), den(t), d, hits) at the points t for the polynomial p taking the
     values c at the increasing nodes x, given their barycentric weights b
     (any common scale), by the second barycentric formula
 
@@ -219,15 +241,16 @@ def _barycentric(t, x, b, c):
     24, 2004); den is 1/l(t) for the node polynomial l, up to the scale of
     b.  A t on a node takes that node's value and den = inf.  O(len(t)
     len(x)) in one real array d, overwritten in place with d_ij = b_j / (t_i
-    - x_j) (b_j where t_i = x_j) and handed back, so that a second set of
-    sums over the same differences (design._certificate's) needs no second
-    pass; both are taken by _contract.  The values are complex.
+    - x_j) (b_j where t_i = x_j) and handed back with the hits (_hits), so
+    that a second set of sums over the same differences
+    (design._certificate's) needs no second pass and no second search; both
+    are taken by _contract.  The values are complex.
     """
     d = np.subtract.outer(t, x)
     hits = _hits(t, x)
     d[hits] = 1.0
     np.divide(b, d, out=d)
-    return (*_contract(d, c, hits), d)
+    return (*_contract(d, c, hits), d, hits)
 
 
 def _hits(t, x):

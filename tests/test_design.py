@@ -21,14 +21,16 @@ from optpred import (
 )
 from optpred.design import (
     _extremal,
+    _lagrange_sum,
     _log_kernel_bracket,
     _residual_jacobian,
     _lobatto_values,
     _residual_terms,
+    _solve,
     _sup_bound,
 )
 from optpred.imaginary import closed_form_design, growth_gap, growth_value
-from optpred.polynomial import _lagrange_polar, _lobatto
+from optpred.polynomial import MAX_DEGREE, _hits, _lagrange_polar, _lobatto
 from polyhelp import (
     chebval_50,
     christoffel,
@@ -294,10 +296,17 @@ def test_lebesgue_kernel_value_matches_gram_route(z0):
         assert abs(d.K_value - K) <= 1e-12 * K, (n, d.K_value, K)
 
 
+def _pell(x, z0):
+    """(P, g): the extremal polynomial of the support x at z0 and the Pell
+    term of the same assembly pass (_extremal)."""
+    e = z0 - x
+    return _extremal(x, z0, _lagrange_sum(x, z0)[0], e, np.abs(e))[:2]
+
+
 def _bound(x, z0):
     """(P, the certificate's bound on max |P|) for the extremal polynomial P
     of the support x at z0, from the Pell term of the same assembly pass."""
-    _, _, P, g, _ = _extremal(x, z0)
+    P, g = _pell(x, z0)
     return P, _sup_bound(_lobatto_values(P, 2 * (len(x) - 1)), g)
 
 
@@ -375,7 +384,7 @@ def test_pell_term_matches_log_domain_oracle(n):
     for x, z0 in supports:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, _, P, g, _ = _extremal(x, z0)
+            P, g = _pell(x, z0)
         oracle = pell_term_logs(P, x)
         assert np.abs(g - oracle).max() <= 1e-12 * oracle.max(), (n, z0)
         assert (g[np.isin(t, x)] == 0.0).all(), (n, z0)
@@ -428,6 +437,51 @@ def test_on_support_moduli_match_separate_pass(n):
         assert np.abs(moduli - on_support_moduli_pass(d.extremal_poly, x)).max() <= 1e-14, (n, z0)
         v = np.abs(_lobatto_values(d.extremal_poly, 2 * n))
         assert moduli[0] == v[0] and moduli[-1] == v[-1], (n, z0)
+
+
+def test_lobatto_grid_is_every_other_point_of_its_double():
+    # the certificate reads the nodes on _lobatto(n) off the hits of the
+    # assembly pass on _lobatto(2n), which holds it at its even points
+    for n in range(1, MAX_DEGREE + 1):
+        assert _lobatto(2 * n)[::2].tobytes() == _lobatto(n).tobytes(), n
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64, 192, 512])
+def test_certificate_hits_match_separate_search(n, monkeypatch):
+    # the hits the certificate contracts with, taken from the even rows of
+    # the assembly pass's hits on _lobatto(2n), against a search of their own
+    # for the nodes on _lobatto(n), on the supports of
+    # test_on_support_moduli_match_separate_pass: nodes on even and on odd
+    # points of the 2n-grid, and every node on one at real z0
+    contract, seen = optpred.design._contract, []
+
+    def spy(d, c, hits, w=None):
+        seen.append(hits)
+        return contract(d, c, hits, w)
+
+    monkeypatch.setattr("optpred.design._contract", spy)
+    rng = np.random.default_rng(n + 1)
+    lobatto, t = _lobatto(n), _lobatto(2 * n)
+    supports = [(closed_form_design(n, 0.5).measure.nodes, 0.5j), (lobatto, 1.5)]
+    if n > 1:
+        perturbed = lobatto.copy()
+        perturbed[1:-1] += rng.uniform(-0.2, 0.2, n - 1) * np.diff(lobatto)[:-1] / 2
+        even, odd = perturbed.copy(), perturbed.copy()
+        even[n // 2] = t[2 * (n // 2)]
+        odd[n // 2] = t[2 * (n // 2) + 1]
+        supports += [(perturbed, 0.5 + 0.5j), (even, 0.5 + 0.5j), (odd, -1.5 + 0.2j)]
+    for x, z0 in supports:
+        seen.clear()
+        design_from_support(n, z0, x)
+        (node, grid), = seen
+        want_node, want_grid = _hits(x, lobatto)
+        assert np.array_equal(node, want_node) and np.array_equal(grid, want_grid), (n, z0)
+        # every node is on the grid at real z0; the node on an odd point is
+        # a hit of the pass but not of the certificate
+        if x is lobatto:
+            assert len(node) == n + 1
+        if n > 1 and x is odd:
+            assert len(_hits(t, x)[0]) == 3 and len(node) == 2
 
 
 def test_certificate_identities_hold_on_uncertified_supports():
@@ -532,11 +586,11 @@ def test_first_order_residual_matches_extremal_poly():
         dP = cheb.chebval(interior, cheb.chebder(P.coeffs))
         expected = np.real(np.conj(P(interior)) * dP)
         terms = _residual_terms(interior, z0)
-        F, J = terms[4], _residual_jacobian(terms)
+        F, J = terms[6], _residual_jacobian(terms)
         assert np.abs(F - expected).max() <= 1e-10 * max(1.0, np.abs(F).max())
         steps = h * np.eye(n - 1)
-        central = np.array([_residual_terms(interior + d, z0)[4]
-                            - _residual_terms(interior - d, z0)[4]
+        central = np.array([_residual_terms(interior + d, z0)[6]
+                            - _residual_terms(interior - d, z0)[6]
                             for d in steps]).T / (2 * h)
         assert np.abs(J - central).max() <= 1e-7 * np.abs(central).max()
 
@@ -565,23 +619,69 @@ def test_residual_moduli_are_the_lagrange_moduli():
     # at the Lobatto start and at the solved nodes
     for n, z0 in _band_points(np.random.default_rng(25), 6):
         for x in (_lobatto(n), optimize_support(n, z0).measure.nodes):
-            m = _residual_terms(x[1:-1], z0)[0]
+            m = _residual_terms(x[1:-1], z0)[1]
             assert np.array_equal(m, _lagrange_polar(x, z0)[0])
 
 
+def _assert_same_design(d, e):
+    """d and e equal field by field, bit for bit."""
+    assert d.n == e.n and d.z0 == e.z0
+    assert d.measure.nodes.tobytes() == e.measure.nodes.tobytes()
+    assert d.measure.weights.tobytes() == e.measure.weights.tobytes()
+    assert repr(d.K_value) == repr(e.K_value)
+    assert d.extremal_poly.coeffs.tobytes() == e.extremal_poly.coeffs.tobytes()
+    for field in ("sup_norm", "l2_mu_norm", "duality_gap", "max_violation"):
+        assert repr(getattr(d.certificate, field)) == repr(getattr(e.certificate, field))
+    assert (np.array(d.certificate.on_support_moduli).tobytes()
+            == np.array(e.certificate.on_support_moduli).tobytes())
+    assert d.certified == e.certified
+
+
 def test_optimize_support_is_assembled_by_design_from_support():
-    # the solved support assembles exactly as a user's given support does,
-    # and the measure built without a second node check is a valid one
-    for n, z0 in _band_points(np.random.default_rng(26), 4):
-        d = optimize_support(n, z0)
-        assert d.certified
-        e = design_from_support(n, z0, d.measure.nodes)
-        assert np.array_equal(d.measure.nodes, e.measure.nodes)
-        assert np.array_equal(d.measure.weights, e.measure.weights)
-        assert d.K_value == e.K_value
-        assert np.array_equal(d.extremal_poly.coeffs, e.extremal_poly.coeffs)
-        assert d.certificate == e.certificate
+    # the solved support assembles from the solve's last residual terms
+    # exactly as a user's given support does, whichever way the solve
+    # stopped, and the measure built without a second node check is a valid
+    # one: real z0 (the start is optimal), n = 1 (empty F = 0), the
+    # imaginary axis, the certified bands, a run that refuses trial points
+    # until its step falls below tolerance, and one that stops at the cap
+    stops = [((6, 2.0 + 0j), "step below tolerance after 0 iterations"),
+             ((9, -1.5 + 0j), "step below tolerance after 0 iterations"),
+             ((1, 2 + 1j), "F = 0 after 0 iterations"),
+             ((6, 0.5j), "step below tolerance after 4 iterations")]
+    cases = [(point, True) for point, _ in stops]
+    cases += [(point, True) for point in _band_points(np.random.default_rng(26), 4)]
+    uncertified = [((18, 0.916151786089995 - 1.0754094836323072e-05j),
+                    "step below tolerance after 198 iterations"),
+                   ((27, 0.7568458607046367 + 4.877048312726068e-09j),
+                    "no convergence in 300 iterations")]
+    cases += [(point, False) for point, _ in uncertified]
+    for (n, z0), why in stops + uncertified:
+        assert _solve(_lobatto(n)[1:-1], z0)[1] == why, (n, z0)
+    for (n, z0), certified in cases:
+        if certified:
+            d = optimize_support(n, z0)
+        else:
+            with pytest.warns(UserWarning, match="failed certification"):
+                d = optimize_support(n, z0)
+        assert d.certified == certified, (n, z0)
+        _assert_same_design(d, design_from_support(n, z0, d.measure.nodes))
         DiscreteMeasure(d.measure.nodes, d.measure.weights)
+
+
+def test_crowded_support_is_a_numeric_failure_without_warning():
+    # nodes crowded at one end make the barycentric sums cancel off the
+    # support: a RuntimeError (exit 2), not a ChebPoly input error, and no
+    # RuntimeWarning from the pass, the DCT or the Pell term gets out
+    for n in (40, 39):
+        x = np.concatenate(([-1.0], 1 - 1e-8 * np.arange(n)[::-1]))
+        assert len(x) == n + 1 and (np.diff(x) > 0).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="barycentric sums cancel"):
+                design_from_support(n, 1.5, x)
+    # the coefficients a user passes in stay an input error
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        optpred.ChebPoly([1.0, np.inf])
 
 
 def test_residual_terms_overflow_is_typed_without_warning():
@@ -628,9 +728,9 @@ def test_jacobian_built_at_start_and_per_accepted_step(monkeypatch):
     assert optimize_support(7, 0.125 - 0.015625j).certified
     accepted, best = [], math.inf
     for t in evaluated:
-        if t is not None and t[4] @ t[4] < best:
+        if t is not None and t[6] @ t[6] < best:
             accepted.append(t)
-            best = t[4] @ t[4]
+            best = t[6] @ t[6]
     assert len(built) == len(accepted) < len(evaluated)
     assert all(a is b for a, b in zip(built, accepted))
 
@@ -717,7 +817,7 @@ def test_uncertified_warning_reads_verdict(monkeypatch):
     # first point (log K 1.03 above 2n log|phi(z0)| = 2.6e-6) and merely
     # uncertified at the second (log K 11.94 below 12.74)
     def start(x0, z0):
-        return x0, _residual_terms(x0, z0)[4], "kept at the start"
+        return _residual_terms(x0, z0), "kept at the start"
 
     monkeypatch.setattr("optpred.design._solve", start)
     cases = (((6, 0.6094764463519509 + 1.6898451743904647e-07j), True),

@@ -14,6 +14,7 @@ from optpred.polynomial import (
     _lagrange_moduli,
     _lobatto,
     _lobatto_weights,
+    _node_signs,
 )
 from polyhelp import (
     is_zero,
@@ -223,7 +224,7 @@ def test_barycentric_reproduces_polynomial_from_lobatto_values():
     b = 1.0 / np.array([np.prod(xj - np.delete(x, j)) for j, xj in enumerate(x)])
     c = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     t = np.array([-1.0, -0.5, 0.2, 0.95])
-    got, den, d = _barycentric(t, x, b, cheb.chebval(x, c))
+    got, den, d, hits = _barycentric(t, x, b, cheb.chebval(x, c))
     assert np.abs(got - cheb.chebval(t, c)).max() <= 1e-14 * np.abs(c).sum()
     assert got[2] == cheb.chebval(0.2, c)
     # with these weights the denominators are 1/l(t) for the node polynomial
@@ -231,8 +232,10 @@ def test_barycentric_reproduces_polynomial_from_lobatto_values():
     ell = np.prod(np.subtract.outer(t, x), axis=1)
     assert np.allclose(den[[1, 3]] * ell[[1, 3]], 1.0, rtol=1e-14, atol=0.0)
     assert den[0] == den[2] == np.inf
-    # the array handed back holds b_j / (t - x_j) off the nodes
+    # the array handed back holds b_j / (t - x_j) off the nodes, and the
+    # hits (t_i, x_j) = (-1, -1) and (0.2, 0.2)
     assert np.array_equal(d[[1, 3]], b / np.subtract.outer(t[[1, 3]], x))
+    assert [k.tolist() for k in hits] == [[0, 2], [0, 2]]
 
 
 def test_lobatto_grids_are_cached_read_only():
@@ -242,6 +245,12 @@ def test_lobatto_grids_are_cached_read_only():
             _lobatto(m)[0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         _lobatto_weights(8)[0] = 0.0
+    # the weights halve the ends of a copy of the cached signs
+    assert _node_signs(9) is _node_signs(9)
+    assert _node_signs(9).tolist() == [1.0, -1.0] * 4 + [1.0]
+    assert _lobatto_weights(8)[[0, -1]].tolist() == [0.5, 0.5]
+    with pytest.raises(ValueError, match="read-only"):
+        _node_signs(9)[0] = 0.0
 
 
 def test_dct1_matches_scipy():
