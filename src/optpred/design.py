@@ -7,20 +7,14 @@ remaining problem is placing the n-1 interior nodes to minimize the Lebesgue
 function at z0.  On an optimal support every interior node is a critical point
 of |P|^2 for the signed polynomial P below, so the nodes solve those
 first-order conditions, found by a short Levenberg-Marquardt loop (_solve)
-directly in node coordinates.  The conditions are built from the same moduli
-|l_i(z0)| as the weights, so weights, residual and extremal polynomial share
-one Lagrange evaluator: the moduli and unit phases behind
-polynomial.lagrange_values, from one real pairwise pass over the nodes.  The
-residual takes both its moduli and its 1/(x_i - x_k) from one pairwise array
-x_i - x_k, and computes no phases.  Each trial point of the loop costs one
-O(n^2) residual, and each step it takes one O(n^3) exact Jacobian.  The
-nodes of a solved support are checked once, inside the solve: its residual
-refuses any support not strictly ordered inside (-1, 1) and checks the
-moduli's sum, and the design is assembled (_assemble) from the moduli, sum
-and z0 - x of the residual at the returned nodes, with no second pass over
-them.  The extremal polynomial's barycentric weights come from the same
-moduli, b_i = |l_i(z0)| |z0 - x_i| (-1)^(n - i) up to a common factor, so
-assembling a design makes no second Lagrange pass.
+directly in node coordinates.  The weights, K, the residual and P all come
+from the moduli |l_i(z0)|, from one real pairwise pass over the nodes
+(polynomial._lagrange_moduli).  Each trial point of the loop costs one
+O(n^2) residual, and each step it takes one O(n^3) exact Jacobian.  A
+support reaches its design by one route, _assemble, from its checked
+moduli: a given support through design_from_support, which
+hoel_levine_weights and extremal_signed_poly read, and a solved one from
+the residual at the returned nodes, with no second pass over them.
 
 Optimality of a candidate design is not taken on faith: the signed Lagrange
 combination P = sum_i sgn(l_i(z0)) l_i (complex sign conventions such that
@@ -31,14 +25,8 @@ support, optimal or not.  So the sup-norm alone decides: if it is 1 on
 at least |P(z0)|^2 = K.  The other numbers recorded in a Certificate catch
 numerical faults, such as an overflowed K.  The sup-norm is bounded from
 above by a Pell-type identity (_sup_bound), with no root finding, on the
-2n + 1 Chebyshev-Lobatto points _lobatto(2n).  Assembly makes one
-barycentric pass there (_extremal): P's values give its coefficients, and
-the denominators the identity's term, with no logarithms.  The certificate
-reads P on the same grid from the stored coefficients, by one DCT-I, and
-every other value gives |P| on the support, by the barycentric formula
-contracted from the even rows of that pass's array and hits, with no
-pairwise pass or grid search of its own; P(z0) alone is taken from the
-coefficients.
+2n + 1 Chebyshev-Lobatto points _lobatto(2n), where assembly makes its
+one barycentric pass.
 
 A design's measure is a DiscreteMeasure, sum_k w_k delta(x_k) with distinct
 nodes and positive weights that sum to 1.  Its kernel value K(z0) =
@@ -47,8 +35,8 @@ that basis in L^2(mu), is the largest |p(z0)|^2 over polynomials of degree
 <= n with L^2(mu) norm 1, and sigma^2/m * K(z0) is the variance of the
 least-squares predictor at z0.  No function forms K from G: here K is
 Lambda^2, the Monte Carlo check reads it off its own fit (regression), and
-the Gram-matrix routes are test oracles.  The moduli |l_i(z0)| behind the
-weights, K and P are checked once, on their sum Lambda (_checked_moduli).
+the Gram-matrix routes are test oracles.  The moduli are checked once, on
+their sum Lambda (_checked_moduli).
 """
 
 import cmath
@@ -69,7 +57,6 @@ from .polynomial import (
     _finite_point,
     _lagrange_moduli,
     _lagrange_phases,
-    _lagrange_polar,
     _lobatto,
     _lobatto_weights,
     _node_signs,
@@ -111,11 +98,13 @@ class DiscreteMeasure:
     def _hoel_levine(cls, nodes, weights):
         """The measure on nodes that as_nodes has passed, with the weights
         m / Lambda of nonzero moduli m whose sum Lambda is finite
-        (_checked_moduli): those are finite and sum to 1 by construction, so
-        only their sign is checked again, against a ratio m_i / Lambda that
-        underflows to 0."""
-        if not weights.all():
-            raise ValueError("weights must be strictly positive")
+        (_checked_moduli): those are finite and sum to 1 by construction.
+        Only a ratio m_i / Lambda that underflows, to 0 or below the smallest
+        normal double where it keeps fewer than 53 bits, is refused, as a
+        numeric failure of a valid support: P's barycentric weights then
+        span the range of the doubles, and its sums on the grid cancel."""
+        if weights.min() < sys.float_info.min:
+            raise RuntimeError("Hoel-Levine weights underflow on this support")
         mu = object.__new__(cls)
         object.__setattr__(mu, "nodes", nodes)
         object.__setattr__(mu, "weights", weights)
@@ -164,85 +153,17 @@ def _checked_moduli(moduli, z0):
     overflow leaks no warning.
 
     The moduli are nonnegative, so Lambda is finite exactly when every
-    modulus is and their sum does not overflow; far out, either is a numeric
-    failure at a valid z0, not an input error.  When z0 is a node every
-    other l_i(z0) is exactly 0, so a zero modulus is how that case is caught.
+    modulus is and their sum does not overflow.  Every caller has an
+    exterior z0, so no z0 - x_i is 0 and a zero modulus is a product that
+    underflowed.  Far out or on crowded nodes, each is a numeric failure at
+    a valid z0, not an input error.
     """
     lebesgue = float(moduli.sum())
     if not math.isfinite(lebesgue):
         raise RuntimeError(f"Lagrange values overflow at z0 = {z0}")
     if not moduli.all():
-        raise ValueError(f"z0 = {z0} is a node; the Lagrange signs are undefined")
+        raise RuntimeError(f"Lagrange values underflow at z0 = {z0}")
     return lebesgue
-
-
-def _lagrange_sum(x, z0):
-    """|l_i(z0)| and their checked sum Lambda from one evaluation
-    (polynomial._lagrange_polar), which gives the unit vector at a z0 on a
-    node, so that _checked_moduli refuses it as one.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        moduli = _lagrange_polar(x, z0)[0]
-        return moduli, _checked_moduli(moduli, z0)
-
-
-def hoel_levine_weights(nodes, z0):
-    """Weights proportional to |l_i(z0)|; optimal among weightings of nodes."""
-    moduli, lebesgue = _lagrange_sum(as_nodes(nodes), _finite_point(z0))
-    return moduli / lebesgue
-
-
-def _extremal(x, z0, moduli, e, d):
-    """(P, g, arr, hits) from the moduli m_i = |l_i(z0)|, e = z0 - x and
-    d = |e|, with the signs s_i = sgn(l_i(z0)) = conj(l_i(z0)) / m_i, the
-    values of P at the nodes, from e and d (polynomial._lagrange_phases):
-    P = sum_i s_i l_i, _sup_bound's term g = c (1 - t^2) w^2 at t =
-    _lobatto(2n), and the array arr_ji = b_i / (t_j - x_i) and its hits t_j
-    = x_i that _certificate contracts again, all from one barycentric pass
-    over t.  For the node polynomial l = (t^2 - 1) w, l_i(z0) = l(z0) beta_i
-    / (z0 - x_i) with its barycentric weights beta_i, so P's are b_i = m_i
-    d_i (-1)^(n - i) = kappa beta_i, kappa > 0, with m scaled by its largest
-    so that none overflows.  P's values at every other t, _lobatto(n) bit
-    for bit, give its coefficients by one DCT-I (odd signs flipped, as the
-    points ascend).  The denominators are den = kappa / l(t), and lead P =
-    sum_i s_i beta_i, so with c = |lead P|^2
-
-        g = |sum_i b_i s_i|^2 / ((1 - t^2) den^2):
-
-    kappa cancels and every factor is O(n), so no logs are needed and none
-    overflows; g is 0 where t is a node (den = inf), both ends included.
-    On nodes crowded at one end the denominators can still cancel to 0 at
-    a t off the support; P or g is then not finite, a numeric failure of a
-    valid support, raised as RuntimeError with no warning.
-    """
-    signs = np.conj(_lagrange_phases(e, d))
-    b = moduli / moduli.max() * d * _node_signs(len(x))
-    t = _lobatto(2 * len(x) - 2)
-    g = np.zeros_like(t)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        values, den, arr, hits = _barycentric(t, x, b, signs)
-        coeffs = _dct1(values[::2]) / (len(x) - 1)
-        coeffs[[0, -1]] /= 2
-        coeffs[1::2] *= -1
-        # (1 - t)(1 + t): next to the ends, 1 - t * t errs by eps / (1 - t^2)
-        g[1:-1] = (abs(b @ signs) / den[1:-1]) ** 2 / ((1 - t[1:-1]) * (1 + t[1:-1]))
-    if math.isfinite(g.max()):  # g >= 0: its max is finite when every g is
-        try:
-            return ChebPoly(coeffs), g, arr, hits
-        except ValueError:  # ChebPoly refuses coefficients that are not finite
-            pass
-    raise RuntimeError(f"barycentric sums cancel on this support at z0 = {z0}")
-
-
-def extremal_signed_poly(nodes, z0):
-    """P = sum_i sgn(l_i(z0)) l_i with the conjugate sign sgn(z) = conj(z)/|z|.
-
-    The conjugation makes P(z0) = sum |l_i(z0)| real and positive.  On an
-    optimal support this is the polynomial of extremal growth at z0.
-    """
-    x, z0 = as_nodes(nodes), _finite_point(z0)
-    e = z0 - x
-    return _extremal(x, z0, _lagrange_sum(x, z0)[0], e, np.abs(e))[0]
 
 
 @dataclass(frozen=True)
@@ -327,7 +248,7 @@ def _lobatto_values(P, m):
 
 def _sup_bound(v, g):
     """A certified upper bound sqrt(1 + sum_k |E_k|) on max |P| over [-1, 1],
-    from the values v of P and g of c (1 - t^2) w^2 (_extremal) at the
+    from the values v of P and g of c (1 - t^2) w^2 (_assemble) at the
     2n + 1 points t = _lobatto(2n).
 
     E = 1 - |P|^2 - c (1 - t^2) w^2 with w = prod_k (t - x_k) over the interior
@@ -346,57 +267,94 @@ def _sup_bound(v, g):
     return math.sqrt(1.0 + np.abs(E).sum())
 
 
-def _certificate(P, mu, z0, K, g, d, hits):
-    """The Certificate of P on mu from its values v at t = _lobatto(2n),
-    which _sup_bound takes with _extremal's g, and from _extremal's array
-    d_ji = b_i / (t_j - x_i) and its hits t_j = x_i.  Every other v gives P
-    at the nodes by the barycentric formula on t_{2j} = _lobatto(n), with
-    weights w_j (_lobatto_weights): P(x_i) = sum_j w_j v_2j / (x_i - t_2j) /
-    sum_j w_j / (x_i - t_2j), in which 1/(x_i - t_2j) = -d_2j,i / b_i and
-    -1/b_i cancels.  So the even rows of d, contracted down their columns
-    (polynomial._contract), carry v to the nodes with no pairwise pass of
-    their own; a node on a point t_2j, as both ends are, takes v_2j, and
-    those nodes are the hits on even rows, as _lobatto(2n)[::2] is
-    _lobatto(n) bit for bit.  P(z0) alone is taken by chebval.
+def _assemble(z0, x, moduli, lebesgue, e, d):
+    """The Design on the checked nodes x from the moduli m_i = |l_i(z0)|,
+    their checked sum Lambda (_checked_moduli), e = z0 - x and d = |e|, all
+    from the pass that formed the moduli: the one assembly step of
+    design_from_support and optimize_support.  Of its inputs it checks only
+    the weights m / Lambda again (DiscreteMeasure._hoel_levine).
+
+    The signs s_i = sgn(l_i(z0)) = conj(l_i(z0)) / m_i, from e and d
+    (polynomial._lagrange_phases), are the values at the nodes of P =
+    sum_i s_i l_i.  For the node polynomial l = (t^2 - 1) w, l_i(z0) =
+    l(z0) beta_i / (z0 - x_i) with its barycentric weights beta_i, so P's
+    are b_i = m_i d_i (-1)^(n - i) = kappa beta_i, kappa > 0, with m scaled
+    by its largest so that none overflows.  One barycentric pass over t =
+    _lobatto(2n) gives P's values there, and every other one, _lobatto(n)
+    bit for bit, its coefficients by one DCT-I (odd signs flipped, as the
+    points ascend).  The pass's denominators are den = kappa / l(t), and
+    lead P = sum_i s_i beta_i, so _sup_bound's term g = c (1 - t^2) w^2,
+    c = |lead P|^2, is
+
+        g = |sum_i b_i s_i|^2 / ((1 - t^2) den^2):
+
+    kappa cancels and every factor is O(n), so no logs are needed and none
+    overflows; g is 0 where t is a node (den = inf), both ends included.
+    With Hoel-Levine weights the kernel value is the squared Lebesgue
+    function, K = Lambda^2, squared in Python floats, so a Lambda^2 beyond
+    the largest double reads inf, without a warning.
+
+    The certificate takes P's values v on t from its coefficients
+    (_lobatto_values) for _sup_bound, and P at the nodes from every other v
+    by the barycentric formula on t_2j = _lobatto(n), with weights w_j
+    (_lobatto_weights): P(x_i) = sum_j w_j v_2j / (x_i - t_2j) / sum_j w_j
+    / (x_i - t_2j), in which 1/(x_i - t_2j) = -arr_2j,i / b_i for the pass's
+    array arr_ji = b_i / (t_j - x_i), and -1/b_i cancels.  So the even rows
+    of arr, contracted down their columns (polynomial._contract), carry v
+    to the nodes with no pairwise pass of their own; a node on a point
+    t_2j, as both ends are, takes v_2j, and those nodes are the pass's hits
+    on even rows.  P(z0) alone is taken by chebval.
+
+    On nodes crowded at one end the barycentric sums can cancel to 0 off
+    the support, and the contraction at the nodes can overflow; P, g or the
+    L2(mu) norm of |P| at the nodes (finite exactly when every |P(x_i)| is
+    and their squares do not overflow) is then not finite, a numeric
+    failure of a valid support, raised as RuntimeError with no warning.
     """
-    x = mu.nodes
     n = len(x) - 1
-    v = _lobatto_values(P, 2 * n)
-    bound = _sup_bound(v, g)
-    row, node = hits
-    even = row % 2 == 0
-    on_grid = (node[even], row[even] // 2)
-    moduli = np.abs(_contract(d[::2].T, v[::2], on_grid, _lobatto_weights(n))[0])
-    l2 = math.sqrt((mu.weights * moduli**2).sum())
+    signs = np.conj(_lagrange_phases(e, d))
+    b = moduli / moduli.max() * d * _node_signs(n + 1)
+    t = _lobatto(2 * n)
+    g = np.zeros_like(t)
+
+    def cancelled():
+        return RuntimeError(f"barycentric sums cancel on this support at z0 = {z0}")
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        values, den, arr, hits = _barycentric(t, x, b, signs)
+        coeffs = _dct1(values[::2]) / n
+        coeffs[[0, -1]] /= 2
+        coeffs[1::2] *= -1
+        # (1 - t)(1 + t): next to the ends, 1 - t * t errs by eps / (1 - t^2)
+        g[1:-1] = (abs(b @ signs) / den[1:-1]) ** 2 / ((1 - t[1:-1]) * (1 + t[1:-1]))
+        if not math.isfinite(g.max()):  # g >= 0: its max is finite when every g is
+            raise cancelled()
+        try:
+            P = ChebPoly(coeffs)
+        except ValueError:  # ChebPoly refuses coefficients that are not finite
+            raise cancelled() from None
+        mu = DiscreteMeasure._hoel_levine(x, moduli / lebesgue)
+        K = lebesgue * lebesgue
+        v = _lobatto_values(P, 2 * n)
+        row, node = hits
+        even = row % 2 == 0
+        on_grid = (node[even], row[even] // 2)
+        on_support = np.abs(
+            _contract(arr[::2].T, v[::2], on_grid, _lobatto_weights(n))[0])
+        l2 = math.sqrt((mu.weights * on_support**2).sum())
+    if not math.isfinite(l2):
+        raise cancelled()
     # in logs, so an overflowing |P(z0)|^2 is never formed; an overflowed
     # K = inf gives a gap of exactly 1, which no certificate passes
     gap = abs(math.expm1(2.0 * math.log(abs(P(z0))) - math.log(K)))
-    return Certificate(
-        sup_norm=bound,
+    certificate = Certificate(
+        sup_norm=_sup_bound(v, g),
         l2_mu_norm=l2,
-        on_support_moduli=moduli.tolist(),
+        on_support_moduli=on_support.tolist(),
         duality_gap=gap,
     )
-
-
-def _assemble(z0, x, moduli, lebesgue, e, d):
-    """The Design on the checked nodes x from the moduli |l_i(z0)|, their
-    checked sum Lambda (_checked_moduli), e = z0 - x and d = |e|, all from
-    the pass that formed the moduli, by one barycentric pass (_extremal).
-    The one assembly step of design_from_support and optimize_support; of
-    its inputs it checks only the weights' sign again
-    (DiscreteMeasure._hoel_levine).
-
-    With Hoel-Levine weights the kernel value is the squared Lebesgue
-    function, K = Lambda^2.  It is squared in Python floats, so a Lambda^2
-    beyond the largest double reads inf, without a warning.
-    """
-    P, g, arr, hits = _extremal(x, z0, moduli, e, d)
-    mu = DiscreteMeasure._hoel_levine(x, moduli / lebesgue)
-    K = lebesgue * lebesgue
     return Design(
-        measure=mu, z0=z0, n=len(x) - 1, K_value=K, extremal_poly=P,
-        certificate=_certificate(P, mu, z0, K, g, arr, hits),
+        measure=mu, z0=z0, n=n, K_value=K, extremal_poly=P, certificate=certificate,
     )
 
 
@@ -405,9 +363,8 @@ def design_from_support(n, z0, nodes):
     kernel value, signed extremal polynomial, certificate, in O(n^2).
 
     The degree, z0 and nodes are checked here, and the moduli |l_i(z0)| come
-    from one pairwise pass (polynomial._pairwise_moduli, as in
-    _lagrange_polar) with their sum Lambda checked by _checked_moduli; z0 is
-    exterior, so no z0 - x_i is 0.  _assemble then builds the design from
+    from one pairwise pass (polynomial._pairwise_moduli) with their sum
+    Lambda checked by _checked_moduli; _assemble then builds the design from
     them and checks none of it again.
     """
     _check_degree(n, lowest=1)
@@ -423,18 +380,38 @@ def design_from_support(n, z0, nodes):
     return _assemble(z0, x, moduli, lebesgue, e, d)
 
 
+def hoel_levine_weights(nodes, z0):
+    """Weights proportional to |l_i(z0)|, optimal among weightings of the
+    nodes: those of design_from_support at an exterior z0, degree
+    len(nodes) - 1."""
+    x = as_nodes(nodes)
+    return design_from_support(len(x) - 1, z0, x).measure.weights
+
+
+def extremal_signed_poly(nodes, z0):
+    """P = sum_i sgn(l_i(z0)) l_i with the conjugate sign sgn(z) = conj(z)/|z|,
+    that of design_from_support at an exterior z0, degree len(nodes) - 1.
+
+    The conjugation makes P(z0) = sum |l_i(z0)| real and positive.  On an
+    optimal support this is the polynomial of extremal growth at z0.
+    """
+    x = as_nodes(nodes)
+    return design_from_support(len(x) - 1, z0, x).extremal_poly
+
+
 def _residual_terms(interior, z0):
     """(x, m, Lambda, e, d, inv, F) at the interior nodes x_1 < ... < x_{n-1}
     in O(n^2), or None unless -1 < x_1 < ... < x_{n-1} < 1: the support x =
     [-1, x_1, ..., x_{n-1}, 1], the moduli m_i = |l_i(z0)| and their checked
-    sum Lambda (_checked_moduli), e_i = z0 - x_i, d = |e|, inv_ik = 1/(x_i - x_k) (0 for i = k) and the first-order
-    residual F_j = Re(conj(P(x_j)) P'(x_j)).  One pairwise array x_i - x_k
-    serves both m, through its absolute values (polynomial._lagrange_moduli,
-    as in _lagrange_polar), and inv, formed from it in place; the residual
-    needs no Lagrange phases, so none are computed.  Its one caller, _solve,
-    has z0 from require_exterior and the nodes are real and in [-1, 1], so no
-    z0 - x_i is 0 and z0 needs no check against them here.  The terms at the
-    solved nodes are the ones their design is assembled from.
+    sum Lambda (_checked_moduli), e_i = z0 - x_i, d = |e|, inv_ik =
+    1/(x_i - x_k) (0 for i = k) and the first-order residual F_j =
+    Re(conj(P(x_j)) P'(x_j)).  One pairwise array x_i - x_k serves both m,
+    through its absolute values (polynomial._lagrange_moduli), and inv,
+    formed from it in place; the residual needs no Lagrange phases, so none
+    are computed.  Its one caller, _solve, has z0 from require_exterior and
+    the nodes are real and in [-1, 1], so no z0 - x_i is 0 and z0 needs no
+    check against them here.  The terms at the solved nodes are the ones
+    their design is assembled from.
 
     F_j is half the derivative of |P|^2 at x_j, so it vanishes on an optimal
     support, where every interior node is a maximum of |P| on [-1, 1].  It is

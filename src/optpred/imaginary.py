@@ -43,7 +43,7 @@ import numpy as np
 import numpy.polynomial.chebyshev as cheb
 
 from .design import design_from_support
-from .polynomial import ChebPoly, _check_degree
+from .polynomial import ChebPoly, _check_degree, _finite
 
 _LOG_MAX = math.log(np.finfo(float).max)
 # companion_zeros stops here at the latest; every (n, a) its tests sample,
@@ -132,6 +132,7 @@ def pell_residual(n, a, x):
     # n is iterated as given, so each entry meets the degree check
     pairs = list(zip(n, a)) if batch else [(n, a)]
     x = np.asarray(x, dtype=float)
+    _finite("x", x)
     if batch and (x.ndim != 2 or len(x) != len(pairs)):
         raise ValueError(f"x must be 2-d with one row per (n, a) pair, "
                          f"got shape {x.shape} for {len(pairs)} pairs")

@@ -7,19 +7,15 @@ Lagrange fundamental polynomials of a node set at a point (lagrange_values,
 the package's one Lagrange evaluator), and the values and denominators of
 the second barycentric formula at a set of points (_barycentric, the
 package's one barycentric evaluator), with the Chebyshev-Lobatto grids
-(_lobatto) and the DCT-I between values and coefficients.  design._extremal
-runs one _barycentric pass on the 2n-grid _lobatto(2n) for P's coefficients
-and the certificate's Pell term, and keeps the pass's array b_j / (t - x_j)
-and its hits; the certificate (design._certificate) runs the DCT-I back and
-carries Lobatto values to the nodes by contracting that array's even rows
-down their columns, through the same _contract that forms _barycentric's
-own sums, with no second pairwise pass or search; ChebPoly.__call__
-(numpy's chebval) is left for P(z0).  Each O(n^2) pass here fills one real
-array in place and never upcasts it to complex.  The input checks every
-other module applies live here too, one rule per kind of argument:
-_check_int for degrees, counts, m, seeds and replicates, _finite for arrays
-of reals or complex numbers, _finite_point for z0 and as_nodes for node
-sets.  The sup-norm certificate of a design is design._sup_bound.
+(_lobatto) and the DCT-I between values and coefficients.  A design's
+assembly (design._assemble) makes one _barycentric pass on the 2n-grid
+_lobatto(2n), and its certificate contracts that pass's array b_j / (t -
+x_j) again (_contract), with no second pairwise pass or search.  Each
+O(n^2) pass here fills one real array in place and never upcasts it to
+complex.  The input checks every other module applies live here too, one
+rule per kind of argument: _check_int for degrees, counts, m, seeds and
+replicates, _finite for arrays of reals or complex numbers, _finite_point
+for z0 and as_nodes for node sets.
 """
 
 import cmath
@@ -114,35 +110,25 @@ def as_nodes(nodes):
 
 
 def lagrange_values(nodes, z):
-    """All fundamental Lagrange polynomials l_0(z), ..., l_n(z) at a scalar z.
+    """All fundamental Lagrange polynomials l_0(z), ..., l_n(z) at a finite
+    scalar z, the package's one evaluator of them at any z.
 
-    Taken as modulus times unit phase from _lagrange_polar, one real
-    pairwise pass that never divides by z - x_j: a z on a node gives exactly
+    Taken as modulus times unit phase from one real pairwise pass that never
+    divides by z - x_j: m_i = prod_{k != i} |z - x_k| / |x_i - x_k|
+    (_pairwise_moduli), a product of pairwise ratios rather than a ratio of
+    two products, which would over- and underflow apart, and the phase
+    prod_k u_k / u_i (-1)^(n - i) with unit u = (z - x) / |z - x|
+    (_lagrange_phases); this modified Lagrange form is backward stable
+    (Higham, IMA J. Numer. Anal. 24, 2004).  A z on a node gives exactly
     the unit vector, and a real z gives real values.
     """
-    moduli, phases = _lagrange_polar(as_nodes(nodes), z)
-    return moduli * phases
-
-
-def _lagrange_polar(x, z):
-    """|l_i(z)| and l_i(z) / |l_i(z)| for valid nodes x, from one real pass.
-
-    m_i = prod_{k != i} |z - x_k| / |x_i - x_k|, a product of pairwise ratios
-    rather than a ratio of two products, which would over- and underflow
-    apart.  With unit u = (z - x) / |z - x|, the phase of prod_{k != i}
-    (z - x_k) is prod_k u_k / u_i, and prod_{k != i} (x_i - x_k) has the sign
-    (-1)^(n - i) (_node_signs), both taken by _lagrange_phases; the modified
-    Lagrange form behind this is backward stable (Higham, IMA J. Numer.
-    Anal. 24, 2004).  The phases carry the dtype of z, so a real z gives
-    real ones.  A z on a node x_j gives the unit vector e_j for both moduli
-    and phases.
-    """
+    x = as_nodes(nodes)
+    _finite_point(z)
     e = z - x
     d = np.abs(e)
     if not d.all():
-        unit = (d == 0.0).astype(float)
-        return unit, unit.astype(np.result_type(z, float))
-    return _pairwise_moduli(x, d), _lagrange_phases(e, d)
+        return (d == 0.0).astype(np.result_type(z, float))
+    return _pairwise_moduli(x, d) * _lagrange_phases(e, d)
 
 
 def _pairwise_moduli(x, d):
@@ -150,7 +136,7 @@ def _pairwise_moduli(x, d):
     place and freed on return, before the caller's next O(n^2) array: held
     through a design's assembly, it cost design_from_support about 8% at
     n = 192 (numpy 2.4, one BLAS thread, 2-core host).  Shared by
-    _lagrange_polar and design.design_from_support.
+    lagrange_values and design.design_from_support.
     """
     pairs = np.subtract.outer(x, x)
     return _lagrange_moduli(d, np.abs(pairs, out=pairs))
@@ -159,7 +145,7 @@ def _pairwise_moduli(x, d):
 def _lagrange_phases(e, d):
     """l_i(z) / |l_i(z)| from e = z - x and d = |e| != 0, in O(n): with unit
     u = e / d, prod_k u_k / u_i times the sign (-1)^(n - i) of prod_{k != i}
-    (x_i - x_k).  Shared by _lagrange_polar and design._extremal, which
+    (x_i - x_k).  Shared by lagrange_values and design._assemble, which
     takes e and d from the pass that formed the moduli.
     """
     u = e / d
@@ -242,8 +228,8 @@ def _barycentric(t, x, b, c):
     b.  A t on a node takes that node's value and den = inf.  O(len(t)
     len(x)) in one real array d, overwritten in place with d_ij = b_j / (t_i
     - x_j) (b_j where t_i = x_j) and handed back with the hits (_hits), so
-    that a second set of sums over the same differences
-    (design._certificate's) needs no second pass and no second search; both
+    that a second set of sums over the same differences (the certificate's,
+    in design._assemble) needs no second pass and no second search; both
     are taken by _contract.  The values are complex.
     """
     d = np.subtract.outer(t, x)

@@ -148,7 +148,7 @@ def vandermonde(x, n):
     """Rows (T_0(x_k), ..., T_n(x_k)) for the observation nodes x (with
     replication); (1/m) V^T V is the Gram matrix of the realized measure."""
     _check_degree(n)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _finite("x", x)
     if len(np.unique(x)) < n + 1:
         raise RankDeficiencyError(f"need {n + 1} distinct points for degree {n}")
     return cheb.chebvander(x, n)

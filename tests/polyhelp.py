@@ -8,13 +8,13 @@ polynomial, the directional derivative of K and its finite difference by a
 solve), the 50-digit zeros of R_n that companion_zeros is held against, the
 50-digit Clenshaw evaluation of a ChebPoly that the certificate's values
 of P are held against, the certificate's Pell term c (1 - t^2) w^2 formed
-in logs, which the barycentric route of design._extremal is held against, the
-certificate's |P| at the nodes by a barycentric pass of its own, which the
-contraction of _extremal's array is held against, and the Lagrange moduli
-as products along rows, which polynomial._lagrange_moduli's products down
-columns are held against.  The QR routes solve against the R factor of one
-QR of the sqrt(w)-weighted chebvander matrix, under the rank rule of
-optpred's least-squares fit."""
+in logs, which the barycentric route of design._assemble is held against,
+the certificate's |P| at the nodes by a barycentric pass of its own, which
+the contraction of the assembly pass's array is held against, and the
+Lagrange moduli as products along rows, which polynomial._lagrange_moduli's
+products down columns are held against.  The QR routes solve against the R
+factor of one QR of the sqrt(w)-weighted chebvander matrix, under the rank
+rule of optpred's least-squares fit."""
 
 from dataclasses import dataclass
 
@@ -255,7 +255,7 @@ def on_support_moduli_pass(P, nodes):
     """|P| at the nodes from P's values v at _lobatto(2n) (from its stored
     coefficients), by a barycentric pass of its own from every other one,
     at the n + 1 points _lobatto(n), to the nodes: a pairwise array x_i -
-    t_j of its own, not the contraction of _extremal's."""
+    t_j of its own, not the contraction of the assembly pass's."""
     x = np.asarray(nodes, dtype=float)
     n = len(x) - 1
     v = _lobatto_values(P, 2 * n)

@@ -20,8 +20,6 @@ from optpred import (
     require_exterior,
 )
 from optpred.design import (
-    _extremal,
-    _lagrange_sum,
     _log_kernel_bracket,
     _residual_jacobian,
     _lobatto_values,
@@ -30,7 +28,7 @@ from optpred.design import (
     _sup_bound,
 )
 from optpred.imaginary import closed_form_design, growth_gap, growth_value
-from optpred.polynomial import MAX_DEGREE, _hits, _lagrange_polar, _lobatto
+from optpred.polynomial import MAX_DEGREE, _hits, _lobatto, _pairwise_moduli
 from polyhelp import (
     chebval_50,
     christoffel,
@@ -85,9 +83,12 @@ def test_hoel_levine_chebyshev_nodes_give_squared_chebyshev():
 
 
 def test_hoel_levine_rejects_node_point():
+    # both helpers read design_from_support, so they take exterior z0 only:
+    # a node and an interior point that is no node are refused alike
     for f in (hoel_levine_weights, extremal_signed_poly):
-        with pytest.raises(ValueError, match="is a node"):
-            f(NODES3, 0.0)
+        for bad in (0.0, 0.5):
+            with pytest.raises(ValueError, match="need an exterior point"):
+                f(NODES3, bad)
     for bad in (np.nan, np.inf, complex(0, np.nan)):
         with pytest.raises(ValueError, match="not finite"):
             hoel_levine_weights(NODES3, bad)
@@ -298,16 +299,25 @@ def test_lebesgue_kernel_value_matches_gram_route(z0):
 
 def _pell(x, z0):
     """(P, g): the extremal polynomial of the support x at z0 and the Pell
-    term of the same assembly pass (_extremal)."""
-    e = z0 - x
-    return _extremal(x, z0, _lagrange_sum(x, z0)[0], e, np.abs(e))[:2]
+    term that its assembly hands _sup_bound."""
+    seen = []
+
+    def spy(v, g):
+        seen.append(g)
+        return _sup_bound(v, g)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("optpred.design._sup_bound", spy)
+        P = design_from_support(len(x) - 1, z0, x).extremal_poly
+    (g,) = seen
+    return P, g
 
 
 def _bound(x, z0):
     """(P, the certificate's bound on max |P|) for the extremal polynomial P
-    of the support x at z0, from the Pell term of the same assembly pass."""
-    P, g = _pell(x, z0)
-    return P, _sup_bound(_lobatto_values(P, 2 * (len(x) - 1)), g)
+    of the support x at z0."""
+    d = design_from_support(len(x) - 1, z0, x)
+    return d.extremal_poly, d.certificate.sup_norm
 
 
 def test_sup_bound_never_below_exact_sup_norm():
@@ -364,7 +374,7 @@ def test_sup_bound_lobatto_point_on_node():
 
 @pytest.mark.parametrize("n", [2, 8, 64, 256, 512])
 def test_pell_term_matches_log_domain_oracle(n):
-    # _extremal's c (1 - t^2) w^2 from the barycentric denominators against
+    # assembly's c (1 - t^2) w^2 from the barycentric denominators against
     # the same term in logs, on the closed-form support at ai, the Chebyshev
     # extrema at real z0 (every even point of the 2n-grid a node), a
     # perturbed support and one with a node on an odd point of the 2n-grid;
@@ -413,11 +423,12 @@ def test_certificate_moduli_with_node_on_lobatto_point():
 @pytest.mark.parametrize("n", [1, 2, 8, 64, 192, 512])
 def test_on_support_moduli_match_separate_pass(n):
     # the certificate's |P| at the nodes, contracted from the even rows of
-    # _extremal's array, against a barycentric pass of its own from the n + 1
-    # Lobatto points to the nodes (polyhelp), on the closed-form support at
-    # ai, the Chebyshev extrema at real z0 (every node on an even point of
-    # the 2n-grid), a perturbed support and ones with a node on an even and
-    # on an odd point of the 2n-grid; the ends take |v_0| and |v_2n| exactly
+    # the assembly pass's array, against a barycentric pass of its own from
+    # the n + 1 Lobatto points to the nodes (polyhelp), on the closed-form
+    # support at ai, the Chebyshev extrema at real z0 (every node on an even
+    # point of the 2n-grid), a perturbed support and ones with a node on an
+    # even and on an odd point of the 2n-grid; the ends take |v_0| and |v_2n|
+    # exactly
     rng = np.random.default_rng(n + 1)
     lobatto, t = _lobatto(n), _lobatto(2 * n)
     supports = [(closed_form_design(n, 0.5).measure.nodes, 0.5j), (lobatto, 1.5)]
@@ -615,12 +626,13 @@ def _band_points(rng, count):
 
 def test_residual_moduli_are_the_lagrange_moduli():
     # the residual's moduli come from its own pairwise pass through the same
-    # polynomial._lagrange_moduli as _lagrange_polar's: equal bit for bit,
-    # at the Lobatto start and at the solved nodes
+    # polynomial._lagrange_moduli as _pairwise_moduli's, which a given
+    # support's design and lagrange_values take: equal bit for bit, at the
+    # Lobatto start and at the solved nodes
     for n, z0 in _band_points(np.random.default_rng(25), 6):
         for x in (_lobatto(n), optimize_support(n, z0).measure.nodes):
             m = _residual_terms(x[1:-1], z0)[1]
-            assert np.array_equal(m, _lagrange_polar(x, z0)[0])
+            assert np.array_equal(m, _pairwise_moduli(x, np.abs(z0 - x)))
 
 
 def _assert_same_design(d, e):
@@ -669,19 +681,44 @@ def test_optimize_support_is_assembled_by_design_from_support():
 
 
 def test_crowded_support_is_a_numeric_failure_without_warning():
-    # nodes crowded at one end make the barycentric sums cancel off the
-    # support: a RuntimeError (exit 2), not a ChebPoly input error, and no
-    # RuntimeWarning from the pass, the DCT or the Pell term gets out
-    for n in (40, 39):
-        x = np.concatenate(([-1.0], 1 - 1e-8 * np.arange(n)[::-1]))
+    # nodes crowded at one end, n + 1 of them at spacing h below +1, make
+    # the barycentric sums cancel off the support (spacing 1e-8), a
+    # Hoel-Levine weight m_i / Lambda underflow to 0 (n = 64 at 1e-6, n = 40
+    # at 1e-9) or below the smallest normal double (n = 39 at 1e-9: 1.4e-321,
+    # where the certificate's contraction at the nodes once overflowed), or a
+    # modulus underflow to 0 (n = 40 at 1e-9 with z0 = 1 + 1e-9): each is a
+    # RuntimeError (exit 2), not an input error, and no RuntimeWarning from
+    # the pass, the DCT, the Pell term or the contraction gets out
+    cases = [(40, 1e-8, 1.5, "barycentric sums cancel"),
+             (39, 1e-8, 1.5, "barycentric sums cancel"),
+             (64, 1e-6, 1.5, "Hoel-Levine weights underflow"),
+             (40, 1e-9, 1.5, "Hoel-Levine weights underflow"),
+             (39, 1e-9, 1.5, "Hoel-Levine weights underflow"),
+             (40, 1e-9, 1 + 1e-9, "Lagrange values underflow")]
+    for n, h, z0, message in cases:
+        x = np.concatenate(([-1.0], 1 - h * np.arange(n)[::-1]))
         assert len(x) == n + 1 and (np.diff(x) > 0).all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(RuntimeError, match="barycentric sums cancel"):
-                design_from_support(n, 1.5, x)
+            with pytest.raises(RuntimeError, match=message):
+                design_from_support(n, z0, x)
     # the coefficients a user passes in stay an input error
     with pytest.raises(ValueError, match="coefficients must be finite"):
         optpred.ChebPoly([1.0, np.inf])
+
+
+def test_nonfinite_moduli_on_support_are_a_numeric_failure(monkeypatch):
+    # P's values on the grid scaled to near the largest double make the
+    # certificate's contraction at the nodes off the grid overflow: it runs
+    # under the assembly's errstate, and |P| at the nodes whose L2(mu) norm
+    # is not finite raises the RuntimeError of cancelling sums, no warning
+    values = optpred.design._lobatto_values
+    monkeypatch.setattr("optpred.design._lobatto_values",
+                        lambda P, m: values(P, m) * 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="barycentric sums cancel"):
+            design_from_support(8, 0.5j, closed_form_design(8, 0.5).measure.nodes)
 
 
 def test_residual_terms_overflow_is_typed_without_warning():

@@ -141,6 +141,8 @@ def test_domain_checks():
                   closed_form_design, growth_value, growth_gap):
             with pytest.raises(ValueError, match="a = .* is not finite"):
                 f(3, bad)
+        with pytest.raises(ValueError, match="x must be finite"):
+            pell_residual(3, 1.0, [bad, 0.5])
 
 
 def test_pell_residual_examples():

@@ -6,7 +6,13 @@ import numpy.polynomial.chebyshev as cheb
 import pytest
 import scipy.fft
 
-from optpred import ChebPoly, as_nodes, extremal_signed_poly, lagrange_values
+from optpred import (
+    ChebPoly,
+    as_nodes,
+    extremal_signed_poly,
+    lagrange_values,
+    vandermonde,
+)
 from optpred.imaginary import closed_form_support, growth_poly
 from optpred.polynomial import (
     _barycentric,
@@ -45,6 +51,12 @@ def test_nonfinite_nodes_rejected():
             as_nodes([-1.0, bad, 1.0])
         with pytest.raises(ValueError, match="nodes must be finite"):
             lagrange_values([-1.0, bad, 1.0], 2.0)
+        # the point and the rows of a Vandermonde matrix meet the same rule
+        for z in (bad, complex(0.0, bad)):
+            with pytest.raises(ValueError, match="is not finite"):
+                lagrange_values([-1.0, 0.0, 1.0], z)
+        with pytest.raises(ValueError, match="x must be finite"):
+            vandermonde([bad, 0.0, 1.0], 2)
 
 
 def test_chebpoly_basics():
