@@ -303,7 +303,14 @@ def _assemble(z0, x, moduli, lebesgue, e, d):
     of arr, contracted down their columns (polynomial._contract), carry v
     to the nodes with no pairwise pass of their own; a node on a point
     t_2j, as both ends are, takes v_2j, and those nodes are the pass's hits
-    on even rows.  P(z0) alone is taken by chebval.
+    on even rows.
+
+    The duality gap reads P(z0) = sum_k c_k T_k(z0) as sum_k c_k cosh(k eta),
+    eta = acosh(z0), in one vector pass, as _log_kernel_bracket takes
+    T_n(z0).  Where K = Lambda^2 is finite no term overflows: every
+    Hoel-Levine support has K >= K_opt >= |T_n(z0)|^2, and |cosh(k eta)| <=
+    cosh(n Re eta).  An overflowed K = inf gives a gap of exactly 1, which
+    no certificate passes, with no P(z0) formed.
 
     On nodes crowded at one end the barycentric sums can cancel to 0 off
     the support, and the contraction at the nodes can overflow; P, g or the
@@ -344,9 +351,10 @@ def _assemble(z0, x, moduli, lebesgue, e, d):
         l2 = math.sqrt((mu.weights * on_support**2).sum())
     if not math.isfinite(l2):
         raise cancelled()
-    # in logs, so an overflowing |P(z0)|^2 is never formed; an overflowed
-    # K = inf gives a gap of exactly 1, which no certificate passes
-    gap = abs(math.expm1(2.0 * math.log(abs(P(z0))) - math.log(K)))
+    gap = 1.0
+    if math.isfinite(K):  # in logs, so |P(z0)|^2 is never formed
+        p_z0 = coeffs @ np.cosh(np.arange(n + 1) * cmath.acosh(z0))
+        gap = abs(math.expm1(2.0 * math.log(abs(p_z0)) - math.log(K)))
     certificate = Certificate(
         sup_norm=_sup_bound(v, g),
         l2_mu_norm=l2,
@@ -502,13 +510,14 @@ def _solve(x0, z0):
     x, fresh, D, mu, nu = x0, True, 0.0, 1e-6, 2.0
     step = len(x0) + 1  # the stride of a diagonal
     for k in range(_MAX_ITER):
-        if fresh:  # a new iterate and its one Jacobian
+        if fresh:  # a new iterate and, unless it is a root, its one Jacobian
             F = terms[6]
+            f = F @ F
+            if f == 0.0:
+                return terms, f"F = 0 after {k} iterations"
             J = _residual_jacobian(terms)
-            A, g, f = J.T @ J, J.T @ F, F @ F
+            A, g = J.T @ J, J.T @ F
             D, fresh = np.maximum(D, A.diagonal()), False
-        if f == 0.0:
-            return terms, f"F = 0 after {k} iterations"
         damped = A.copy()
         damped.flat[::step] += mu * D
         s = np.linalg.solve(damped, -g)

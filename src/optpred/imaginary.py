@@ -172,8 +172,19 @@ def companion_zeros(n, a):
     lies in the bracket and is the root itself at r = 1; for j = 1 it is
     capped at sqrt(r/n), which bounds the root from above (there tan psi
     tan(n psi) = r, and tan psi tan(n psi) >= n psi^2) and approaches it as
-    r -> 0.  _ZERO_ITERATIONS caps the loop, so it always ends.  O(n) per
-    iteration and no matrix.
+    r -> 0.
+
+    The loop stops once every zero's remaining error is below 4e-16 psi.
+    With rho >= r and |sin 2psi| <= 1, |g''| = r (1 - r^2) |sin 2psi| /
+    rho^4 <= (1 - r^2)/r^3, and g' >= n, so a step leaves an error of at
+    most about B step^2, B = (1 - r^2)/(2 n r^3), tested as (1 - r^2)
+    step^2 <= 8e-16 n r^3 psi with no division; B = 0 at r = 1, where the
+    start is the root.  This saves the pass that would only confirm
+    convergence.  Where r^3 underflows (B is not finite), or B is so large
+    that a step at the rounding level of psi fails that test (a below
+    about 1e-7), the step itself falling below 4e-16 psi also stops it.
+    _ZERO_ITERATIONS caps the loop, so it always ends.  O(n) per iteration
+    and no matrix.
     """
     _check_degree(n)
     a = abs(_check_a(a))
@@ -186,12 +197,15 @@ def companion_zeros(n, a):
     if n % 2 == 0:
         # sqrt(r) first: r / n underflows to 0 for a subnormal a
         psi[0] = min(psi[0], math.sqrt(r) / math.sqrt(n))
+    tol = 8e-16 * n * r**3  # 0 where r^3 underflows
     for _ in range(_ZERO_ITERATIONS):
         sin_psi, r_cos_psi = np.sin(psi), r * np.cos(psi)
         rho = np.hypot(r_cos_psi, sin_psi)
         g = n * (psi - base) - np.arctan2(r_cos_psi, sin_psi)
         new = psi - g / (n + r / rho / rho)
-        done = abs(new - psi) <= 4e-16 * new
+        step = new - psi
+        done = (1 - r * r) * (step * step) <= tol * new
+        done |= abs(step) <= 4e-16 * new
         psi = new
         if done.all():
             break

@@ -249,9 +249,9 @@ def test_certify_closed_form_designs():
 
 
 def test_overflowing_kernel_is_uncertified_without_warning():
-    # K = Lambda^2 ~ 1e347 overflows a double to inf; the duality gap is taken
-    # in logs, so |P(z0)|^2 is never formed, reads exactly 1 against K = inf,
-    # and the design comes back flagged, silently
+    # K = Lambda^2 ~ 1e347 overflows a double to inf; the duality gap then
+    # reads exactly 1 with no P(z0) formed, and the design comes back
+    # flagged, silently
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         d = closed_form_design(192, 4.0)
@@ -277,13 +277,18 @@ def test_certificate_values_match_50_digit_evaluation(n):
         assert abs(abs(d.extremal_poly(d.z0)) - exact_z0) <= 4e-15 * exact_z0, n
 
 
-def test_certificate_gap_from_coefficients_at_z0():
-    # P(z0) in the duality gap is chebval at the scalar z0, bit for bit
-    for n, z0 in ((1, 2.0), (8, 0.5 + 0.5j), (64, 1j), (192, -1.5 + 0.2j)):
-        d = optimize_support(n, z0)
-        p_z0 = cheb.chebval(d.z0, d.extremal_poly.coeffs)
-        gap = abs(math.expm1(2.0 * math.log(abs(p_z0)) - math.log(d.K_value)))
-        assert d.certificate.duality_gap == gap, (n, z0)
+def test_certificate_gap_matches_50_digit_evaluation_at_z0():
+    # the duality gap reads P(z0) as sum_k c_k cosh(k acosh z0); a 50-digit
+    # Clenshaw pass over P's coefficients is the oracle, at solved points
+    # (the last 0.011 from the interval) and at the n = 512 closed form
+    designs = [optimize_support(n, z0) for n, z0 in (
+        (1, 2.0), (8, 0.5 + 0.5j), (64, 1j), (192, -1.5 + 0.2j),
+        (10, 0.8724417875710577 + 0.010896119317311766j))]
+    designs.append(closed_form_design(512, 0.05))
+    for d in designs:
+        p_z0 = chebval_50(d.extremal_poly.coeffs, d.z0)
+        exact = abs(math.expm1(2.0 * math.log(abs(p_z0)) - math.log(d.K_value)))
+        assert abs(d.certificate.duality_gap - exact) <= 1e-12, (d.n, d.z0)
 
 
 @pytest.mark.parametrize("z0", [2.0, 1j, 0.5 + 0.5j])
@@ -811,6 +816,13 @@ def test_optimize_support_degree_one_warns_when_uncertified():
     assert "residual=0.000e+00; solver: F = 0 after 0 iterations" in message
     # an overflowed K leaves no lower end but 0
     assert _efficiency_bracket(message) == (0, 1)
+
+
+def test_solved_design_gap_is_one_where_kernel_overflows():
+    # as for the (192, 4) closed form: K = inf, so the gap is exactly 1 with
+    # no P(z0) formed, and the solver warns
+    d, _ = _uncertified(300, 2.0)
+    assert d.K_value == math.inf and d.certificate.duality_gap == 1.0
 
 
 def test_optimize_support_deterministic():

@@ -272,6 +272,27 @@ def test_companion_zeros_converge_far_below_the_cap(monkeypatch):
             assert np.all(zeros <= lobatto[1:] + eps), (n, a)
 
 
+def test_companion_zeros_stop_on_the_newton_error_bound(monkeypatch):
+    # the loop makes one arctan2 call per pass; stopping once B step^2 is
+    # below 4e-16 psi saves the pass that only confirms convergence: over
+    # this grid a test on the step alone needs 3.49 passes on average and
+    # up to 5
+    passes = []
+    arctan2 = np.arctan2
+
+    def counted(*args):
+        passes[-1] += 1
+        return arctan2(*args)
+
+    monkeypatch.setattr(np, "arctan2", counted)
+    for n in (*range(1, 34), 64, 191, 512):
+        for a in np.logspace(-3, 3, 25):
+            passes.append(0)
+            companion_zeros(n, a)
+    assert 1 <= min(passes) and max(passes) <= 4
+    assert np.mean(passes) <= 2.7
+
+
 def _zero_limits(n):
     """{0} and cos(k pi/(n - 1)): as a -> 0, R_{n-1} -> U_{n-1} - T_{n-1} =
     x U_{n-2}, whose zeros these are (with the endpoints added)."""
