@@ -258,7 +258,7 @@ def on_support_moduli_pass(P, nodes):
     t_j of its own, not the contraction of the assembly pass's."""
     x = np.asarray(nodes, dtype=float)
     n = len(x) - 1
-    v = _lobatto_values(P, 2 * n)
+    v = _lobatto_values(P.coeffs, 2 * n)
     return np.abs(_barycentric(x, _lobatto(n), _lobatto_weights(n), v[::2])[0])
 
 

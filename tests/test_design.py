@@ -240,6 +240,16 @@ def test_certificate_max_violation_follows_sup_norm():
                        duality_gap=0.0).max_violation == 0.0
 
 
+def test_certificate_with_nan_sup_norm_is_not_certified():
+    # max(0.0, nan) is 0.0, so a NaN sup_norm once certified: the NaN must
+    # reach max_violation, and no certificate passes it
+    c = Certificate(sup_norm=math.nan, l2_mu_norm=1.0, on_support_moduli=[1.0],
+                    duality_gap=0.0)
+    assert math.isnan(c.max_violation)
+    assert not c.certified
+    assert math.isnan(c.to_json()["max_violation"])
+
+
 def test_certify_closed_form_designs():
     for n in range(1, 9):
         d = closed_form_design(n, 1.0)
@@ -451,7 +461,7 @@ def test_on_support_moduli_match_separate_pass(n):
             d = design_from_support(n, z0, x)
         moduli = np.array(d.certificate.on_support_moduli)
         assert np.abs(moduli - on_support_moduli_pass(d.extremal_poly, x)).max() <= 1e-14, (n, z0)
-        v = np.abs(_lobatto_values(d.extremal_poly, 2 * n))
+        v = np.abs(_lobatto_values(d.extremal_poly.coeffs, 2 * n))
         assert moduli[0] == v[0] and moduli[-1] == v[-1], (n, z0)
 
 
@@ -685,6 +695,11 @@ def test_optimize_support_is_assembled_by_design_from_support():
         DiscreteMeasure(d.measure.nodes, d.measure.weights)
 
 
+def _crowded(n, h):
+    """-1 and n nodes at spacing h below +1."""
+    return np.concatenate(([-1.0], 1 - h * np.arange(n)[::-1]))
+
+
 def test_crowded_support_is_a_numeric_failure_without_warning():
     # nodes crowded at one end, n + 1 of them at spacing h below +1, make
     # the barycentric sums cancel off the support (spacing 1e-8), a
@@ -701,7 +716,7 @@ def test_crowded_support_is_a_numeric_failure_without_warning():
              (39, 1e-9, 1.5, "Hoel-Levine weights underflow"),
              (40, 1e-9, 1 + 1e-9, "Lagrange values underflow")]
     for n, h, z0, message in cases:
-        x = np.concatenate(([-1.0], 1 - h * np.arange(n)[::-1]))
+        x = _crowded(n, h)
         assert len(x) == n + 1 and (np.diff(x) > 0).all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -712,14 +727,48 @@ def test_crowded_support_is_a_numeric_failure_without_warning():
         optpred.ChebPoly([1.0, np.inf])
 
 
+def test_finite_garbage_on_crowded_support_is_a_numeric_failure():
+    # at spacing 3e-9 the least Hoel-Levine weight, 1.9e-303, stays a normal
+    # double, and the barycentric sums cancel to finite garbage: |P| at the
+    # nodes reaches 3.3e11 and the sup-norm bound 2.8e17, where every
+    # Hoel-Levine support has |P(x_i)| = 1; a RuntimeError, no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="barycentric sums cancel"):
+            design_from_support(39, 1.5, _crowded(39, 3e-9))
+
+
+def test_crowded_supports_return_only_unit_moduli_on_support():
+    # seeded crowded supports, nodes at spacing h below +1 and z0 near that
+    # end: each raises a RuntimeError or returns a design whose |P| is 1 at
+    # every node within the assembly's bound 1e-6, and none warns
+    rng = np.random.default_rng(81)
+    returned = 0
+    for _ in range(200):
+        n = int(rng.integers(2, 60))
+        h = 10 ** rng.uniform(-12, -3)
+        z0 = complex(1 + 10 ** rng.uniform(-9, 0),
+                     10 ** rng.uniform(-9, 0) * rng.choice([0, 1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                d = design_from_support(n, z0, _crowded(n, h))
+            except RuntimeError:
+                continue
+        moduli = np.array(d.certificate.on_support_moduli)
+        assert np.abs(moduli - 1).max() <= 1e-6, (n, h, z0)
+        returned += 1
+    assert returned > 0
+
+
 def test_nonfinite_moduli_on_support_are_a_numeric_failure(monkeypatch):
     # P's values on the grid scaled to near the largest double make the
     # certificate's contraction at the nodes off the grid overflow: it runs
-    # under the assembly's errstate, and |P| at the nodes whose L2(mu) norm
-    # is not finite raises the RuntimeError of cancelling sums, no warning
+    # under the assembly's errstate, and |P| at the nodes that is not 1
+    # raises the RuntimeError of cancelling sums, no warning
     values = optpred.design._lobatto_values
     monkeypatch.setattr("optpred.design._lobatto_values",
-                        lambda P, m: values(P, m) * 1e308)
+                        lambda coeffs, m: values(coeffs, m) * 1e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match="barycentric sums cancel"):
