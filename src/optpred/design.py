@@ -10,7 +10,9 @@ first-order conditions, found by a short Levenberg-Marquardt loop (_solve)
 directly in node coordinates.  The weights, K, the residual and P all come
 from the moduli |l_i(z0)|, from one real pairwise pass over the nodes
 (polynomial._lagrange_moduli).  Each trial point of the loop costs one
-O(n^2) residual, and each step it takes one O(n^3) exact Jacobian.  A
+O(n^2) residual, and each step it takes one O(n^3) exact Jacobian; a start
+whose residual is zero to rounding, as the Chebyshev extrema are at every
+real z0, takes no step, so a real-axis design costs O(n^2).  A
 support reaches its design by one route, _assemble, from its checked
 moduli: a given support through design_from_support, which
 hoel_levine_weights and extremal_signed_poly read, and a solved one from
@@ -72,6 +74,16 @@ _CERT_TOL = 1e-8
 # and 2.2e-12 at 1e-14, where F is at its rounding level
 _ROOT_XTOL = 1e-14
 _MAX_ITER = 300
+_U = 2.0**-53  # the unit roundoff of doubles
+# F_j = sum_i t_ji (_residual_terms) in doubles errs by at most
+# (11 N + 10) u sum_i |t_ji| to first order, over N nodes: each modulus
+# m_i is a product of N - 1 quotients with 5 roundings each (z0 - x_k, its
+# modulus, x_i - x_k, the quotient, the product), so the ratio m_i/m_j
+# carries 10 N; e_i/e_j, the product, the sum with 1 and 1/(x_j - x_i)
+# about 10 more; and the sum of N terms N - 1.  Below 16 N u for N >= 2.
+# Where 1 + (m_i/m_j) Re(e_i/e_j) cancels, sum_i |t_ji| is smaller than
+# that bound's scale, which only makes the start test stricter
+_START_ROUNDING = 16 * _U
 _WEIGHT_SUM_TOL = 1e-12
 
 
@@ -319,15 +331,26 @@ def _assemble(z0, x, moduli, lebesgue, e, d):
     no certificate passes, with no P(z0) formed.
 
     Every Hoel-Levine support has |P(x_i)| = 1 at each node, so a P that
-    breaks it is a fault of the arithmetic, not of the support.  On nodes
-    crowded at one end the barycentric sums cancel, to 0 off the support
-    (g = inf) or to finite garbage, or the contraction at the nodes
-    overflows.  So after the weights' underflow check assembly makes one
-    test: every ||P(x_i)| - 1| at most 1e-6 (measured: at most 2.5e-11 on
-    closed forms up to n = 512, 1.4e-12 on solved designs) and g finite,
-    else a numeric failure of a valid support, a RuntimeError with no
-    warning.  A NaN fails either comparison, so nothing else needs a test
-    of its own: a coefficient that is not finite enters every value v
+    breaks it by more than rounding is a fault of the arithmetic, not of
+    the support.  On nodes crowded at one end the barycentric sums cancel,
+    to 0 off the support (g = inf) or to finite garbage, or the contraction
+    at the nodes overflows.  So after the weights' underflow check assembly
+    makes one test: a finite sup_norm, and every ||P(x_i)| - 1| at most
+    max(1e-6, 32 N u sup_norm) for N = n + 1 nodes and u = 2^-53, else a
+    numeric failure of a valid support, a RuntimeError with no warning.
+    The contraction is the second barycentric formula on _lobatto(n), which
+    errs by at most about (6n + 6) u Lambda max|v| (Higham, IMA J. Numer.
+    Anal. 24, 2004), with the Lebesgue constant Lambda < 5 up to n = 512
+    and max|v| <= sup_norm: below 32 N u sup_norm.  That term matters only
+    where |P| is large between the nodes.  ||P(x_i)| - 1| is at most 2.5e-11
+    on closed forms up to n = 512 and 1.4e-12 on solved designs, but on the
+    valid supports [-1, 1 - h, 1] at z0 = 1.0004475028554944, h = 1e-10 ..
+    1e-12, sup_norm is 1.7e10 .. 1.7e12 and |P(x_i)| strays from 1 by
+    1.5e-6 .. 1.7e-4, 1e-16 sup_norm, where the finite garbage on 40 nodes
+    crowded at spacing 3e-9 below +1 strays by 1.2e-6 sup_norm.  A NaN
+    fails every comparison, so nothing else needs a test of its own: a g
+    that is not finite makes sup_norm inf or NaN, through E_0, which weighs
+    every value; a coefficient that is not finite enters every value v
     through the DCT-I, and so |P| at both ends, which take v's end values;
     and the L2(mu) norm is finite once every |P(x_i)| is near 1.  ChebPoly,
     built after the test, never refuses P's coefficients.
@@ -352,8 +375,11 @@ def _assemble(z0, x, moduli, lebesgue, e, d):
             _contract(arr[::2].T, v[::2], on_grid, _lobatto_weights(n))[0])
         mu = DiscreteMeasure._hoel_levine(x, moduli / lebesgue)
         l2 = math.sqrt((mu.weights * on_support**2).sum())
-        # the one fault test: |P| = 1 at every node, and g finite
-        if not (np.abs(on_support - 1.0).max() <= 1e-6 and g.max() < math.inf):
+        sup = _sup_bound(v, g)
+        # the one fault test: |P| = 1 at every node to rounding of sup|P|,
+        # and sup finite; max returns its NaN first argument, and NaN fails
+        slack = max(32 * (n + 1) * _U * sup, 1e-6)
+        if not np.abs(on_support - 1.0).max() <= slack < math.inf:
             raise RuntimeError(f"barycentric sums cancel on this support at z0 = {z0}")
     P = ChebPoly(coeffs)
     K = lebesgue * lebesgue
@@ -362,7 +388,7 @@ def _assemble(z0, x, moduli, lebesgue, e, d):
         p_z0 = coeffs @ np.cosh(np.arange(n + 1) * cmath.acosh(z0))
         gap = abs(math.expm1(2.0 * math.log(abs(p_z0)) - math.log(K)))
     certificate = Certificate(
-        sup_norm=_sup_bound(v, g),
+        sup_norm=sup,
         l2_mu_norm=l2,
         on_support_moduli=on_support.tolist(),
         duality_gap=gap,
@@ -414,18 +440,19 @@ def extremal_signed_poly(nodes, z0):
 
 
 def _residual_terms(interior, z0):
-    """(x, m, Lambda, e, d, inv, F) at the interior nodes x_1 < ... < x_{n-1}
-    in O(n^2), or None unless -1 < x_1 < ... < x_{n-1} < 1: the support x =
-    [-1, x_1, ..., x_{n-1}, 1], the moduli m_i = |l_i(z0)| and their checked
-    sum Lambda (_checked_moduli), e_i = z0 - x_i, d = |e|, inv_ik =
-    1/(x_i - x_k) (0 for i = k) and the first-order residual F_j =
-    Re(conj(P(x_j)) P'(x_j)).  One pairwise array x_i - x_k serves both m,
-    through its absolute values (polynomial._lagrange_moduli), and inv,
-    formed from it in place; the residual needs no Lagrange phases, so none
-    are computed.  Its one caller, _solve, has z0 from require_exterior and
-    the nodes are real and in [-1, 1], so no z0 - x_i is 0 and z0 needs no
-    check against them here.  The terms at the solved nodes are the ones
-    their design is assembled from.
+    """(x, m, Lambda, e, d, inv, F, t) at the interior nodes x_1 < ... <
+    x_{n-1} in O(n^2), or None unless -1 < x_1 < ... < x_{n-1} < 1: the
+    support x = [-1, x_1, ..., x_{n-1}, 1], the moduli m_i = |l_i(z0)| and
+    their checked sum Lambda (_checked_moduli), e_i = z0 - x_i, d = |e|,
+    inv_ik = 1/(x_i - x_k) (0 for i = k), the first-order residual F_j =
+    Re(conj(P(x_j)) P'(x_j)) with its summands t_ji, a row for each interior
+    j (t_jj = 0).  One pairwise array x_i - x_k serves both m, through its
+    absolute values (polynomial._lagrange_moduli), and inv, formed from it
+    in place; the residual needs no Lagrange phases, so none are computed.
+    Its one caller, _solve, has z0 from require_exterior and the nodes are
+    real and in [-1, 1], so no z0 - x_i is 0 and z0 needs no check against
+    them here.  The terms at the solved nodes are the ones their design is
+    assembled from.
 
     F_j is half the derivative of |P|^2 at x_j, so it vanishes on an optimal
     support, where every interior node is a maximum of |P| on [-1, 1].  It is
@@ -458,22 +485,22 @@ def _residual_terms(interior, z0):
     inv.flat[::step] = 1.0
     np.divide(1.0, inv, out=inv)
     inv.flat[::step] = 0.0  # 1/(x_i - x_m), no i = m terms
-    ratio = np.divide(m, m[1:-1, None])
-    ratio *= (e / e[1:-1, None]).real
-    ratio += 1.0
-    ratio *= inv[1:-1]
-    return x, m, lebesgue, e, d, inv, ratio.sum(axis=1)
+    t = np.divide(m, m[1:-1, None])
+    t *= (e / e[1:-1, None]).real
+    t += 1.0
+    t *= inv[1:-1]
+    return x, m, lebesgue, e, d, inv, t.sum(axis=1), t
 
 
 def _residual_jacobian(terms):
-    """The exact Jacobian of F from the (x, m, Lambda, e, d, inv, F) of
+    """The exact Jacobian of F from the (x, m, Lambda, e, d, inv, F, t) of
     _residual_terms.
 
     With C = J - 1 g^T, the Hessian of log Lambda is H = S + C^T diag(p) C,
     S = sum_i p_i (Hessian of log m_i), and since dp_k/dx_l = p_k C_kl the
     Jacobian of F = -g/p is -diag(1/p) H - diag(F) C; C^T diag(p) C is O(n^3).
     """
-    _, m, lebesgue, e, _, inv, F = terms
+    _, m, lebesgue, e, _, inv, F, _ = terms
     p = m / lebesgue
     q = 1.0 / e[1:-1]
     nk = len(q)
@@ -499,20 +526,38 @@ def _residual_jacobian(terms):
 
 def _solve(x0, z0):
     """(terms, why): Levenberg-Marquardt on F = 0 from the ordered interior
-    start x0, with terms the _residual_terms (x, m, Lambda, e, d, inv, F) of
-    the support it returns: the start if it stops at iteration 0, else the
-    last point it accepted, also when it refuses trial points or stops at
-    the cap.
+    start x0, with terms the _residual_terms (x, m, Lambda, e, d, inv, F, t)
+    of the support it returns: the start if it stops at iteration 0, else
+    the last point it accepted, also when it refuses trial points or stops
+    at the cap.
+
+    The start is tested once, on its own residual pass, before any
+    Jacobian: if it has interior nodes and every |F_j| is within the
+    rounding bound _START_ROUNDING N sum_i |t_ji| of its own summands, over
+    N nodes, the start is returned as a root, with no Jacobian built.  At a
+    real z0 the start is the optimal support (Hoel & Levine, Ann. Math.
+    Statist. 35, 1964), rounded to doubles: the largest |F_j| / sum_i
+    |t_ji| reads below the bound's 8 N eps at every n up to 206 and at more
+    than half of the degrees above (7.3 N eps at n = 256), so a real-axis
+    design costs one residual and one assembly, O(n^2).  Where the start
+    misses the test the loop runs as before; a start with |Im z0| >= 1e-3
+    reads 1e5 N eps or more.  Later iterates keep the step test alone.
 
     Each iteration solves (A + mu D) s = -g, with A = J^T J, g = J^T F and
     D the running largest diag(A) (Marquardt's scaling; More, LNM 630,
     1978).  x + s is taken only if it is ordered and lowers |F|^2; then mu
     follows the gain ratio rho (Nielsen, IMM-REP-1999-05) and one Jacobian is
     built.  A refused trial point costs one O(n^2) residual and raises mu.
-    It stops on F = 0, on a step below _ROOT_XTOL (absolute, as every
-    iterate lies in (-1, 1)) or after _MAX_ITER iterations; why says which.
+    It stops at a start that passes its test, on F = 0, on a step below
+    _ROOT_XTOL (absolute, as every iterate lies in (-1, 1)) or after
+    _MAX_ITER iterations; why says which.
     """
     terms = _residual_terms(x0, z0)
+    F, t = terms[6], terms[7]
+    # the start's summands are not read again, so |t| overwrites them
+    if len(F) and ((np.abs(F) / np.abs(t, out=t).sum(axis=1)).max()
+                   <= _START_ROUNDING * len(terms[0])):
+        return terms, "F = 0 to rounding at the start"
     x, fresh, D, mu, nu = x0, True, 0.0, 1e-6, 2.0
     step = len(x0) + 1  # the stride of a diagonal
     for k in range(_MAX_ITER):
@@ -547,15 +592,18 @@ def optimize_support(n, z0):
     Endpoints are pinned at -1 and +1.  The n-1 interior nodes solve the
     first-order conditions F_j = 0 (_residual_terms) by _solve, with the
     exact Jacobian, from the Chebyshev extreme points in their exactly
-    symmetric sine form; every iterate keeps the nodes ordered.  At n = 1
-    there are none, and _solve stops at once on the empty F = 0.  The design
-    is assembled (_assemble) from the terms of the solve's last residual, at
-    exactly the returned nodes: its strict order test on [-1, x_1, ...,
-    x_{n-1}, 1] implies every as_nodes check and its moduli passed
-    _checked_moduli, so neither runs again.  An uncertified result comes
-    back with a warning: its certificate carries the evidence, and the
-    warning adds the residual, why the solve stopped and a proven bracket on
-    the design's efficiency K_opt/K.
+    symmetric sine form; every iterate keeps the nodes ordered.  At a real
+    z0 that start is the optimal support, its F zero to rounding up to n =
+    206 and at over half of the larger n, and _solve returns it with no
+    Jacobian: the design costs one O(n^2) residual and one assembly.  At
+    n = 1 there are no interior nodes, and _solve stops at once on the
+    empty F = 0.  The design is assembled (_assemble) from the terms of the
+    solve's last residual, at exactly the returned nodes: its strict order
+    test on [-1, x_1, ..., x_{n-1}, 1] implies every as_nodes check and its
+    moduli passed _checked_moduli, so neither runs again.  An uncertified
+    result comes back with a warning: its certificate carries the evidence,
+    and the warning adds the residual, why the solve stopped and a proven
+    bracket on the design's efficiency K_opt/K.
 
     The optimal K_opt is max |p(z0)|^2 / sup|p|^2 over p of degree n, so the
     constant 1, T_n and the design's own P, with |P(z0)|^2 >= K (1 - gap) and
@@ -567,7 +615,7 @@ def optimize_support(n, z0):
     """
     _check_degree(n, lowest=1)
     z0 = require_exterior(z0)
-    (x, moduli, lebesgue, e, d, _, F), why = _solve(_lobatto(n)[1:-1], z0)
+    (x, moduli, lebesgue, e, d, _, F, _), why = _solve(_lobatto(n)[1:-1], z0)
     design = _assemble(z0, x, moduli, lebesgue, e, d)
     if not design.certified:
         cert = design.certificate

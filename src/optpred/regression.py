@@ -31,7 +31,6 @@ is O(workers x batch), not O(replicates).
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,6 +220,10 @@ def mc_predictor_variance(plan, z0, replicates, seed):
         # every replicate is the same noiseless fit; the variance is exactly 0
         empirical = 0.0
     else:
+        # imported here: it loads logging and queue, which no other command
+        # of the package needs at start-up
+        from concurrent.futures import ThreadPoolExecutor
+
         # real rows, so the noise matrix is never upcast to complex
         w_parts = np.stack([w.real, w.imag])
         sizes = [min(_BATCH, replicates - start)

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
@@ -20,6 +21,7 @@ from optpred import (
     require_exterior,
 )
 from optpred.design import (
+    _ROOT_XTOL,
     _log_kernel_bracket,
     _residual_jacobian,
     _lobatto_values,
@@ -668,11 +670,12 @@ def test_optimize_support_is_assembled_by_design_from_support():
     # the solved support assembles from the solve's last residual terms
     # exactly as a user's given support does, whichever way the solve
     # stopped, and the measure built without a second node check is a valid
-    # one: real z0 (the start is optimal), n = 1 (empty F = 0), the
-    # imaginary axis, the certified bands, a run that refuses trial points
-    # until its step falls below tolerance, and one that stops at the cap
-    stops = [((6, 2.0 + 0j), "step below tolerance after 0 iterations"),
-             ((9, -1.5 + 0j), "step below tolerance after 0 iterations"),
+    # one: real z0 (the start is optimal, its F zero to rounding), n = 1
+    # (empty F = 0), the imaginary axis, the certified bands, a run that
+    # refuses trial points until its step falls below tolerance, and one
+    # that stops at the cap
+    stops = [((6, 2.0 + 0j), "F = 0 to rounding at the start"),
+             ((9, -1.5 + 0j), "F = 0 to rounding at the start"),
              ((1, 2 + 1j), "F = 0 after 0 iterations"),
              ((6, 0.5j), "step below tolerance after 4 iterations")]
     cases = [(point, True) for point, _ in stops]
@@ -741,7 +744,8 @@ def test_finite_garbage_on_crowded_support_is_a_numeric_failure():
 def test_crowded_supports_return_only_unit_moduli_on_support():
     # seeded crowded supports, nodes at spacing h below +1 and z0 near that
     # end: each raises a RuntimeError or returns a design whose |P| is 1 at
-    # every node within the assembly's bound 1e-6, and none warns
+    # every node within 1e-6, and none warns (none of these 200 has the
+    # large sup_norm for which the fault test allows more)
     rng = np.random.default_rng(81)
     returned = 0
     for _ in range(200):
@@ -759,6 +763,20 @@ def test_crowded_supports_return_only_unit_moduli_on_support():
         assert np.abs(moduli - 1).max() <= 1e-6, (n, h, z0)
         returned += 1
     assert returned > 0
+
+
+def test_ill_conditioned_support_returns_uncertified_without_warning():
+    # a node 1e-10 .. 1e-12 below +1 at z0 near 1: P is large between the
+    # nodes (sup_norm 1.7e10 .. 1.7e12), and |P(x_i)| strays from 1 by
+    # 1.5e-6 .. 1.7e-4, rounding of about 1e-16 sup_norm, which the fault
+    # test allows: a valid design, uncertified, and no warning
+    for h in (1e-10, 1e-11, 3e-12, 1e-12):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = design_from_support(2, 1.0004475028554944, [-1.0, 1 - h, 1.0])
+        stray = np.abs(np.array(d.certificate.on_support_moduli) - 1).max()
+        assert not d.certified and stray > 1e-6, h
+        assert stray <= 1e-15 * d.certificate.sup_norm, h
 
 
 def test_nonfinite_moduli_on_support_are_a_numeric_failure(monkeypatch):
@@ -802,7 +820,8 @@ def test_lebesgue_sum_overflow_is_typed_without_warning():
 def test_jacobian_built_at_start_and_per_accepted_step(monkeypatch):
     # the solve evaluates F at its start and at each trial point; a trial is
     # accepted iff it is ordered and lowers |F|^2 below the last accepted
-    # one, and exactly the start and the accepted points get a Jacobian
+    # one, and exactly the start and the accepted points get a Jacobian: the
+    # start here is far from a root, so its F is far above its rounding
     terms, jacobian = optpred.design._residual_terms, optpred.design._residual_jacobian
     evaluated, built = [], []
 
@@ -824,6 +843,64 @@ def test_jacobian_built_at_start_and_per_accepted_step(monkeypatch):
             best = t[6] @ t[6]
     assert len(built) == len(accepted) < len(evaluated)
     assert all(a is b for a, b in zip(built, accepted))
+
+
+class _Jacobian(Exception):
+    """Raised by a stand-in for _residual_jacobian."""
+
+
+def _no_jacobian(terms):
+    raise _Jacobian
+
+
+def test_real_axis_design_builds_no_jacobian(monkeypatch):
+    # on the real axis the Chebyshev extrema are the optimal support, and
+    # the start's F is zero to the rounding of its own sums: the solve
+    # returns it with no Jacobian, and the design is that of the given
+    # support.  At n = 256 K overflows
+    # at -3 and 10, so that degree takes the other three
+    monkeypatch.setattr("optpred.design._residual_jacobian", _no_jacobian)
+    points = [(n, z0) for n in (*range(2, 13), 32, 64)
+              for z0 in (1.001, -1.001, 2.0, -3.0, 10.0)]
+    points += [(256, z0) for z0 in (1.001, -1.001, 2.0)]
+    for n, z0 in points:
+        why = _solve(_lobatto(n)[1:-1], complex(z0))[1]
+        assert why == "F = 0 to rounding at the start", (n, z0)
+        d = optimize_support(n, z0)
+        assert d.certified, (n, z0)
+        _assert_same_design(d, design_from_support(n, z0, _lobatto(n)))
+
+
+def test_start_exit_keeps_the_first_step_of_the_solve(monkeypatch):
+    # on the ledger's optimize_support points the start is returned with no
+    # Jacobian only where it is a root already: z0 off [-1, 1] within 1.7e-6
+    # of the real axis (53 points), where the first Levenberg-Marquardt step from the
+    # start falls below _ROOT_XTOL and the loop would return the same
+    # start; never on the imaginary axis, above the interval or in the band
+    # away from it, whose starts are not optimal
+    monkeypatch.setattr("optpred.design._residual_jacobian", _no_jacobian)
+    ledger = Path(__file__).with_name("decision_ledger.json")
+    rows = json.loads(ledger.read_text())["rows"]
+    taken = 0
+    for row in rows:
+        n, z0 = row["n"], complex(*row["z0"])
+        if row["route"] != "optimize_support":
+            continue
+        try:
+            terms, why = _solve(_lobatto(n)[1:-1], z0)
+        except (_Jacobian, RuntimeError):
+            continue
+        assert why == "F = 0 to rounding at the start", (n, z0)
+        if not terms[6].any():  # n = 2 on the axis: node 0 is an exact root
+            continue
+        assert abs(z0.real) > 1 and abs(z0.imag) < 1.7e-6, (n, z0)
+        # the loop's first step from the start, as _solve forms it
+        J, F = _residual_jacobian(terms), terms[6]
+        A = J.T @ J
+        step = np.linalg.solve(A + 1e-6 * np.diag(A.diagonal()), -J.T @ F)
+        assert np.abs(step).max() <= _ROOT_XTOL, (n, z0)
+        taken += 1
+    assert taken == 53
 
 
 def test_optimize_support_general_complex_point():

@@ -30,13 +30,24 @@ def test_all_is_pinned():
     assert len(EXPORTS) == 24
 
 
-def test_import_leaves_scipy_unloaded():
-    # the package runs on numpy alone; a fresh interpreter shows what
-    # importing the package (and the CLI module) pulls in
+def _loaded_by_import():
+    """The modules a fresh interpreter holds after importing the package and
+    the CLI module."""
     src = Path(optpred.__file__).resolve().parents[1]
-    code = ("import sys, optpred, optpred.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = "import sys, optpred, optpred.cli; print(' '.join(sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    return set(out.stdout.split())
+
+
+def test_import_leaves_scipy_unloaded():
+    # the package runs on numpy alone
+    assert not {m for m in _loaded_by_import() if m.split(".")[0] == "scipy"}
+
+
+def test_import_leaves_thread_pool_unloaded():
+    # only simulate runs the Monte Carlo thread pool, so design, growth and
+    # verify start without concurrent.futures and the logging and queue
+    # modules it loads
+    assert not _loaded_by_import() & {"concurrent.futures", "logging", "queue"}
