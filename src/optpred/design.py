@@ -532,9 +532,10 @@ def _solve(x0, z0):
     at the cap.
 
     The start is tested once, on its own residual pass, before any
-    Jacobian: if it has interior nodes and every |F_j| is within the
-    rounding bound _START_ROUNDING N sum_i |t_ji| of its own summands, over
-    N nodes, the start is returned as a root, with no Jacobian built.  At a
+    Jacobian: if F is not 0 and every |F_j| is within the rounding bound
+    _START_ROUNDING N sum_i |t_ji| of its own summands, over N nodes, the
+    start is returned as a root, with no Jacobian built; an F that is empty
+    (n = 1) or exactly 0 stops on F = 0 in the loop.  At a
     real z0 the start is the optimal support (Hoel & Levine, Ann. Math.
     Statist. 35, 1964), rounded to doubles: the largest |F_j| / sum_i
     |t_ji| reads below the bound's 8 N eps at every n up to 206 and at more
@@ -555,8 +556,8 @@ def _solve(x0, z0):
     terms = _residual_terms(x0, z0)
     F, t = terms[6], terms[7]
     # the start's summands are not read again, so |t| overwrites them
-    if len(F) and ((np.abs(F) / np.abs(t, out=t).sum(axis=1)).max()
-                   <= _START_ROUNDING * len(terms[0])):
+    if F.any() and ((np.abs(F) / np.abs(t, out=t).sum(axis=1)).max()
+                    <= _START_ROUNDING * len(terms[0])):
         return terms, "F = 0 to rounding at the start"
     x, fresh, D, mu, nu = x0, True, 0.0, 1e-6, 2.0
     step = len(x0) + 1  # the stride of a diagonal

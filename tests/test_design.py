@@ -857,27 +857,36 @@ def test_real_axis_design_builds_no_jacobian(monkeypatch):
     # on the real axis the Chebyshev extrema are the optimal support, and
     # the start's F is zero to the rounding of its own sums: the solve
     # returns it with no Jacobian, and the design is that of the given
-    # support.  At n = 256 K overflows
-    # at -3 and 10, so that degree takes the other three
+    # support.  At n = 256, K overflows at -3, an uncertified design, and
+    # the Lagrange values overflow at 10, a numeric failure of both routes
     monkeypatch.setattr("optpred.design._residual_jacobian", _no_jacobian)
-    points = [(n, z0) for n in (*range(2, 13), 32, 64)
-              for z0 in (1.001, -1.001, 2.0, -3.0, 10.0)]
-    points += [(256, z0) for z0 in (1.001, -1.001, 2.0)]
-    for n, z0 in points:
-        why = _solve(_lobatto(n)[1:-1], complex(z0))[1]
-        assert why == "F = 0 to rounding at the start", (n, z0)
-        d = optimize_support(n, z0)
-        assert d.certified, (n, z0)
-        _assert_same_design(d, design_from_support(n, z0, _lobatto(n)))
+    for n in (*range(2, 13), 32, 64, 256):
+        for z0 in (1.001, -1.001, 2.0, -3.0, 10.0):
+            if (n, z0) == (256, 10.0):
+                with pytest.raises(RuntimeError, match="Lagrange values overflow"):
+                    optimize_support(n, z0)
+                with pytest.raises(RuntimeError, match="Lagrange values overflow"):
+                    design_from_support(n, z0, _lobatto(n))
+                continue
+            why = _solve(_lobatto(n)[1:-1], complex(z0))[1]
+            # at n = 2 the one interior node, 0, is an exact root
+            assert why == ("F = 0 after 0 iterations" if n == 2
+                           else "F = 0 to rounding at the start"), (n, z0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                d = optimize_support(n, z0)
+                given = design_from_support(n, z0, _lobatto(n))
+            assert d.certified == ((n, z0) != (256, -3.0)), (n, z0)
+            _assert_same_design(d, given)
 
 
 def test_start_exit_keeps_the_first_step_of_the_solve(monkeypatch):
     # on the ledger's optimize_support points the start is returned with no
     # Jacobian only where it is a root already: z0 off [-1, 1] within 1.7e-6
-    # of the real axis (53 points), where the first Levenberg-Marquardt step from the
-    # start falls below _ROOT_XTOL and the loop would return the same
-    # start; never on the imaginary axis, above the interval or in the band
-    # away from it, whose starts are not optimal
+    # of the real axis (53 points), where the loop's first step from the
+    # start falls below _ROOT_XTOL and the loop returns the same start;
+    # never on the imaginary axis, above the interval or in the band away
+    # from it, whose starts are not optimal
     monkeypatch.setattr("optpred.design._residual_jacobian", _no_jacobian)
     ledger = Path(__file__).with_name("decision_ledger.json")
     rows = json.loads(ledger.read_text())["rows"]
@@ -890,9 +899,9 @@ def test_start_exit_keeps_the_first_step_of_the_solve(monkeypatch):
             terms, why = _solve(_lobatto(n)[1:-1], z0)
         except (_Jacobian, RuntimeError):
             continue
-        assert why == "F = 0 to rounding at the start", (n, z0)
-        if not terms[6].any():  # n = 2 on the axis: node 0 is an exact root
+        if why == "F = 0 after 0 iterations":  # n = 2 on an axis: node 0
             continue
+        assert why == "F = 0 to rounding at the start", (n, z0)
         assert abs(z0.real) > 1 and abs(z0.imag) < 1.7e-6, (n, z0)
         # the loop's first step from the start, as _solve forms it
         J, F = _residual_jacobian(terms), terms[6]
