@@ -12,11 +12,17 @@ from the moduli |l_i(z0)|, from one real pairwise pass over the nodes
 (polynomial._lagrange_moduli).  Each trial point of the loop costs one
 O(n^2) residual, and each step it takes one O(n^3) exact Jacobian; a start
 whose residual is zero to rounding, as the Chebyshev extrema are at every
-real z0, takes no step, so a real-axis design costs O(n^2).  A
-support reaches its design by one route, _assemble, from its checked
-moduli: a given support through design_from_support, which
-hoel_levine_weights and extremal_signed_poly read, and a solved one from
-the residual at the returned nodes, with no second pass over them.
+real z0, takes no step, so a real-axis design costs O(n^2).  On the
+imaginary axis nothing is solved: the paper's theorem gives the optimal
+support at z0 = ai in closed form, the endpoints and the zeros of the Pell
+companion R_{n-1} (imaginary.companion_zeros), since the Pell identity
+|Q_n|^2 - (x^2 - 1) R_{n-1}^2 = 1 pins |Q_n| = 1 exactly there and below 1
+elsewhere on [-1, 1]; an axis design costs one residual pass, for the
+moduli, and one assembly, O(n^2).  A support reaches its design by one
+route, _assemble, from its checked moduli: a given support through
+design_from_support, which hoel_levine_weights and extremal_signed_poly
+read, and a solved or closed-form one from the residual at its nodes,
+with no second pass over them.
 
 Optimality of a candidate design is not taken on faith: the signed Lagrange
 combination P = sum_i sgn(l_i(z0)) l_i (complex sign conventions such that
@@ -449,10 +455,10 @@ def _residual_terms(interior, z0):
     j (t_jj = 0).  One pairwise array x_i - x_k serves both m, through its
     absolute values (polynomial._lagrange_moduli), and inv, formed from it
     in place; the residual needs no Lagrange phases, so none are computed.
-    Its one caller, _solve, has z0 from require_exterior and the nodes are
-    real and in [-1, 1], so no z0 - x_i is 0 and z0 needs no check against
-    them here.  The terms at the solved nodes are the ones their design is
-    assembled from.
+    Its callers, _solve and optimize_support, have z0 from require_exterior
+    and the nodes are real and in [-1, 1], so no z0 - x_i is 0 and z0 needs
+    no check against them here.  The terms at the solved or closed-form
+    nodes are the ones their design is assembled from.
 
     F_j is half the derivative of |P|^2 at x_j, so it vanishes on an optimal
     support, where every interior node is a maximum of |P| on [-1, 1].  It is
@@ -590,21 +596,28 @@ def _solve(x0, z0):
 def optimize_support(n, z0):
     """Optimal interior node placement for predicting at z0.
 
-    Endpoints are pinned at -1 and +1.  The n-1 interior nodes solve the
-    first-order conditions F_j = 0 (_residual_terms) by _solve, with the
-    exact Jacobian, from the Chebyshev extreme points in their exactly
-    symmetric sine form; every iterate keeps the nodes ordered.  At a real
-    z0 that start is the optimal support, its F zero to rounding up to n =
-    206 and at over half of the larger n, and _solve returns it with no
-    Jacobian: the design costs one O(n^2) residual and one assembly.  At
-    n = 1 there are no interior nodes, and _solve stops at once on the
-    empty F = 0.  The design is assembled (_assemble) from the terms of the
-    solve's last residual, at exactly the returned nodes: its strict order
-    test on [-1, x_1, ..., x_{n-1}, 1] implies every as_nodes check and its
-    moduli passed _checked_moduli, so neither runs again.  An uncertified
-    result comes back with a warning: its certificate carries the evidence,
-    and the warning adds the residual, why the solve stopped and a proven
-    bracket on the design's efficiency K_opt/K.
+    Endpoints are pinned at -1 and +1.  On the imaginary axis, Re z0 == 0,
+    the interior nodes are the zeros of R_{n-1} (imaginary.companion_zeros),
+    the paper's closed-form optimal support, which the Pell identity proves
+    optimal (module docstring): nothing is solved, and the design costs one
+    O(n^2) residual pass and one assembly, with the stop reason "closed
+    form".  Every other z0, however near the axis, keeps the solve: the
+    n-1 interior nodes solve the first-order conditions F_j = 0
+    (_residual_terms) by _solve, with the exact Jacobian, from the
+    Chebyshev extreme points in their exactly symmetric sine form; every
+    iterate keeps the nodes ordered.  At a real z0 that start is the
+    optimal support, its F zero to rounding up to n = 206 and at over half
+    of the larger n, and _solve returns it with no Jacobian: the design
+    costs one O(n^2) residual and one assembly.  At n = 1 there are no
+    interior nodes, and _solve stops at once on the empty F = 0.  The
+    design is assembled (_assemble) from the terms of the last residual, at
+    exactly the returned nodes: its strict order test on [-1, x_1, ...,
+    x_{n-1}, 1] implies every as_nodes check and its moduli passed
+    _checked_moduli, so neither runs again.  An uncertified result comes
+    back with a warning: its certificate carries the evidence, and the
+    warning adds the residual, how the support was found (closed form, or
+    why the solve stopped) and a proven bracket on the design's efficiency
+    K_opt/K, its ends printed in full.
 
     The optimal K_opt is max |p(z0)|^2 / sup|p|^2 over p of degree n, so the
     constant 1, T_n and the design's own P, with |P(z0)|^2 >= K (1 - gap) and
@@ -616,7 +629,14 @@ def optimize_support(n, z0):
     """
     _check_degree(n, lowest=1)
     z0 = require_exterior(z0)
-    (x, moduli, lebesgue, e, d, _, F, _), why = _solve(_lobatto(n)[1:-1], z0)
+    if z0.real == 0.0:
+        # imported here: imaginary imports this module
+        from .imaginary import companion_zeros
+
+        terms, why = _residual_terms(companion_zeros(n - 1, z0.imag), z0), "closed form"
+    else:
+        terms, why = _solve(_lobatto(n)[1:-1], z0)
+    x, moduli, lebesgue, e, d, _, F, _ = terms
     design = _assemble(z0, x, moduli, lebesgue, e, d)
     if not design.certified:
         cert = design.certificate
@@ -631,6 +651,7 @@ def optimize_support(n, z0):
             f"(max_violation={cert.max_violation:.3e}, "
             f"duality_gap={cert.duality_gap:.3e}, "
             f"residual={np.abs(F).max(initial=0.0):.3e}; solver: {why}); "
-            f"efficiency K_opt/K in [{math.exp(lo):.9g}, {math.exp(hi):.9g}]"
+            # each end in full, as rounding it could exclude K_opt/K
+            f"efficiency K_opt/K in [{math.exp(lo)!r}, {math.exp(hi)!r}]"
         )
     return design

@@ -29,7 +29,12 @@ from optpred.design import (
     _solve,
     _sup_bound,
 )
-from optpred.imaginary import closed_form_design, growth_gap, growth_value
+from optpred.imaginary import (
+    closed_form_design,
+    closed_form_support,
+    growth_gap,
+    growth_value,
+)
 from optpred.polynomial import MAX_DEGREE, _hits, _lobatto, _pairwise_moduli
 from polyhelp import (
     chebval_50,
@@ -550,13 +555,20 @@ def test_optimize_support_real_point():
     assert d.certified
 
 
+def _solved_nodes(n, z0):
+    """The support the root solve reaches from the Chebyshev start.  On the
+    imaginary axis optimize_support takes the closed form and never solves;
+    the solve still serves every other z0, and the axis, where the closed
+    form is the oracle, keeps its convergence tested."""
+    return _solve(_lobatto(n)[1:-1], z0)[0][0]
+
+
 @pytest.mark.parametrize("n, a", [(3, 1.0), (24, 1.0), (32, 1.0), (6, 0.001)])
 def test_optimize_support_imaginary_point(n, a):
-    d = optimize_support(n, 1j * a)
-    np.testing.assert_allclose(
-        d.measure.nodes, closed_form_design(n, a).measure.nodes, atol=1e-6
-    )
-    assert d.certified
+    x = _solved_nodes(n, 1j * a)
+    np.testing.assert_allclose(x, closed_form_design(n, a).measure.nodes, atol=1e-6)
+    assert design_from_support(n, 1j * a, x).certified
+    assert optimize_support(n, 1j * a).certified
 
 
 # symmetric starts with an exact 0 coordinate: the cosine form leaves 6e-17
@@ -570,19 +582,50 @@ def test_optimize_support_certifies_from_symmetric_start(n, z0):
 @pytest.mark.parametrize("a", [0.001, 0.01, 1.0])
 @pytest.mark.parametrize("n", [3, 8, 32])
 def test_optimize_support_nodes_to_rounding(n, a):
-    d = optimize_support(n, 1j * a)
     exact = closed_form_design(n, a).measure.nodes
-    assert np.abs(d.measure.nodes - exact).max() <= 1e-12
+    assert np.abs(_solved_nodes(n, 1j * a) - exact).max() <= 1e-12
 
 
 def test_optimize_support_axis_near_interval():
     # at a = 1e-6 odd n puts a pair of nodes 3.7e-4 (n=31) to 1.4e-3 (n=3)
-    # apart around 0; every design certifies and lands on the closed form
+    # apart around 0; every design certifies, and the solve lands on the
+    # closed form and certifies too
     for n in range(2, 33):
         d = optimize_support(n, 1e-6j)
         assert d.certified, (n, d.certificate.max_violation)
+        x = _solved_nodes(n, 1e-6j)
+        solved = design_from_support(n, 1e-6j, x)
+        assert solved.certified, (n, solved.certificate.max_violation)
         exact = closed_form_design(n, 1e-6).measure.nodes
-        assert np.abs(d.measure.nodes - exact).max() <= 1e-9, n
+        assert np.abs(x - exact).max() <= 1e-9, n
+
+
+def test_axis_design_is_the_closed_form():
+    # on z0 = ai the interior nodes are companion_zeros(n - 1, a), and the
+    # design is assembled from the residual pass's moduli, the same bits as
+    # design_from_support's: closed_form_design's design, field by field
+    for a in (1e-9, -1e-9, 1e-3, -1e-3, 0.5, 4.0):
+        for n in range(1, 65):
+            d = optimize_support(n, 1j * a)
+            assert d.measure.nodes.tobytes() == closed_form_support(n, a).tobytes()
+            assert math.isfinite(d.K_value), (n, a)
+            _assert_same_design(d, closed_form_design(n, a))
+
+
+def _no_solve(*args):
+    raise AssertionError("the imaginary axis takes the closed form")
+
+
+def test_axis_design_takes_no_solve(monkeypatch):
+    # (3, 1e-9i) among them: its two interior nodes sit 2.2e-5 either side
+    # of 0, and a solve started from the closed form drifts off it to an
+    # uncertified design (violation 1.4e-8), while the closed form certifies
+    monkeypatch.setattr("optpred.design._solve", _no_solve)
+    monkeypatch.setattr("optpred.design._residual_jacobian", _no_solve)
+    for n in (1, 2, 3, 8, 13, 32, 64, 256):
+        for a in (1e-9, -1e-6, 1e-3, 1.0, -4.0):
+            if (n, a) != (256, -4.0):  # K overflows to inf there
+                assert optimize_support(n, 1j * a).certified, (n, a)
 
 
 @pytest.mark.parametrize("z0", [2.0, 1j, 0.5 + 0.5j, 0.001j])
@@ -1016,18 +1059,25 @@ def test_uncertified_warning_reads_verdict(monkeypatch):
                                    rel=1e-8)
 
 
-def test_uncertified_solves_state_their_efficiency():
+def test_uncertified_solves_state_their_efficiency(monkeypatch):
     # misses of the solve, each within a few percent of the optimum: the
     # first is the one whose K exceeds the Bernstein-Walsh end, the second
-    # has the lowest lower end of a 524-point sweep, and on the axis the
-    # exact efficiency is growth_value^2 / K
+    # has the lowest lower end of a 524-point sweep.  On the axis the closed
+    # form certifies, and the exact efficiency of any other support, here
+    # the Chebyshev extrema in its place, is growth_value^2 / K
     hi = _efficiency_bracket(
         _uncertified(34, 0.8025031837578223 - 0.00020382230356402663j)[1])[1]
     assert hi < 1
     lo = _efficiency_bracket(
         _uncertified(48, -0.07478856367822528 - 0.0010338578074663084j)[1])[0]
     assert lo >= 0.9
+    d = optimize_support(13, 1e-9j)
+    assert d.certified
+    assert abs(math.log(d.K_value) - 2 * math.log(growth_value(13, 1e-9))) <= 1e-10
+    monkeypatch.setattr("optpred.imaginary.companion_zeros",
+                        lambda m, a: _lobatto(m + 1)[1:-1])
     d, message = _uncertified(13, 1e-9j)
+    assert "solver: closed form); " in message
     lo, hi = _efficiency_bracket(message)
     assert lo - 1e-12 <= growth_value(13, 1e-9) ** 2 / d.K_value <= hi + 1e-12
 
