@@ -140,12 +140,12 @@ def _suite_pell(seed, _solve):
 
 def _suite_equivalence(_seed, solve):
     """Optimizer against the available exact node sets, certificate demanded.
-    On the imaginary axis, at (2, i), (3, i) and (4, 0.25i), optimize_support
-    takes the closed form and solves nothing, so there it checks that the
-    support returned is closed_form_support and that the certificate, which
-    is independent of it, accepts it; on the real line, at (3, 1.5) and
-    (4, 2), it holds the solved nodes against the Chebyshev extrema
-    _lobatto(n)."""
+    On both axes optimize_support takes the closed form and solves nothing,
+    so the suite checks that the support returned is the closed form,
+    closed_form_support on the imaginary axis, at (2, i), (3, i) and
+    (4, 0.25i), and the Chebyshev extrema _lobatto(n) on the real line, at
+    (3, 1.5) and (4, 2), and that the certificate, which is independent of
+    either, accepts it."""
     worst = 0.0
     ok = True
     for n, z0 in [(2, 1j), (3, 1j), (4, 0.25j), (3, 1.5), (4, 2.0)]:

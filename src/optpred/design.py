@@ -4,25 +4,26 @@ For a fixed support -1 = x_0 < ... < x_n = +1 the best weights are
 w_i = |l_i(z0)| / sum_j |l_j(z0)| (Hoel-Levine), and the kernel value then
 collapses to the squared Lebesgue function, K = (sum_i |l_i(z0)|)^2.  The
 remaining problem is placing the n-1 interior nodes to minimize the Lebesgue
-function at z0.  On an optimal support every interior node is a critical point
-of |P|^2 for the signed polynomial P below, so the nodes solve those
-first-order conditions, found by a short Levenberg-Marquardt loop (_solve)
-directly in node coordinates.  The weights, K, the residual and P all come
-from the moduli |l_i(z0)|, from one real pairwise pass over the nodes
-(polynomial._lagrange_moduli).  Each trial point of the loop costs one
-O(n^2) residual, and each step it takes one O(n^3) exact Jacobian; a start
-whose residual is zero to rounding, as the Chebyshev extrema are at every
-real z0, takes no step, so a real-axis design costs O(n^2).  On the
-imaginary axis nothing is solved: the paper's theorem gives the optimal
-support at z0 = ai in closed form, the endpoints and the zeros of the Pell
-companion R_{n-1} (imaginary.companion_zeros), since the Pell identity
-|Q_n|^2 - (x^2 - 1) R_{n-1}^2 = 1 pins |Q_n| = 1 exactly there and below 1
-elsewhere on [-1, 1]; an axis design costs one residual pass, for the
-moduli, and one assembly, O(n^2).  A support reaches its design by one
-route, _assemble, from its checked moduli: a given support through
-design_from_support, which hoel_levine_weights and extremal_signed_poly
-read, and a solved or closed-form one from the residual at its nodes,
-with no second pass over them.
+function at z0.  On both axes the optimal support is known in closed form,
+and nothing is solved.  At a real z0 it is the Chebyshev extrema (Hoel &
+Levine, Ann. Math. Statist. 35, 1964).  At z0 = ai the paper's theorem gives
+the endpoints and the zeros of the Pell companion R_{n-1}
+(imaginary.companion_zeros), since the Pell identity |Q_n|^2 - (x^2 - 1)
+R_{n-1}^2 = 1 pins |Q_n| = 1 exactly there and below 1 elsewhere on
+[-1, 1].  Either costs one pairwise pass and one assembly, O(n^2).
+Elsewhere the nodes are solved for: on an optimal support every interior
+node is a critical point of |P|^2 for the signed polynomial P below, so the
+nodes solve those first-order conditions, found by a short
+Levenberg-Marquardt loop (_solve) directly in node coordinates.  The
+weights, K, the residual and P all come from the moduli |l_i(z0)|, from one
+real pairwise pass over the nodes (polynomial._lagrange_moduli).  Each
+trial point of the loop costs one O(n^2) residual, and each step it takes
+one O(n^3) exact Jacobian; the loop stops at its first iterate whose
+residual is zero to rounding, with no Jacobian there.  A support reaches its
+design by one route, _assemble, from its checked moduli: a given or
+closed-form support through _support_design, which design_from_support,
+hoel_levine_weights and extremal_signed_poly share, and a solved one from
+the residual at its nodes, with no second pass over them.
 
 Optimality of a candidate design is not taken on faith: the signed Lagrange
 combination P = sum_i sgn(l_i(z0)) l_i (complex sign conventions such that
@@ -88,7 +89,10 @@ _U = 2.0**-53  # the unit roundoff of doubles
 # carries 10 N; e_i/e_j, the product, the sum with 1 and 1/(x_j - x_i)
 # about 10 more; and the sum of N terms N - 1.  Below 16 N u for N >= 2.
 # Where 1 + (m_i/m_j) Re(e_i/e_j) cancels, sum_i |t_ji| is smaller than
-# that bound's scale, which only makes the start test stricter
+# that bound's scale, which only makes _solve's stop test stricter.  The
+# bound leaves out the rounding of the nodes themselves: an iterate some
+# units in the last place off its root can read above it, and the step
+# test stops the loop one Jacobian later, at the same iterate
 _START_ROUNDING = 16 * _U
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -408,16 +412,23 @@ def design_from_support(n, z0, nodes):
     """Assemble the full Design for a given support: Hoel-Levine weights,
     kernel value, signed extremal polynomial, certificate, in O(n^2).
 
-    The degree, z0 and nodes are checked here, and the moduli |l_i(z0)| come
-    from one pairwise pass (polynomial._pairwise_moduli) with their sum
-    Lambda checked by _checked_moduli; _assemble then builds the design from
-    them and checks none of it again.
+    The degree, z0 and nodes are checked here; _support_design then builds
+    the design from one pairwise pass and checks none of it again.
     """
     _check_degree(n, lowest=1)
     z0 = require_exterior(z0)
     x = as_nodes(nodes)
     if len(x) != n + 1:
         raise ValueError(f"degree {n} needs {n + 1} nodes, got {len(x)}")
+    return _support_design(z0, x)
+
+
+def _support_design(z0, x):
+    """The Design on the checked support x at the exterior z0: the moduli
+    |l_i(z0)| from one pairwise pass (polynomial._pairwise_moduli), their
+    sum Lambda checked by _checked_moduli, then _assemble.  The route of
+    design_from_support and of optimize_support's closed forms.
+    """
     e = z0 - x
     d = np.abs(e)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -455,10 +466,11 @@ def _residual_terms(interior, z0):
     j (t_jj = 0).  One pairwise array x_i - x_k serves both m, through its
     absolute values (polynomial._lagrange_moduli), and inv, formed from it
     in place; the residual needs no Lagrange phases, so none are computed.
-    Its callers, _solve and optimize_support, have z0 from require_exterior
-    and the nodes are real and in [-1, 1], so no z0 - x_i is 0 and z0 needs
-    no check against them here.  The terms at the solved or closed-form
-    nodes are the ones their design is assembled from.
+    Its callers, _solve and optimize_support (for an uncertified design's
+    warning), have z0 from require_exterior and the nodes are real and in
+    [-1, 1], so no z0 - x_i is 0 and z0 needs no check against them here.
+    The terms at the solved nodes are the ones their design is assembled
+    from.
 
     F_j is half the derivative of |P|^2 at x_j, so it vanishes on an optimal
     support, where every interior node is a maximum of |P| on [-1, 1].  It is
@@ -533,46 +545,42 @@ def _residual_jacobian(terms):
 def _solve(x0, z0):
     """(terms, why): Levenberg-Marquardt on F = 0 from the ordered interior
     start x0, with terms the _residual_terms (x, m, Lambda, e, d, inv, F, t)
-    of the support it returns: the start if it stops at iteration 0, else
-    the last point it accepted, also when it refuses trial points or stops
-    at the cap.
+    of the support it returns: the first iterate that passes its stop test,
+    else the last point it accepted, also when it refuses trial points or
+    stops at the cap.
 
-    The start is tested once, on its own residual pass, before any
-    Jacobian: if F is not 0 and every |F_j| is within the rounding bound
-    _START_ROUNDING N sum_i |t_ji| of its own summands, over N nodes, the
-    start is returned as a root, with no Jacobian built; an F that is empty
-    (n = 1) or exactly 0 stops on F = 0 in the loop.  At a
-    real z0 the start is the optimal support (Hoel & Levine, Ann. Math.
-    Statist. 35, 1964), rounded to doubles: the largest |F_j| / sum_i
-    |t_ji| reads below the bound's 8 N eps at every n up to 206 and at more
-    than half of the degrees above (7.3 N eps at n = 256), so a real-axis
-    design costs one residual and one assembly, O(n^2).  Where the start
-    misses the test the loop runs as before; a start with |Im z0| >= 1e-3
-    reads 1e5 N eps or more.  Later iterates keep the step test alone.
+    Every new iterate, the start included, is tested once, on its own
+    residual pass and before its Jacobian: if every |F_j| is within the
+    rounding bound _START_ROUNDING N sum_i |t_ji| of its own summands, over
+    N nodes, it is returned as a root, with no Jacobian built.  An F that is
+    empty (n = 1) or exactly 0 passes.  Such a root takes no further step:
+    on the design-sweep band the step test, one Jacobian and one linear
+    solve later, returns the same iterate, and where it does not, the steps
+    it still takes are of rounding size (log K within 3.6e-15 on the
+    decision ledger's points).  Starts with |Im z0| >= 1e-3 read 1e5 N eps
+    or more, so they take the loop.
 
     Each iteration solves (A + mu D) s = -g, with A = J^T J, g = J^T F and
     D the running largest diag(A) (Marquardt's scaling; More, LNM 630,
     1978).  x + s is taken only if it is ordered and lowers |F|^2; then mu
-    follows the gain ratio rho (Nielsen, IMM-REP-1999-05) and one Jacobian is
-    built.  A refused trial point costs one O(n^2) residual and raises mu.
-    It stops at a start that passes its test, on F = 0, on a step below
-    _ROOT_XTOL (absolute, as every iterate lies in (-1, 1)) or after
-    _MAX_ITER iterations; why says which.
+    follows the gain ratio rho (Nielsen, IMM-REP-1999-05), and the new
+    iterate is tested and, unless it is a root, gets one Jacobian.  A
+    refused trial point costs one O(n^2) residual and raises mu.  It stops
+    at an iterate that passes its test, on a step below _ROOT_XTOL
+    (absolute, as every iterate lies in (-1, 1)) or after _MAX_ITER
+    iterations; why says which.
     """
     terms = _residual_terms(x0, z0)
-    F, t = terms[6], terms[7]
-    # the start's summands are not read again, so |t| overwrites them
-    if F.any() and ((np.abs(F) / np.abs(t, out=t).sum(axis=1)).max()
-                    <= _START_ROUNDING * len(terms[0])):
-        return terms, "F = 0 to rounding at the start"
     x, fresh, D, mu, nu = x0, True, 0.0, 1e-6, 2.0
     step = len(x0) + 1  # the stride of a diagonal
     for k in range(_MAX_ITER):
         if fresh:  # a new iterate and, unless it is a root, its one Jacobian
-            F = terms[6]
+            F, t = terms[6], terms[7]
+            # the summands are not read again, so |t| overwrites them
+            bound = _START_ROUNDING * len(terms[0]) * np.abs(t, out=t).sum(axis=1)
+            if (np.abs(F) <= bound).all():
+                return terms, f"F = 0 to rounding after {k} iterations"
             f = F @ F
-            if f == 0.0:
-                return terms, f"F = 0 after {k} iterations"
             J = _residual_jacobian(terms)
             A, g = J.T @ J, J.T @ F
             D, fresh = np.maximum(D, A.diagonal()), False
@@ -596,28 +604,28 @@ def _solve(x0, z0):
 def optimize_support(n, z0):
     """Optimal interior node placement for predicting at z0.
 
-    Endpoints are pinned at -1 and +1.  On the imaginary axis, Re z0 == 0,
-    the interior nodes are the zeros of R_{n-1} (imaginary.companion_zeros),
-    the paper's closed-form optimal support, which the Pell identity proves
-    optimal (module docstring): nothing is solved, and the design costs one
-    O(n^2) residual pass and one assembly, with the stop reason "closed
-    form".  Every other z0, however near the axis, keeps the solve: the
-    n-1 interior nodes solve the first-order conditions F_j = 0
-    (_residual_terms) by _solve, with the exact Jacobian, from the
-    Chebyshev extreme points in their exactly symmetric sine form; every
-    iterate keeps the nodes ordered.  At a real z0 that start is the
-    optimal support, its F zero to rounding up to n = 206 and at over half
-    of the larger n, and _solve returns it with no Jacobian: the design
-    costs one O(n^2) residual and one assembly.  At n = 1 there are no
-    interior nodes, and _solve stops at once on the empty F = 0.  The
+    Endpoints are pinned at -1 and +1.  On both axes the optimal support is
+    known in closed form, and nothing is solved: at a real z0, Im z0 == 0,
+    it is the Chebyshev extrema _lobatto(n) (Hoel & Levine, Ann. Math.
+    Statist. 35, 1964), copied so that the design holds no cached array; on
+    the imaginary axis, Re z0 == 0, the endpoints and the zeros of R_{n-1}
+    (imaginary.closed_form_support), which the Pell identity proves optimal
+    (module docstring).  Either design is assembled as a given support's
+    is (_support_design), with the stop reason "closed form": one O(n^2)
+    pairwise pass and one assembly.  Every other z0, however near an axis,
+    keeps the solve: the n-1 interior nodes solve the first-order
+    conditions F_j = 0 (_residual_terms) by _solve, with the exact
+    Jacobian, from the Chebyshev extreme points in their exactly symmetric
+    sine form; every iterate keeps the nodes ordered.  At n = 1 there are no
+    interior nodes, and _solve stops at once on the empty F.  A solved
     design is assembled (_assemble) from the terms of the last residual, at
     exactly the returned nodes: its strict order test on [-1, x_1, ...,
     x_{n-1}, 1] implies every as_nodes check and its moduli passed
     _checked_moduli, so neither runs again.  An uncertified result comes
     back with a warning: its certificate carries the evidence, and the
-    warning adds the residual, how the support was found (closed form, or
-    why the solve stopped) and a proven bracket on the design's efficiency
-    K_opt/K, its ends printed in full.
+    warning adds the residual, formed for it at the design's nodes, how the
+    support was found (closed form, or why the solve stopped) and a proven
+    bracket on the design's efficiency K_opt/K, its ends printed in full.
 
     The optimal K_opt is max |p(z0)|^2 / sup|p|^2 over p of degree n, so the
     constant 1, T_n and the design's own P, with |P(z0)|^2 >= K (1 - gap) and
@@ -629,17 +637,20 @@ def optimize_support(n, z0):
     """
     _check_degree(n, lowest=1)
     z0 = require_exterior(z0)
-    if z0.real == 0.0:
+    why = "closed form"
+    if z0.imag == 0.0:
+        design = _support_design(z0, _lobatto(n).copy())
+    elif z0.real == 0.0:
         # imported here: imaginary imports this module
-        from .imaginary import companion_zeros
+        from .imaginary import closed_form_support
 
-        terms, why = _residual_terms(companion_zeros(n - 1, z0.imag), z0), "closed form"
+        design = _support_design(z0, closed_form_support(n, z0.imag))
     else:
         terms, why = _solve(_lobatto(n)[1:-1], z0)
-    x, moduli, lebesgue, e, d, _, F, _ = terms
-    design = _assemble(z0, x, moduli, lebesgue, e, d)
+        design = _assemble(z0, *terms[:5])
     if not design.certified:
         cert = design.certificate
+        F = _residual_terms(design.measure.nodes[1:-1], z0)[6]
         log_T, log_phi = _log_kernel_bracket(n, z0)
         log_K = math.log(min(design.K_value, sys.float_info.max))
         lo = max(0.0, log_T) - log_K if math.isfinite(design.K_value) else -math.inf

@@ -613,14 +613,16 @@ def test_axis_design_is_the_closed_form():
 
 
 def _no_solve(*args):
-    raise AssertionError("the imaginary axis takes the closed form")
+    raise AssertionError("an axis takes its closed form, with no solve")
 
 
 def test_axis_design_takes_no_solve(monkeypatch):
     # (3, 1e-9i) among them: its two interior nodes sit 2.2e-5 either side
     # of 0, and a solve started from the closed form drifts off it to an
-    # uncertified design (violation 1.4e-8), while the closed form certifies
+    # uncertified design (violation 1.4e-8), while the closed form certifies;
+    # a certified design forms no residual either
     monkeypatch.setattr("optpred.design._solve", _no_solve)
+    monkeypatch.setattr("optpred.design._residual_terms", _no_solve)
     monkeypatch.setattr("optpred.design._residual_jacobian", _no_solve)
     for n in (1, 2, 3, 8, 13, 32, 64, 256):
         for a in (1e-9, -1e-6, 1e-3, 1.0, -4.0):
@@ -714,13 +716,13 @@ def test_optimize_support_is_assembled_by_design_from_support():
     # exactly as a user's given support does, whichever way the solve
     # stopped, and the measure built without a second node check is a valid
     # one: real z0 (the start is optimal, its F zero to rounding), n = 1
-    # (empty F = 0), the imaginary axis, the certified bands, a run that
-    # refuses trial points until its step falls below tolerance, and one
-    # that stops at the cap
-    stops = [((6, 2.0 + 0j), "F = 0 to rounding at the start"),
-             ((9, -1.5 + 0j), "F = 0 to rounding at the start"),
-             ((1, 2 + 1j), "F = 0 after 0 iterations"),
-             ((6, 0.5j), "step below tolerance after 4 iterations")]
+    # (empty F), the imaginary axis (a root to rounding after 4 steps), the
+    # certified bands, a run that refuses trial points until its step falls
+    # below tolerance, and one that stops at the cap
+    stops = [((6, 2.0 + 0j), "F = 0 to rounding after 0 iterations"),
+             ((9, -1.5 + 0j), "F = 0 to rounding after 0 iterations"),
+             ((1, 2 + 1j), "F = 0 to rounding after 0 iterations"),
+             ((6, 0.5j), "F = 0 to rounding after 4 iterations")]
     cases = [(point, True) for point, _ in stops]
     cases += [(point, True) for point in _band_points(np.random.default_rng(26), 4)]
     uncertified = [((18, 0.916151786089995 - 1.0754094836323072e-05j),
@@ -863,7 +865,8 @@ def test_lebesgue_sum_overflow_is_typed_without_warning():
 def test_jacobian_built_at_start_and_per_accepted_step(monkeypatch):
     # the solve evaluates F at its start and at each trial point; a trial is
     # accepted iff it is ordered and lowers |F|^2 below the last accepted
-    # one, and exactly the start and the accepted points get a Jacobian: the
+    # one, and the start and every accepted point get a Jacobian but the
+    # last, a root to rounding that is returned with no confirming one: the
     # start here is far from a root, so its F is far above its rounding
     terms, jacobian = optpred.design._residual_terms, optpred.design._residual_jacobian
     evaluated, built = [], []
@@ -878,14 +881,38 @@ def test_jacobian_built_at_start_and_per_accepted_step(monkeypatch):
 
     monkeypatch.setattr("optpred.design._residual_terms", spy_terms)
     monkeypatch.setattr("optpred.design._residual_jacobian", spy_jacobian)
-    assert optimize_support(7, 0.125 - 0.015625j).certified
+    d = optimize_support(7, 0.125 - 0.015625j)
+    assert d.certified
     accepted, best = [], math.inf
     for t in evaluated:
         if t is not None and t[6] @ t[6] < best:
             accepted.append(t)
             best = t[6] @ t[6]
-    assert len(built) == len(accepted) < len(evaluated)
+    assert len(built) == len(accepted) - 1 < len(evaluated)
     assert all(a is b for a, b in zip(built, accepted))
+    assert d.measure.nodes is accepted[-1][0]
+
+
+def test_band_solves_stop_at_their_first_root_to_rounding():
+    # the complex rows of the design-sweep band, n in 4, 8, 12 with both
+    # parts of z0 in [0.2, 0.8]: every design certifies, and the solve
+    # returns its first iterate whose F is zero to the rounding of its own
+    # sums, with no confirming Jacobian.  That bound covers the rounding of
+    # F's sums but not of the iterate's nodes, so a few iterates read above
+    # it (0 to 3 of 60 per seed over seeds 30..59, at 19 to 48 N u against
+    # its 16 N u) and stop on the step test one Jacobian later, at the same
+    # iterate; none refuses its way to the cap
+    rng = np.random.default_rng(39)
+    rounding = 0
+    for n in (4, 8, 12):
+        for _ in range(20):
+            z0 = complex(*rng.uniform(0.2, 0.8, 2))
+            why = _solve(_lobatto(n)[1:-1], z0)[1]
+            assert re.fullmatch(r"(F = 0 to rounding|step below tolerance) "
+                                r"after \d+ iterations", why), (n, z0, why)
+            rounding += why.startswith("F = 0 to rounding")
+            assert optimize_support(n, z0).certified, (n, z0)
+    assert rounding >= 57
 
 
 class _Jacobian(Exception):
@@ -898,29 +925,47 @@ def _no_jacobian(terms):
 
 def test_real_axis_design_builds_no_jacobian(monkeypatch):
     # on the real axis the Chebyshev extrema are the optimal support, and
-    # the start's F is zero to the rounding of its own sums: the solve
-    # returns it with no Jacobian, and the design is that of the given
-    # support.  At n = 256, K overflows at -3, an uncertified design, and
-    # the Lagrange values overflow at 10, a numeric failure of both routes
+    # optimize_support assembles them as design_from_support does, on a copy
+    # of the cached grid, with no solve: the same design bit for bit, and a
+    # residual pass only where it is uncertified, for the warning.  Each
+    # certifies unless K overflows to inf (six points from n = 207 on: -3
+    # at 207, 256 and 300, 10 at 207, 2 at 300, 1.5 at 512); the Lagrange
+    # values overflow at 10 from n = 256 on and at 2 and -3 at n = 512, a
+    # numeric failure of both routes with the same message
+    solve, residual_terms = _solve, _residual_terms
+    passes = []
+
+    def spy_terms(interior, z0):
+        passes.append(interior)
+        return residual_terms(interior, z0)
+
+    monkeypatch.setattr("optpred.design._solve", _no_solve)
+    monkeypatch.setattr("optpred.design._residual_terms", spy_terms)
     monkeypatch.setattr("optpred.design._residual_jacobian", _no_jacobian)
-    for n in (*range(2, 13), 32, 64, 256):
-        for z0 in (1.001, -1.001, 2.0, -3.0, 10.0):
-            if (n, z0) == (256, 10.0):
-                with pytest.raises(RuntimeError, match="Lagrange values overflow"):
-                    optimize_support(n, z0)
-                with pytest.raises(RuntimeError, match="Lagrange values overflow"):
-                    design_from_support(n, z0, _lobatto(n))
-                continue
-            why = _solve(_lobatto(n)[1:-1], complex(z0))[1]
-            # at n = 2 the one interior node, 0, is an exact root
-            assert why == ("F = 0 after 0 iterations" if n == 2
-                           else "F = 0 to rounding at the start"), (n, z0)
+    for n in (*range(1, 13), 32, 64, 207, 256, 300, 512):
+        for z0 in (1.001, -1.001, 1.5, 2.0, -3.0, 10.0):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
+                try:
+                    given = design_from_support(n, z0, _lobatto(n))
+                except RuntimeError as err:
+                    with pytest.raises(RuntimeError) as raised:
+                        optimize_support(n, z0)
+                    assert str(raised.value) == str(err), (n, z0)
+                    continue
+                passes.clear()
                 d = optimize_support(n, z0)
-                given = design_from_support(n, z0, _lobatto(n))
-            assert d.certified == ((n, z0) != (256, -3.0)), (n, z0)
+            assert d.measure.nodes is not _lobatto(n)
+            assert d.certified == math.isfinite(d.K_value), (n, z0)
+            assert len(passes) == (0 if d.certified else 1), (n, z0)
             _assert_same_design(d, given)
+    # the solve itself still returns the real start with no Jacobian: its F
+    # is zero to the rounding of its own sums up to n = 206, n = 256 included
+    for n in (*range(1, 13), 32, 64, 256):
+        for z0 in (1.001, -1.001, 2.0, -3.0):
+            terms, why = solve(_lobatto(n)[1:-1], complex(z0))
+            assert why == "F = 0 to rounding after 0 iterations", (n, z0)
+            assert terms[0].tobytes() == _lobatto(n).tobytes()
 
 
 def test_start_exit_keeps_the_first_step_of_the_solve(monkeypatch):
@@ -942,9 +987,9 @@ def test_start_exit_keeps_the_first_step_of_the_solve(monkeypatch):
             terms, why = _solve(_lobatto(n)[1:-1], z0)
         except (_Jacobian, RuntimeError):
             continue
-        if why == "F = 0 after 0 iterations":  # n = 2 on an axis: node 0
+        if not terms[6].any():  # n = 2 on an axis: node 0 is an exact root
             continue
-        assert why == "F = 0 to rounding at the start", (n, z0)
+        assert why == "F = 0 to rounding after 0 iterations", (n, z0)
         assert abs(z0.real) > 1 and abs(z0.imag) < 1.7e-6, (n, z0)
         # the loop's first step from the start, as _solve forms it
         J, F = _residual_jacobian(terms), terms[6]
@@ -991,9 +1036,16 @@ def test_optimize_support_degree_one_warns_when_uncertified():
     # like every other degree, with the empty residual read as 0
     d, message = _uncertified(1, 1e200)
     assert d.K_value == math.inf
-    assert "residual=0.000e+00; solver: F = 0 after 0 iterations" in message
+    assert "residual=0.000e+00; solver: closed form" in message
     # an overflowed K leaves no lower end but 0
     assert _efficiency_bracket(message) == (0, 1)
+    # so do the closed forms on both axes where K overflows: their residual
+    # is formed for the warning alone, and it is finite
+    for n, z0 in ((256, -3.0), (200, 4j)):
+        d, message = _uncertified(n, z0)
+        assert d.K_value == math.inf
+        residual = re.search(r"residual=(\S+); solver: closed form\)", message)
+        assert residual and math.isfinite(float(residual[1])), message
 
 
 def test_solved_design_gap_is_one_where_kernel_overflows():
