@@ -93,7 +93,7 @@ _U = 2.0**-53  # the unit roundoff of doubles
 # bound leaves out the rounding of the nodes themselves: an iterate some
 # units in the last place off its root can read above it, and the step
 # test stops the loop one Jacobian later, at the same iterate
-_START_ROUNDING = 16 * _U
+_ROOT_ROUNDING = 16 * _U
 _WEIGHT_SUM_TOL = 1e-12
 
 
@@ -551,7 +551,7 @@ def _solve(x0, z0):
 
     Every new iterate, the start included, is tested once, on its own
     residual pass and before its Jacobian: if every |F_j| is within the
-    rounding bound _START_ROUNDING N sum_i |t_ji| of its own summands, over
+    rounding bound _ROOT_ROUNDING N sum_i |t_ji| of its own summands, over
     N nodes, it is returned as a root, with no Jacobian built.  An F that is
     empty (n = 1) or exactly 0 passes.  Such a root takes no further step:
     on the design-sweep band the step test, one Jacobian and one linear
@@ -577,7 +577,7 @@ def _solve(x0, z0):
         if fresh:  # a new iterate and, unless it is a root, its one Jacobian
             F, t = terms[6], terms[7]
             # the summands are not read again, so |t| overwrites them
-            bound = _START_ROUNDING * len(terms[0]) * np.abs(t, out=t).sum(axis=1)
+            bound = _ROOT_ROUNDING * len(terms[0]) * np.abs(t, out=t).sum(axis=1)
             if (np.abs(F) <= bound).all():
                 return terms, f"F = 0 to rounding after {k} iterations"
             f = F @ F

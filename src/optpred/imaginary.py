@@ -227,8 +227,9 @@ def closed_form_design(n, a):
     Support is closed_form_support(n, a).  Weights, kernel value, extremal
     polynomial and certificate are assembled the same way the numerical route
     assembles them, so the two routes stay comparable.  optimize_support(n,
-    ai) takes this support too, from companion_zeros, and returns this
-    design bit for bit.
+    ai) takes this support too and assembles it by design._support_design,
+    this route without design_from_support's input checks, so it returns
+    this design bit for bit.
     """
     nodes = closed_form_support(n, a)
     return design_from_support(n, 1j * _check_a(a), nodes)

@@ -601,9 +601,9 @@ def test_optimize_support_axis_near_interval():
 
 
 def test_axis_design_is_the_closed_form():
-    # on z0 = ai the interior nodes are companion_zeros(n - 1, a), and the
-    # design is assembled from the residual pass's moduli, the same bits as
-    # design_from_support's: closed_form_design's design, field by field
+    # on z0 = ai the support is closed_form_support(n, a), and the design is
+    # assembled from it by _support_design, design_from_support's route
+    # without its input checks: closed_form_design's design, field by field
     for a in (1e-9, -1e-9, 1e-3, -1e-3, 0.5, 4.0):
         for n in range(1, 65):
             d = optimize_support(n, 1j * a)
@@ -960,9 +960,14 @@ def test_real_axis_design_builds_no_jacobian(monkeypatch):
             assert len(passes) == (0 if d.certified else 1), (n, z0)
             _assert_same_design(d, given)
     # the solve itself still returns the real start with no Jacobian: its F
-    # is zero to the rounding of its own sums up to n = 206, n = 256 included
+    # is zero to the rounding of its own sums up to n = 206, n = 256 included,
+    # except at 10, where the start's Lagrange values overflow
     for n in (*range(1, 13), 32, 64, 256):
-        for z0 in (1.001, -1.001, 2.0, -3.0):
+        for z0 in (1.001, -1.001, 2.0, -3.0, 10.0):
+            if (n, z0) == (256, 10.0):
+                with pytest.raises(RuntimeError, match="Lagrange values overflow"):
+                    solve(_lobatto(n)[1:-1], complex(z0))
+                continue
             terms, why = solve(_lobatto(n)[1:-1], complex(z0))
             assert why == "F = 0 to rounding after 0 iterations", (n, z0)
             assert terms[0].tobytes() == _lobatto(n).tobytes()
